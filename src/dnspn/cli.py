@@ -30,7 +30,7 @@ from .errors import (DataError, DnspnError, MetricError, NumericError,
                      ParameterError, ShapeError, UsageError)
 from .metrics import EvalReport
 from .model_io import load_model, save_model
-from .numeric import RngState
+from .numeric import RngState, require_finite
 from .pruning import LayerStats, PruneConfig, mask_curve
 from .training import (METHODS, TrainConfig, backbone_sparsity,
                        evaluate_model, fit, method_model)
@@ -328,6 +328,7 @@ def cmd_mask_curve(args) -> int:
     cfg, _ = resolve_config(args)
     if args.samples < 2:
         raise UsageError("need at least 2 curve samples")
+    require_finite(mu=args.mu, std=args.std, wmin=args.wmin, wmax=args.wmax)
     if not args.wmin < args.wmax:
         raise UsageError("empty weight range: wmin must be < wmax")
     stats = LayerStats(mu=args.mu, std=args.std)

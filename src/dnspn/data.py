@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numeric import RngState
+from .numeric import RngState, require_finite
 
 BASE_DIM = 100
 
@@ -63,6 +63,7 @@ class SyntheticSpec:
             raise ParameterError(f"unknown synthetic kind {self.kind!r}")
         if not 1 <= self.k <= BASE_DIM:
             raise ParameterError(f"k must be in [1, {BASE_DIM}], got {self.k}")
+        require_finite(sigma=self.sigma)
         if np.any(np.asarray(self.sigma) < 0):
             raise ParameterError("sigma must be >= 0")
         if self.n_train < 1 or self.n_test < 0:

@@ -128,8 +128,8 @@ def route(head: ForestHead, activation: np.ndarray) -> RoutingProbs:
         d = decisions[:, :, lo:hi]
         level_mus.append(mu)
         nxt = np.empty((batch, m, 2 ** (level + 1)))
-        nxt[:, :, 0::2] = mu * d
-        nxt[:, :, 1::2] = mu * (1.0 - d)
+        np.multiply(mu, d, out=nxt[:, :, 0::2])
+        np.multiply(mu, 1.0 - d, out=nxt[:, :, 1::2])
         mu = nxt
     p = mu.reshape(batch, m * n_leaves)
     return RoutingProbs(p=p, embedding=z, decisions=decisions,

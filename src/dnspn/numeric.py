@@ -31,6 +31,13 @@ def check_finite(arr: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def require_finite(**settings) -> None:
+    """Reject a non-finite setting (NaN or infinite) by name."""
+    for name, value in settings.items():
+        if not np.all(np.isfinite(value)):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product a @ b with shape validation and a finiteness check."""
     a = as_matrix(a, "a")
@@ -54,10 +61,18 @@ def softmax_rows(m) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function; scalar in, scalar out."""
+    """Numerically stable logistic function; scalar in, scalar out.
+
+    With z = exp(-|x|) <= 1 the result is max(z, [x >= 0]) / (1 + z). The
+    numerator is exactly 1.0 for x >= 0 and exactly z for x < 0, so every
+    entry is the same quotient as the two-sided form 1/(1+z) or z/(1+z),
+    bit for bit, but no entry branches on its sign. The sign of a routing
+    pre-activation is random, so a per-entry select on it mispredicts about
+    half the time; it cost more than the exp.
+    """
     arr = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.maximum(z, arr >= 0) / (1.0 + z)
     if arr.ndim == 0:
         return float(out)
     return out

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .numeric import require_finite
 
 MODE_NONE = "none"
 MODE_DSP = "dsp"
@@ -49,6 +50,9 @@ class PruneConfig:
     mode: str = MODE_NONE
 
     def __post_init__(self):
+        require_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma,
+                       r=self.r, epsilon=self.epsilon,
+                       surgery_eta=self.surgery_eta)
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be > 0")
         if self.beta <= 0 or self.gamma <= 0 or self.r <= 0:

@@ -42,7 +42,7 @@ from .forest import (ForestHead, forest_backward, init_head, predict_class,
 from .metrics import EvalReport, accuracy, auc_macro_ovr, mse_metric, \
     roc_auc_binary
 from .network import DenseLayer
-from .numeric import RngState, softmax_rows
+from .numeric import RngState, require_finite, softmax_rows
 from .pruning import (MODE_NONE, PruneConfig, PrunedLayer, apply_mask,
                       mask_grad, new_pruned_layer, refresh_mask)
 
@@ -67,6 +67,9 @@ class TrainConfig:
     loss_on_fused: bool = False
 
     def __post_init__(self):
+        require_finite(learning_rate=self.learning_rate,
+                       adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
+                       adam_eps=self.adam_eps)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
         if self.batch_size < 1:
@@ -278,19 +281,31 @@ def _effective_heads(model: Model) -> list[ForestHead]:
 
 
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
-             rng: RngState | None):
-    eff_layers = _effective_layers(model)
+             rng: RngState | None, masked: bool = True,
+             keep_routings: bool = True):
+    """Forward pass: (effective layers, effective heads, backbone trace,
+    per-head routings, per-head outputs, fused output).
+
+    `masked=False` computes with the shadow weights as they are, which is
+    exact when every mask is all ones (prune mode "none"). With
+    `keep_routings=False` each head's routing is dropped as soon as its
+    output is taken and the routings list comes back empty, so a forward
+    that will not be backpropagated holds one head's routing at a time.
+    """
+    eff_layers = _effective_layers(model) if masked else model.layers
     trace = network.forward(eff_layers, X, dropout, training, rng)
     if model.kind == FOREST:
-        eff_heads = _effective_heads(model)
+        eff_heads = _effective_heads(model) if masked else model.heads
         routings = []
         outs = []
         for head, j in zip(eff_heads, model.head_layers):
             r = route(head, trace.dropped[j])
-            routings.append(r)
             outs.append(predict_class(head, r)
                         if model.task.kind == CLASSIFICATION
                         else predict_regress(head, r))
+            if keep_routings:
+                routings.append(r)
+            del r
         fused = fuse(outs)
     else:
         eff_heads, routings = [], []
@@ -318,10 +333,13 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
 
     Masks are assumed consistent with the current shadow weights (as left
     by the previous step's refresh or by :func:`refresh_masks`); the step
-    ends by refreshing them again from the just-updated weights.
+    ends by refreshing them again from the just-updated weights. In prune
+    mode "none" the masks are all ones, so the step neither applies them
+    nor chains gradients through them.
     """
+    masked = cfg.prune.mode != MODE_NONE
     eff_layers, eff_heads, trace, routings, outs, fused = _forward(
-        model, xb, cfg.dropout, True, rng)
+        model, xb, cfg.dropout, True, rng, masked=masked)
     loss_fn = loss_ce if model.task.kind == CLASSIFICATION else loss_mse
 
     grads: dict[str, np.ndarray] = {}
@@ -342,8 +360,9 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
         for i, (head, j, r, g_out) in enumerate(
                 zip(eff_heads, model.head_layers, routings, head_upstreams)):
             hg = forest_backward(head, r, trace.dropped[j], g_out)
-            grads[f"head{i}.proj_w"] = hg.proj_w * mask_grad(
-                model.proj_prunes[i], cfg.prune)
+            grads[f"head{i}.proj_w"] = (
+                hg.proj_w * mask_grad(model.proj_prunes[i], cfg.prune)
+                if masked else hg.proj_w)
             grads[f"head{i}.proj_b"] = hg.proj_b
             grads[f"head{i}.routing_w"] = hg.routing_w
             grads[f"head{i}.routing_b"] = hg.routing_b
@@ -367,8 +386,9 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
 
     dW, db, _ = network.backward(eff_layers, trace, upstream)
     for i in range(len(model.layers)):
-        grads[f"layer{i}.w"] = dW[i] * mask_grad(model.layer_prunes[i],
-                                                 cfg.prune)
+        grads[f"layer{i}.w"] = (
+            dW[i] * mask_grad(model.layer_prunes[i], cfg.prune)
+            if masked else dW[i])
         grads[f"layer{i}.b"] = db[i]
 
     params = model_params(model)
@@ -377,7 +397,7 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
     else:
         _sgd_update(params, grads, cfg.learning_rate)
 
-    if cfg.prune.mode != MODE_NONE:
+    if masked:
         refresh_masks(model, cfg.prune)
     return loss
 
@@ -432,7 +452,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input shape {X.shape} != (n, {model.input_dim})"
         )
-    *_, fused = _forward(model, X, 0.0, False, None)
+    *_, fused = _forward(model, X, 0.0, False, None, keep_routings=False)
     return fused
 
 

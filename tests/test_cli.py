@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +156,82 @@ class TestTrain:
         assert report["task"] == "regression"
         assert report["mse"] is not None
         assert report["accuracy"] is None
+
+
+NON_FINITE_SETTINGS = [
+    ("train", "--alpha", "nan"),
+    ("train", "--beta", "nan"),
+    ("train", "--epsilon", "nan"),
+    ("train", "--lr", "nan"),
+    ("train", "--gamma", "inf"),
+    ("train", "--r", "inf"),
+    ("train", "--surgery_eta", "nan"),
+    ("generate", "--sigma", "nan"),
+    ("mask-curve", "--mu", "nan"),
+    ("mask-curve", "--std", "inf"),
+]
+
+
+class TestNonFiniteSettings:
+    def _argv(self, command, small_dataset, out):
+        if command == "train":
+            return ("train", "--data", str(small_dataset / "train.csv"),
+                    "--eval-data", str(small_dataset / "test.csv"),
+                    "--epochs", "1", "--trees", "2", "--depth", "2",
+                    "--embed", "2", "--out", str(out))
+        if command == "generate":
+            return ("generate", "--kind", "linear", "--k", "3",
+                    "--ntrain", "20", "--ntest", "5", "--out", str(out))
+        return ("mask-curve", "--samples", "11", "--out", str(out))
+
+    @pytest.mark.parametrize("command,flag,value", NON_FINITE_SETTINGS)
+    def test_flag_rejected_as_usage_error(self, command, flag, value,
+                                          small_dataset, tmp_path, capsys):
+        argv = self._argv(command, small_dataset, tmp_path / "runs")
+        assert run(*argv, flag, value) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_config_file_value_rejected(self, small_dataset, tmp_path,
+                                        capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("prune.beta=nan\n")
+        argv = self._argv("train", small_dataset, tmp_path / "runs")
+        assert run(*argv, "--config", str(cfg_file)) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    """generate + train give the same bytes at 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        root = tmp_path / f"threads{threads}"
+
+        def cli(*argv):
+            subprocess.run([sys.executable, "-m", "dnspn.cli", *argv],
+                           env=env, check=True, capture_output=True,
+                           timeout=120)
+
+        cli("generate", "--kind", "quadratic", "--k", "5", "--sigma", "0.5",
+            "--ntrain", "400", "--ntest", "200", "--seed", "4",
+            "--out", str(root / "gen"))
+        gen = only_run_dir(root / "gen")
+        cli("train", "--data", str(gen / "train.csv"),
+            "--eval-data", str(gen / "test.csv"), "--epochs", "2",
+            "--trees", "3", "--depth", "3", "--embed", "4", "--seed", "1",
+            "--out", str(root / "train"))
+        trained = only_run_dir(root / "train")
+        outputs.append(
+            {name: (gen / name).read_bytes()
+             for name in ("train.csv", "test.csv", "meta.json")}
+            | {name: (trained / name).read_bytes()
+               for name in ("history.csv", "model.json", "report.json")})
+    assert outputs[0] == outputs[1]
 
 
 class TestEvaluate:

@@ -195,27 +195,29 @@ class TestForestBackward:
     @pytest.mark.parametrize("kind,n_out", [("classification", 3),
                                             ("regression", 1)])
     def test_finite_difference_all_params(self, kind, n_out):
-        rng = RngState(17)
-        head = make_head(3, 3, 4, 5, n_out, kind, seed=17)
-        act = rng.normal(2, 5)
-        coeff = rng.normal(2, n_out)
+        # depth 1 has no internal nodes; depth 6 has five routing levels
+        for depth in (1, 2, 3, 6):
+            rng = RngState(17)
+            head = make_head(3, depth, 4, 5, n_out, kind, seed=17)
+            act = rng.normal(2, 5)
+            coeff = rng.normal(2, n_out)
 
-        def loss():
-            r = route(head, act)
-            out = (predict_class(head, r) if kind == "classification"
-                   else predict_regress(head, r))
-            return float(np.sum(coeff * out))
+            def loss():
+                r = route(head, act)
+                out = (predict_class(head, r) if kind == "classification"
+                       else predict_regress(head, r))
+                return float(np.sum(coeff * out))
 
-        r0 = route(head, act)
-        g = forest_backward(head, r0, act, coeff)
-        for name, param, grad in [
-                ("proj_w", head.proj_w, g.proj_w),
-                ("proj_b", head.proj_b, g.proj_b),
-                ("routing_w", head.routing_w, g.routing_w),
-                ("routing_b", head.routing_b, g.routing_b),
-                ("leaf", head.leaf, g.leaf)]:
-            num = central_diff(loss, param)
-            assert max_rel_error(grad, num) < 1e-4, name
+            r0 = route(head, act)
+            g = forest_backward(head, r0, act, coeff)
+            for name, param, grad in [
+                    ("proj_w", head.proj_w, g.proj_w),
+                    ("proj_b", head.proj_b, g.proj_b),
+                    ("routing_w", head.routing_w, g.routing_w),
+                    ("routing_b", head.routing_b, g.routing_b),
+                    ("leaf", head.leaf, g.leaf)]:
+                num = central_diff(loss, param)
+                assert max_rel_error(grad, num) < 1e-4, f"{name} depth {depth}"
 
     def test_activation_gradient_finite_difference(self):
         rng = RngState(23)

@@ -180,6 +180,24 @@ class TestTrainStep:
         # DSP masks are not all ones, so the updates must differ somewhere
         assert not params_equal(snaps[0], snaps[1])
 
+    def test_mode_none_never_touches_masks(self, monkeypatch):
+        # mode none's masks are all ones: training skips applying them and
+        # chaining gradients through them
+        import dnspn.training as training
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("mask machinery used in prune mode none")
+
+        ds = separable_2d(128, 3)
+        model = build_forest_model(2, CLS, RngState(0), trees=2, depth=3,
+                                   embed_dim=2)
+        monkeypatch.setattr(training, "apply_mask", refuse)
+        monkeypatch.setattr(training, "mask_grad", refuse)
+        monkeypatch.setattr(training, "refresh_mask", refuse)
+        for _ in range(2):
+            train_step(model, ds.X, ds.y, TrainConfig(dropout=0.0),
+                       AdamState(), None)
+
 
 class TestFit:
     def test_zero_epochs_untouched(self):
@@ -253,6 +271,18 @@ class TestPredict:
         a = predict(model, ds.X)
         b = predict(model, ds.X)
         assert np.array_equal(a, b)
+
+    def test_eval_forward_keeps_no_routing(self):
+        from dnspn.training import _forward
+        ds = separable_2d(32, 8)
+        model = build_forest_model(2, CLS, RngState(5), trees=2, depth=3,
+                                   embed_dim=2)
+        kept = _forward(model, ds.X, 0.0, False, None)
+        dropped = _forward(model, ds.X, 0.0, False, None,
+                           keep_routings=False)
+        assert len(kept[3]) == len(model.heads) and dropped[3] == []
+        assert np.array_equal(kept[5], dropped[5])
+        assert np.array_equal(predict(model, ds.X), kept[5])
 
     def test_softmax_model_prediction(self):
         ds = separable_2d(16, 7)
