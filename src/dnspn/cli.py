@@ -2,12 +2,13 @@
 
 Subcommands: `generate` (synthetic datasets), `train`, `evaluate`,
 `compare` (method table over seeds), and `mask-curve` (pruning-curve CSV
-export). Every command resolves its configuration as built-in defaults,
-overridden by an optional `key=value` config file, overridden by explicit
-flags, and writes its outputs under `<out>/run-<hash>/` where the hash is
-taken over the resolved configuration; an existing non-empty run directory
-is refused unless `--force` is given. Given identical flags, seeds, and
-input files, every command reproduces its outputs byte for byte.
+export). Every command resolves its configuration as the defaults in
+:data:`OPTIONS`, overridden by an optional `key=value` config file,
+overridden by explicit flags, and writes its outputs under
+`<out>/run-<hash>/` where the hash is taken over the resolved
+configuration; an existing non-empty run directory is refused unless
+`--force` is given. Given identical flags, seeds, and input files, every
+command reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 2 usage/parameter errors, 3 data errors, 4 numeric
 errors.
@@ -21,6 +22,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,54 +33,50 @@ from .errors import (DataError, DnspnError, MetricError, NumericError,
 from .metrics import EvalReport
 from .model_io import load_model, save_model
 from .numeric import RngState, require_finite
-from .pruning import LayerStats, PruneConfig, mask_curve
+from .pruning import (MODE_DSP, MODE_SURGERY, MODES, LayerStats, PruneConfig,
+                      mask_curve)
 from .training import (METHODS, TrainConfig, backbone_sparsity,
                        evaluate_model, fit, method_model)
 
-DEFAULTS = {
-    "lr": 1e-3,
-    "batch": 128,
-    "dropout": 0.5,
-    "epochs": 20,
-    "seed": 0,
-    "trees": 10,
-    "depth": 4,
-    "embed": 8,
-    "alpha": 1e-4,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "r": 1.0,
-    "epsilon": 1e-12,
-    "surgery_eta": 0.1,
-    "prune": "dsp",
-    "holdout": 0.2,
-    "kind": "linear",
-    "k": 50,
-    "sigma": 1.0,
-    "ntrain": 10000,
-    "ntest": 2000,
-}
 
-# config-file key -> flag name ("section.key" form)
-_FILE_KEYS = {
-    "train.lr": "lr", "train.batch": "batch", "train.dropout": "dropout",
-    "train.epochs": "epochs", "train.seed": "seed",
-    "train.holdout": "holdout",
-    "model.trees": "trees", "model.depth": "depth", "model.embed": "embed",
-    "prune.mode": "prune", "prune.alpha": "alpha", "prune.beta": "beta",
-    "prune.gamma": "gamma", "prune.r": "r", "prune.epsilon": "epsilon",
-    "prune.surgery_eta": "surgery_eta",
-    "gen.kind": "kind", "gen.k": "k", "gen.sigma": "sigma",
-    "gen.ntrain": "ntrain", "gen.ntest": "ntest",
-}
+class Option(NamedTuple):
+    key: str                  # "section.key" form in a config file
+    type: type
+    default: object
+    choices: tuple | None = None
 
-_FLOAT_KEYS = {"lr", "dropout", "alpha", "beta", "gamma", "r", "epsilon",
-               "surgery_eta", "holdout", "sigma"}
-_INT_KEYS = {"batch", "epochs", "seed", "trees", "depth", "embed", "k",
-             "ntrain", "ntest"}
+
+PRUNE_FLAGS = ("alpha", "beta", "gamma", "r", "epsilon", "surgery_eta")
+
+# Every setting a flag or a config file can give, keyed by flag name. A
+# default owned by a config class is read from that class.
+OPTIONS = {
+    "lr": Option("train.lr", float, TrainConfig.learning_rate),
+    "batch": Option("train.batch", int, TrainConfig.batch_size),
+    "dropout": Option("train.dropout", float, TrainConfig.dropout),
+    "epochs": Option("train.epochs", int, TrainConfig.epochs),
+    "seed": Option("train.seed", int, TrainConfig.seed),
+    "holdout": Option("train.holdout", float, 0.2),
+    "trees": Option("model.trees", int, 10),
+    "depth": Option("model.depth", int, 4),
+    "embed": Option("model.embed", int, 8),
+    "prune": Option("prune.mode", str, MODE_DSP, MODES),
+    **{name: Option(f"prune.{name}", float, getattr(PruneConfig, name))
+       for name in PRUNE_FLAGS},
+    "kind": Option("gen.kind", str, "linear", ("linear", "quadratic")),
+    "k": Option("gen.k", int, 50),
+    "sigma": Option("gen.sigma", float, SyntheticSpec.sigma),
+    "ntrain": Option("gen.ntrain", int, SyntheticSpec.n_train),
+    "ntest": Option("gen.ntest", int, SyntheticSpec.n_test),
+}
+_FILE_KEYS = {opt.key: name for name, opt in OPTIONS.items()}
+
+TRAIN_FLAGS = ("prune", "epochs", "lr", "batch", "dropout", "holdout",
+               "trees", "depth", "embed", *PRUNE_FLAGS)
 
 
 def _parse_config_file(path: Path) -> dict:
+    """Typed settings from a `section.key=value` file, keyed by flag name."""
     if not path.exists():
         raise DataError(f"config file not found: {path}")
     out = {}
@@ -92,18 +90,14 @@ def _parse_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FILE_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[_FILE_KEYS[key]] = value
+        name = _FILE_KEYS[key]
+        try:
+            out[name] = OPTIONS[name].type(value)
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: {key} must be "
+                                 f"{OPTIONS[name].type.__name__}, got "
+                                 f"{value!r}") from None
     return out
-
-
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    return str(value)
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
@@ -112,17 +106,17 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
     Also reports which keys were explicitly set (by file or flag), so
     commands can distinguish a deliberate choice from a default.
     """
-    merged = dict(DEFAULTS)
+    merged = {name: opt.default for name, opt in OPTIONS.items()}
     explicit = set()
     if getattr(args, "config", None):
-        for key, value in _parse_config_file(Path(args.config)).items():
-            merged[key] = _coerce(key, value)
-            explicit.add(key)
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
+        from_file = _parse_config_file(Path(args.config))
+        merged.update(from_file)
+        explicit.update(from_file)
+    for name in OPTIONS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            merged[key] = _coerce(key, flag)
-            explicit.add(key)
+            merged[name] = flag
+            explicit.add(name)
     return merged, explicit
 
 
@@ -134,30 +128,35 @@ def config_hash(command: str, cfg: dict, extra: dict | None = None) -> str:
 
 def run_dir(out_root: str, command: str, cfg: dict, force: bool,
             extra: dict | None = None) -> Path:
+    """The run directory's path, refused if it already has outputs. Each
+    command makes the directory only when it writes its first output."""
     path = Path(out_root) / f"run-{config_hash(command, cfg, extra)}"
     if path.exists() and any(path.iterdir()) and not force:
         raise UsageError(
             f"run directory {path} already has outputs; pass --force to "
             "overwrite")
-    path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _prune_config(cfg: dict, mode: str) -> PruneConfig:
+    return PruneConfig(**{name: cfg[name] for name in PRUNE_FLAGS}, mode=mode)
 
 
 def _train_config(cfg: dict, prune_mode: str) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg["lr"], batch_size=cfg["batch"],
         dropout=cfg["dropout"], epochs=cfg["epochs"], seed=cfg["seed"],
-        prune=PruneConfig(alpha=cfg["alpha"], beta=cfg["beta"],
-                          gamma=cfg["gamma"], r=cfg["r"],
-                          epsilon=cfg["epsilon"],
-                          surgery_eta=cfg["surgery_eta"], mode=prune_mode))
+        prune=_prune_config(cfg, prune_mode))
 
 
 def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
     task_kind = ("classification" if getattr(args, "task", "class") == "class"
                  else "regression")
+    if not args.eval_data and not 0.0 < cfg["holdout"] < 1.0:
+        raise ParameterError(
+            f"holdout must be in (0, 1), got {cfg['holdout']}")
     train_ds = load_csv(args.data, args.label_col, task_kind)
-    if getattr(args, "eval_data", None):
+    if args.eval_data:
         eval_ds = load_csv(args.eval_data, args.label_col, task_kind)
         if (train_ds.task.kind == CLASSIFICATION
                 and eval_ds.task.labels != train_ds.task.labels):
@@ -215,6 +214,7 @@ def cmd_generate(args) -> int:
                          seed=cfg["seed"])
     out = run_dir(args.out, "generate", cfg, args.force)
     ds = generate(spec)
+    out.mkdir(parents=True, exist_ok=True)
     written = ["train.csv"]
     if spec.n_test > 0:
         train_ds, test_ds = train_test(ds, spec.n_train)
@@ -241,6 +241,7 @@ def cmd_train(args) -> int:
     prune_mode = cfg["prune"] if "prune" in explicit else None
     cell = run_method_cell(args.method, train_ds, eval_ds, cfg, cfg["seed"],
                            prune_mode)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(cell["model"], out / "model.json")
     cell["history"].to_csv(out / "history.csv")
     doc = _report_doc(cell["report"], {**cfg, "prune": cell["prune_mode"]},
@@ -276,6 +277,7 @@ def cmd_evaluate(args) -> int:
     doc["model"] = str(args.model)
     out = run_dir(args.out, "evaluate", {}, args.force,
                   {"model": str(args.model), "data": str(args.data)})
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -308,6 +310,7 @@ def cmd_compare(args) -> int:
         accs = np.asarray(accs)
         rows.append((method, float(accs.mean()), float(accs.std())))
     best = max(rows, key=lambda row: row[1])[0]
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mean_accuracy", "stddev_accuracy",
@@ -336,12 +339,10 @@ def cmd_mask_curve(args) -> int:
                   {"mu": args.mu, "std": args.std, "wmin": args.wmin,
                    "wmax": args.wmax, "samples": args.samples})
     w = np.linspace(args.wmin, args.wmax, args.samples)
-    for mode in ("dsp", "surgery"):
-        pcfg = PruneConfig(alpha=cfg["alpha"], beta=cfg["beta"],
-                           gamma=cfg["gamma"], r=cfg["r"],
-                           epsilon=cfg["epsilon"],
-                           surgery_eta=cfg["surgery_eta"], mode=mode)
-        table = mask_curve(pcfg, stats, w)
+    tables = {mode: mask_curve(_prune_config(cfg, mode), stats, w)
+              for mode in (MODE_DSP, MODE_SURGERY)}
+    out.mkdir(parents=True, exist_ok=True)
+    for mode, table in tables.items():
         with open(out / f"curve_{mode}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["w", "mask", "effective"])
@@ -355,12 +356,18 @@ def cmd_mask_curve(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        opt = OPTIONS[name]
+        p.add_argument(f"--{name}", type=opt.type, choices=opt.choices)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default="runs", help="output root directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing run directory")
-    p.add_argument("--seed", type=int)
+    _add_flags(p, ["seed"])
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -369,17 +376,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-col", default="label",
                    help="label column name or index")
     p.add_argument("--task", choices=["class", "regress"], default="class")
-    p.add_argument("--prune", choices=["none", "dsp", "surgery"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--embed", type=int)
-    for name in ("alpha", "beta", "gamma", "r", "epsilon", "surgery_eta"):
-        p.add_argument(f"--{name}", type=float)
+    _add_flags(p, TRAIN_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,11 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic dataset")
-    g.add_argument("--kind", choices=["linear", "quadratic"])
-    g.add_argument("--k", type=int)
-    g.add_argument("--sigma", type=float)
-    g.add_argument("--ntrain", type=int)
-    g.add_argument("--ntest", type=int)
+    _add_flags(g, ("kind", "k", "sigma", "ntrain", "ntest"))
     _add_common(g)
     g.set_defaults(func=cmd_generate)
 
@@ -426,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--wmin", type=float, default=-4.0)
     m.add_argument("--wmax", type=float, default=4.0)
     m.add_argument("--samples", type=int, default=401)
-    for name in ("alpha", "beta", "gamma", "r", "epsilon", "surgery_eta"):
-        m.add_argument(f"--{name}", type=float)
+    _add_flags(m, PRUNE_FLAGS)
     _add_common(m)
     m.set_defaults(func=cmd_mask_curve)
     return parser

@@ -12,6 +12,7 @@ signal stays recoverable.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,8 +107,8 @@ def gen_linear_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
         raise ParameterError("spec.kind must be 'linear'")
     rng = rng or RngState(spec.seed)
     dims = np.sort(rng.permutation(BASE_DIM)[: spec.k])
-    w = rng.normal_vector(spec.k)
-    b = float(rng.normal_vector(1)[0])
+    w = rng.normal(1, spec.k)[0]
+    b = float(rng.normal(1, 1)[0, 0])
     n = spec.n_train + spec.n_test
     clean = gen_base(n, rng)
     y = (clean[:, dims] @ w + b > 0).astype(np.int64)
@@ -130,9 +131,9 @@ def gen_quadratic_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset
     rng = rng or RngState(spec.seed)
     dims1 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
     dims2 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
-    w1 = rng.normal_vector(spec.k)
-    w2 = rng.normal_vector(spec.k)
-    b = float(rng.normal_vector(1)[0])
+    w1 = rng.normal(1, spec.k)[0]
+    w2 = rng.normal(1, spec.k)[0]
+    b = float(rng.normal(1, 1)[0, 0])
     n = spec.n_train + spec.n_test
     clean = gen_base(n, rng)
     score = clean[:, dims1] ** 2 @ w1 + clean[:, dims2] @ w2 + b
@@ -272,22 +273,19 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                            f"got {len(row)}")
                 continue
             feats = []
-            ok = True
             for i in feat_idx:
                 try:
                     v = float(row[i])
                 except ValueError:
                     bad.append(f"row {rownum}: column {header[i]!r} value "
                                f"{row[i]!r} is not numeric")
-                    ok = False
                     break
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     bad.append(f"row {rownum}: column {header[i]!r} is "
                                "non-finite")
-                    ok = False
                     break
                 feats.append(v)
-            if not ok:
+            if len(feats) < len(feat_idx):
                 continue
             label_cell = row[label_idx].strip()
             if task_kind == REGRESSION:
@@ -297,7 +295,7 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                     bad.append(f"row {rownum}: label {label_cell!r} is not "
                                "numeric")
                     continue
-                if not np.isfinite(target):
+                if not math.isfinite(target):
                     bad.append(f"row {rownum}: label is non-finite")
                     continue
                 labels.append(target)

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Scaler, Task
+from .data import CLASSIFICATION, Scaler, Task
 from .errors import DataError
 from .forest import ForestHead
-from .network import DenseLayer
+from .network import IDENTITY, RELU, DenseLayer
 from .pruning import PrunedLayer, layer_stats
 from .training import Model
 
@@ -26,6 +26,17 @@ FORMAT = "dnspn-model-v1"
 
 def _arr(a: np.ndarray) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
+
+
+def _floats(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a finite float64 array of `shape` (None matches any size)."""
+    a = np.asarray(value, dtype=np.float64)
+    if a.ndim != len(shape) or any(want not in (None, got)
+                                   for want, got in zip(shape, a.shape)):
+        raise DataError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"{what} has non-finite values")
+    return a
 
 
 def save_model(model: Model, path) -> None:
@@ -88,36 +99,52 @@ def load_model(path) -> Model:
         task = Task(kind=doc["task"]["kind"],
                     n_classes=doc["task"]["n_classes"],
                     labels=doc["task"]["labels"])
-        layers, layer_prunes = [], []
-        for rec in doc["layers"]:
-            w = np.asarray(rec["weights"], dtype=np.float64)
-            layers.append(DenseLayer(w, np.asarray(rec["bias"]),
-                                     rec["activation"]))
+        n_out = task.n_classes if task.kind == CLASSIFICATION else 1
+        layers, layer_prunes, width = [], [], doc["input_dim"]
+        for i, rec in enumerate(doc["layers"]):
+            w = _floats(rec["weights"], f"layer {i} weights", (None, width))
+            width = w.shape[0]
+            if rec["activation"] not in (RELU, IDENTITY):
+                raise DataError(f"layer {i} activation is not relu/identity")
+            layers.append(DenseLayer(
+                w, _floats(rec["bias"], f"layer {i} bias", (width,)),
+                rec["activation"]))
             layer_prunes.append(PrunedLayer(
-                shadow=w, mask=np.asarray(rec["mask"], dtype=np.float64),
-                stats=layer_stats(w)))
+                w, _floats(rec["mask"], f"layer {i} mask", w.shape),
+                layer_stats(w)))
+        head_layers = doc["head_layers"]
+        if not layers or len(head_layers) != len(doc["heads"]) or not all(
+                isinstance(j, int) and 0 <= j < len(layers)
+                for j in head_layers):
+            raise DataError(f"{len(layers)} layers cannot carry heads at "
+                            f"{head_layers}, one per head")
         heads, proj_prunes = [], []
-        for rec in doc["heads"]:
-            proj_w = np.asarray(rec["proj_w"], dtype=np.float64)
-            routing_w = np.asarray(rec["routing_w"], dtype=np.float64)
-            head = ForestHead(
-                trees=rec["trees"], depth=rec["depth"],
-                embed_dim=rec["embed_dim"], kind=rec["kind"],
-                proj_w=proj_w,
-                proj_b=np.asarray(rec["proj_b"], dtype=np.float64),
-                routing_w=routing_w.reshape(-1, rec["embed_dim"]),
-                routing_b=np.asarray(rec["routing_b"], dtype=np.float64),
-                leaf=np.asarray(rec["leaf"], dtype=np.float64))
-            heads.append(head)
+        for i, (rec, j) in enumerate(zip(doc["heads"], head_layers)):
+            trees, depth, e = rec["trees"], rec["depth"], rec["embed_dim"]
+            if rec["kind"] != task.kind or min(trees, depth, e) < 1:
+                raise DataError(f"head {i} does not fit the task")
+            nodes = trees * (2 ** (depth - 1) - 1)
+            at = f"head {i} "
+            proj_w = _floats(rec["proj_w"], at + "proj_w",
+                             (e, layers[j].weights.shape[0]))
+            heads.append(ForestHead(
+                trees, depth, e, rec["kind"], proj_w,
+                _floats(rec["proj_b"], at + "proj_b", (e,)),
+                _floats(np.reshape(rec["routing_w"], (-1, e)),
+                        at + "routing_w", (nodes, e)),
+                _floats(rec["routing_b"], at + "routing_b", (nodes,)),
+                _floats(rec["leaf"], at + "leaf",
+                        (trees * 2 ** (depth - 1), n_out))))
             proj_prunes.append(PrunedLayer(
-                shadow=proj_w, mask=np.asarray(rec["mask"], dtype=np.float64),
-                stats=layer_stats(proj_w)))
+                proj_w, _floats(rec["mask"], at + "mask", proj_w.shape),
+                layer_stats(proj_w)))
         scaler = None
         if doc.get("scaler") is not None:
-            scaler = Scaler(mean=np.asarray(doc["scaler"]["mean"]),
-                            std=np.asarray(doc["scaler"]["std"]))
+            scaler = Scaler(*(_floats(doc["scaler"][key], f"scaler {key}",
+                                      (doc["input_dim"],))
+                              for key in ("mean", "std")))
         return Model(layers=layers, layer_prunes=layer_prunes, heads=heads,
-                     head_layers=list(doc["head_layers"]),
+                     head_layers=head_layers,
                      proj_prunes=proj_prunes, task=task, kind=doc["kind"],
                      input_dim=doc["input_dim"], scaler=scaler)
     except (KeyError, TypeError, ValueError) as exc:

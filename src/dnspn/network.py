@@ -29,35 +29,15 @@ class DenseLayer:
     activation: str      # "relu" | "identity"
 
 
-@dataclass
-class NetworkSpec:
-    """Architecture descriptor: input width, output width, hidden widths."""
-    input_dim: int
-    output_dim: int
-    hidden: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ParameterError("network dims must be >= 1")
-        if not self.hidden:
-            self.hidden = (2 * self.input_dim, 2 * self.input_dim)
-        if any(w < 1 for w in self.hidden):
-            raise ParameterError("hidden widths must be >= 1")
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.input_dim, *self.hidden, self.output_dim]
-
-
-def build_network(d: int, o: int, rng: RngState,
-                  hidden: tuple[int, ...] = ()) -> list[DenseLayer]:
+def build_network(d: int, o: int, rng: RngState) -> list[DenseLayer]:
     """Build the d -> 2d -> 2d -> o stack with He-scaled Gaussian weights.
 
     Weights start as N(0, 2/fan_in) draws, biases at zero; hidden layers get
     ReLU, the final layer stays linear.
     """
-    spec = NetworkSpec(d, o, tuple(hidden))
-    widths = spec.widths
+    if d < 1 or o < 1:
+        raise ParameterError("network dims must be >= 1")
+    widths = [d, 2 * d, 2 * d, o]
     layers = []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]

@@ -1,34 +1,20 @@
-"""Dense float64 matrix kernels and the deterministic random source.
+"""Float64 kernels (row softmax, stable sigmoid) and the random source.
 
 Everything downstream moves data as 2-D row-major float64 numpy arrays
-("matrices", rows x cols). Public operations validate shapes, never mutate
-their inputs, and guarantee finite outputs. Randomness comes exclusively
-from :class:`RngState`, a thin wrapper around the 64-bit-seeded PCG64
-generator: the same seed yields the same stream on every platform, and
-independent child streams can be derived for parallel or per-component use.
+("matrices", rows x cols). Public operations validate shapes and never
+mutate their inputs. Randomness comes exclusively from :class:`RngState`,
+a thin wrapper around the 64-bit-seeded PCG64 generator: the same seed
+yields the same stream on every platform, and independent child streams
+can be derived for parallel or per-component use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 _U64 = (1 << 64) - 1
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    return arr
-
-
-def check_finite(arr: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite values")
-    return arr
 
 
 def require_finite(**settings) -> None:
@@ -38,23 +24,14 @@ def require_finite(**settings) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with shape validation and a finiteness check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, {a.shape} x {b.shape}"
-        )
-    return check_finite(a @ b, "matmul result")
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
     Each output row is nonnegative and sums to 1 (up to float rounding).
     """
-    m = as_matrix(m, "softmax input")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"softmax input must be 2-D, got ndim={m.ndim}")
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -76,12 +53,6 @@ def sigmoid(x):
     if arr.ndim == 0:
         return float(out)
     return out
-
-
-def sample_normal(rng: "RngState", rows: int, cols: int,
-                  mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
-    """Matrix of i.i.d. Gaussian draws; stddev=0 gives a constant matrix."""
-    return rng.normal(rows, cols, mean=mean, stddev=stddev)
 
 
 class RngState:
@@ -106,10 +77,6 @@ class RngState:
         if stddev == 0:
             return np.full((rows, cols), float(mean))
         return self._gen.normal(loc=mean, scale=stddev, size=(rows, cols))
-
-    def normal_vector(self, n: int, mean: float = 0.0,
-                      stddev: float = 1.0) -> np.ndarray:
-        return self.normal(n, 1, mean, stddev).ravel()
 
     def random(self, shape) -> np.ndarray:
         """Uniform draws in [0, 1)."""

@@ -6,15 +6,13 @@ layer (the `fcnn` baseline used in comparisons). One training step runs:
 
   1. forward with effective (masked) weights, collecting per-head outputs
      and their fused mean;
-  2. the training loss: by default the unweighted mean of per-head losses
-     (cross entropy or MSE); a config flag switches to a loss on the fused
-     output instead;
+  2. the training loss: the unweighted mean of per-head losses (cross
+     entropy or MSE);
   3. exact backprop into leaf logits, routing units, projections, and the
      backbone's shadow weights, where the soft-prune mode chains through
      the analytic mask derivative and the surgery mode through the frozen
      mask values;
-  4. one optimizer update over every parameter at once (Adam by default;
-     plain SGD behind a flag);
+  4. one Adam update over every parameter at once;
   5. a mask/statistics refresh from the updated shadow weights, so the next
      forward sees the new effective weights.
 
@@ -26,7 +24,6 @@ come only from the forests.
 from __future__ import annotations
 
 import csv
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,13 +40,21 @@ from .metrics import EvalReport, accuracy, auc_macro_ovr, mse_metric, \
     roc_auc_binary
 from .network import DenseLayer
 from .numeric import RngState, require_finite, softmax_rows
-from .pruning import (MODE_NONE, PruneConfig, PrunedLayer, apply_mask,
-                      mask_grad, new_pruned_layer, refresh_mask)
+from .pruning import (MODE_DSP, MODE_NONE, MODE_SURGERY, PruneConfig,
+                      PrunedLayer, apply_mask, mask_grad, new_pruned_layer,
+                      refresh_mask)
 
 FOREST = "forest"
 SOFTMAX = "softmax"
 
-METHODS = ("fcnn", "dndn", "dnspn", "surgery")
+# method -> the mask mode it trains with; "fcnn" is the softmax baseline
+METHOD_MODES = {"fcnn": MODE_NONE, "dndn": MODE_NONE, "dnspn": MODE_DSP,
+                "surgery": MODE_SURGERY}
+METHODS = tuple(METHOD_MODES)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -60,22 +65,13 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     prune: PruneConfig = field(default_factory=PruneConfig)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    optimizer: str = "adam"        # "adam" | "sgd"
-    loss_on_fused: bool = False
 
     def __post_init__(self):
-        require_finite(learning_rate=self.learning_rate,
-                       adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-                       adam_eps=self.adam_eps)
+        require_finite(learning_rate=self.learning_rate)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 
 
 class AdamState:
@@ -105,31 +101,20 @@ def _n_outputs(task: Task) -> int:
 
 
 def build_forest_model(input_dim: int, task: Task, rng: RngState,
-                       trees: int = 10, depth: int = 4, embed_dim: int = 8,
-                       output_width: int | None = None,
-                       attach: str = "all") -> Model:
-    """Backbone d -> 2d -> 2d -> o (o defaults to 2d) with forest heads.
-
-    `attach` is "all" for one head per layer or "last" for a single head on
-    the final layer.
-    """
+                       trees: int, depth: int, embed_dim: int,
+                       output_width: int | None = None) -> Model:
+    """Backbone d -> 2d -> 2d -> o (o defaults to 2d), one forest head per
+    layer."""
     o = output_width if output_width is not None else 2 * input_dim
     layers = network.build_network(input_dim, o, rng)
-    widths = [layer.weights.shape[0] for layer in layers]
-    head_layers = (list(range(len(layers))) if attach == "all"
-                   else [len(layers) - 1])
-    heads = [init_head(widths[j], _n_outputs(task), trees, depth, embed_dim,
-                       task.kind, rng) for j in head_layers]
+    heads = [init_head(layer.weights.shape[0], _n_outputs(task), trees, depth,
+                       embed_dim, task.kind, rng) for layer in layers]
     return Model(
         layers=layers,
         layer_prunes=[new_pruned_layer(layer.weights) for layer in layers],
-        heads=heads,
-        head_layers=head_layers,
+        heads=heads, head_layers=list(range(len(layers))),
         proj_prunes=[new_pruned_layer(h.proj_w) for h in heads],
-        task=task,
-        kind=FOREST,
-        input_dim=input_dim,
-    )
+        task=task, kind=FOREST, input_dim=input_dim)
 
 
 def build_softmax_model(input_dim: int, task: Task, rng: RngState) -> Model:
@@ -138,36 +123,21 @@ def build_softmax_model(input_dim: int, task: Task, rng: RngState) -> Model:
     return Model(
         layers=layers,
         layer_prunes=[new_pruned_layer(layer.weights) for layer in layers],
-        heads=[],
-        head_layers=[],
-        proj_prunes=[],
-        task=task,
-        kind=SOFTMAX,
-        input_dim=input_dim,
-    )
+        heads=[], head_layers=[], proj_prunes=[],
+        task=task, kind=SOFTMAX, input_dim=input_dim)
 
 
 def method_model(method: str, input_dim: int, task: Task, rng: RngState,
                  trees: int = 10, depth: int = 4,
                  embed_dim: int = 8) -> tuple[Model, str]:
     """Build the model for a named method; returns (model, prune mode)."""
+    if method not in METHOD_MODES:
+        raise UsageError(
+            f"unknown method {method!r}; expected one of {METHODS}")
     if method == "fcnn":
-        return build_softmax_model(input_dim, task, rng), "none"
-    if method == "dndn":
-        return build_forest_model(input_dim, task, rng, trees, depth,
-                                  embed_dim), "none"
-    if method == "dnspn":
-        return build_forest_model(input_dim, task, rng, trees, depth,
-                                  embed_dim), "dsp"
-    if method == "surgery":
-        return build_forest_model(input_dim, task, rng, trees, depth,
-                                  embed_dim), "surgery"
-    raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def method_seed(seed: int, method: str) -> int:
-    """Stable per-(seed, method) stream key for parallel comparison cells."""
-    return int(RngState(seed).child(zlib.crc32(method.encode())).seed)
+        return build_softmax_model(input_dim, task, rng), MODE_NONE
+    return (build_forest_model(input_dim, task, rng, trees, depth, embed_dim),
+            METHOD_MODES[method])
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +191,14 @@ def _softmax_backward(probs: np.ndarray, g_probs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
 
 def adam_update(state: AdamState, params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
     """One bias-corrected Adam step, updating parameters in place."""
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -242,13 +212,7 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-
-
-def _sgd_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                lr: float) -> None:
-    for name, p in params.items():
-        p -= lr * grads[name]
+        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def model_params(model: Model) -> dict[str, np.ndarray]:
@@ -347,16 +311,12 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
 
     if model.kind == FOREST:
         K = len(model.heads)
-        if cfg.loss_on_fused:
-            loss, g_fused = loss_fn(fused, yb)
-            head_upstreams = [g_fused / K] * K
-        else:
-            losses, head_upstreams = [], []
-            for out in outs:
-                l_i, g_i = loss_fn(out, yb)
-                losses.append(l_i)
-                head_upstreams.append(g_i / K)
-            loss = float(np.mean(losses))
+        losses, head_upstreams = [], []
+        for out in outs:
+            l_i, g_i = loss_fn(out, yb)
+            losses.append(l_i)
+            head_upstreams.append(g_i / K)
+        loss = float(np.mean(losses))
         for i, (head, j, r, g_out) in enumerate(
                 zip(eff_heads, model.head_layers, routings, head_upstreams)):
             hg = forest_backward(head, r, trace.dropped[j], g_out)
@@ -391,11 +351,7 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
             if masked else dW[i])
         grads[f"layer{i}.b"] = db[i]
 
-    params = model_params(model)
-    if cfg.optimizer == "adam":
-        adam_update(adam, params, grads, cfg)
-    else:
-        _sgd_update(params, grads, cfg.learning_rate)
+    adam_update(adam, model_params(model), grads, cfg)
 
     if masked:
         refresh_masks(model, cfg.prune)
@@ -456,12 +412,6 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
     return fused
 
 
-def _task_metric(model: Model, ds: Dataset, fused: np.ndarray) -> float:
-    if model.task.kind == CLASSIFICATION:
-        return accuracy(np.argmax(fused, axis=1), ds.y)
-    return mse_metric(fused, ds.y)
-
-
 def fit(model: Model, train_set: Dataset, eval_set: Dataset | None,
         cfg: TrainConfig) -> TrainHistory:
     """Run the epoch loop and record per-epoch telemetry.
@@ -500,9 +450,10 @@ def fit(model: Model, train_set: Dataset, eval_set: Dataset | None,
             fused = predict(model, eval_set.X)
             if model.task.kind == CLASSIFICATION:
                 eval_loss, _ = loss_ce(fused, eval_set.y)
+                metric = accuracy(np.argmax(fused, axis=1), eval_set.y)
             else:
                 eval_loss, _ = loss_mse(fused, eval_set.y)
-            metric = _task_metric(model, eval_set, fused)
+                metric = mse_metric(fused, eval_set.y)
         else:
             eval_loss, metric = float("nan"), float("nan")
         history.records.append(EpochRecord(

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnspn.cli import main
-from dnspn.data import SyntheticSpec, gen_linear_k, train_test, write_csv
+from dnspn.cli import OPTIONS, build_parser, config_hash, main, resolve_config
+from dnspn.data import (SyntheticSpec, gen_linear_k, gen_xor, train_test,
+                        write_csv)
 from dnspn.numeric import RngState
 
 
@@ -201,6 +202,107 @@ class TestNonFiniteSettings:
         assert "beta must be finite" in capsys.readouterr().err
 
 
+REJECTED_SETTINGS = [
+    ("train", "--lr", "nan"),
+    ("train", "--depth", "0"),
+    ("train", "--trees", "0"),
+    ("train", "--batch", "0"),
+    ("train", "--dropout", "1.5"),
+    ("train", "--holdout", "1.5"),
+    ("compare", "--lr", "nan"),
+    ("mask-curve", "--beta", "0"),
+    ("mask-curve", "--epsilon", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REJECTED_SETTINGS)
+def test_rejected_setting_leaves_no_run_dir(command, flag, value,
+                                            small_dataset, tmp_path, capsys):
+    out = tmp_path / "runs"
+    if command == "mask-curve":
+        argv = ("mask-curve", "--samples", "11")
+    else:
+        argv = (command, "--data", str(small_dataset / "train.csv"),
+                "--epochs", "1", "--trees", "2", "--depth", "2",
+                "--embed", "2")
+    assert run(*argv, flag, value, "--out", str(out)) == 2
+    assert not list(out.glob("run-*"))
+    if flag == "--holdout":
+        assert "holdout must be in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+# The resolved configuration with no flags and no config file. It feeds
+# every run directory's hash and the config echo in report.json, so a
+# change here renames every run.
+DEFAULT_CONFIG = {
+    "alpha": 0.0001, "batch": 128, "beta": 1.0, "depth": 4, "dropout": 0.5,
+    "embed": 8, "epochs": 20, "epsilon": 1e-12, "gamma": 1.0,
+    "holdout": 0.2, "k": 50, "kind": "linear", "lr": 0.001, "ntest": 2000,
+    "ntrain": 10000, "prune": "dsp", "r": 1.0, "seed": 0, "sigma": 1.0,
+    "surgery_eta": 0.1, "trees": 10,
+}
+
+# Which commands take each configuration flag.
+_PRUNE = ("alpha", "beta", "gamma", "r", "epsilon", "surgery_eta")
+FLAG_COMMANDS = (
+    [("generate", f) for f in ("kind", "k", "sigma", "ntrain", "ntest",
+                               "seed")]
+    + [(c, f) for c in ("train", "compare")
+       for f in ("prune", "epochs", "lr", "batch", "dropout", "holdout",
+                 "trees", "depth", "embed", "seed", *_PRUNE)]
+    + [("mask-curve", f) for f in (*_PRUNE, "seed")])
+
+
+class TestConfigTable:
+    def _resolve(self, command, *extra):
+        argv = [command, *extra]
+        if command in ("train", "compare"):
+            argv += ["--data", "train.csv"]
+        return resolve_config(build_parser().parse_args(argv))
+
+    def test_resolved_defaults_pinned(self):
+        cfg, explicit = self._resolve("train")
+        assert cfg == DEFAULT_CONFIG
+        assert {k: type(v) for k, v in cfg.items()} == {
+            k: type(v) for k, v in DEFAULT_CONFIG.items()}
+        assert explicit == set()
+        assert config_hash("train", cfg) == "37276da04a5e"
+
+    def test_table_covers_every_flag(self):
+        assert set(OPTIONS) == set(DEFAULT_CONFIG)
+        assert {f for _, f in FLAG_COMMANDS} == set(DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("command,name", FLAG_COMMANDS)
+    def test_flag_and_config_line(self, command, name, tmp_path):
+        kind = type(DEFAULT_CONFIG[name])
+        value = {"kind": "quadratic", "prune": "surgery"}.get(
+            name, {int: "7", float: "0.375"}.get(kind))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{OPTIONS[name].key}={value}\n")
+        for extra in ([f"--{name}", value], ["--config", str(cfg_file)]):
+            cfg, explicit = self._resolve(command, *extra)
+            assert cfg[name] == kind(value)
+            assert type(cfg[name]) is kind
+            assert explicit == {name}
+
+    @pytest.mark.parametrize("command,flag", [("generate", "--kind"),
+                                              ("train", "--prune")])
+    def test_choices_enforced(self, command, flag, small_dataset, tmp_path):
+        argv = [command, flag, "bogus", "--out", str(tmp_path)]
+        if command == "train":
+            argv += ["--data", str(small_dataset / "train.csv")]
+        assert run(*argv) == 2
+
+    def test_config_value_of_wrong_type_rejected(self, small_dataset,
+                                                 tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("train.epochs=two\n")
+        code = run("train", "--data", str(small_dataset / "train.csv"),
+                   "--config", str(cfg_file), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "train.epochs must be int" in capsys.readouterr().err
+
+
 def test_outputs_independent_of_blas_threads(tmp_path):
     """generate + train give the same bytes at 1 and 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -269,6 +371,83 @@ class TestEvaluate:
                    "--data", str(small_dataset / "test.csv"),
                    "--out", str(tmp_path / "eval"))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A trained 2-feature dnspn model: (its model.json doc, a data CSV)."""
+    root = tmp_path_factory.mktemp("model")
+    write_csv(root / "xor.csv", gen_xor(120, 0.25, RngState(0)))
+    assert run("train", "--data", str(root / "xor.csv"), "--epochs", "1",
+               "--trees", "2", "--depth", "3", "--embed", "2",
+               "--out", str(root / "runs")) == 0
+    doc = json.loads((only_run_dir(root / "runs") / "model.json").read_text())
+    return doc, root / "xor.csv"
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return mutate
+
+
+MODEL_MUTATIONS = {
+    "no layers": _set(["layers"], []),
+    "input_dim": _set(["input_dim"], 3),
+    "layer weights ragged": _set(["layers", 1, "weights", 0], lambda r: r[1:]),
+    "layer bias short": _set(["layers", 0, "bias"], lambda b: b[1:]),
+    "layer mask short": _set(["layers", 2, "mask"], lambda m: m[1:]),
+    "layer width chain": _set(["layers", 1, "weights"], lambda w: [
+        row[1:] for row in w]),
+    "activation": _set(["layers", 0, "activation"], "tanh"),
+    "layer weight nan": _set(["layers", 0, "weights", 0, 0], float("nan")),
+    "layer mask inf": _set(["layers", 1, "mask", 0, 0], float("inf")),
+    "head_layers out of range": _set(["head_layers", 0], 4),
+    "head_layers negative": _set(["head_layers", 1], -1),
+    "head_layers not int": _set(["head_layers", 1], 1.0),
+    "head_layers short": _set(["head_layers"], lambda h: h[1:]),
+    "head depth": _set(["heads", 0, "depth"], 4),
+    "head trees": _set(["heads", 1, "trees"], 3),
+    "head trees zero": _set(["heads", 1, "trees"], 0),
+    "head embed_dim": _set(["heads", 2, "embed_dim"], 3),
+    "head kind": _set(["heads", 0, "kind"], "regression"),
+    "proj_w width": _set(["heads", 1, "proj_w"], lambda w: [
+        row[1:] for row in w]),
+    "proj_b short": _set(["heads", 0, "proj_b"], lambda b: b[1:]),
+    "routing_w row short": _set(["heads", 0, "routing_w"], lambda w: w[1:]),
+    "routing_b short": _set(["heads", 0, "routing_b"], lambda b: b[1:]),
+    "leaf row short": _set(["heads", 2, "leaf"], lambda leaf: leaf[1:]),
+    "head mask short": _set(["heads", 0, "mask"], lambda m: m[1:]),
+    "leaf nan": _set(["heads", 1, "leaf", 0, 0], float("nan")),
+    "routing_w inf": _set(["heads", 1, "routing_w", 0, 0], float("-inf")),
+    "scaler mean short": _set(["scaler", "mean"], lambda m: m[1:]),
+    "scaler std nan": _set(["scaler", "std", 0], float("nan")),
+}
+
+
+class TestLoadModelValidation:
+    def test_unmutated_model_loads(self, small_model, tmp_path):
+        doc, data = small_model
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 0
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
+    def test_corruption_is_a_data_error(self, name, small_model, tmp_path,
+                                        capsys):
+        doc, data = small_model
+        doc = json.loads(json.dumps(doc))
+        MODEL_MUTATIONS[name](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "eval").exists()
 
 
 class TestCompare:

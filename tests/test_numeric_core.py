@@ -4,54 +4,7 @@ import numpy as np
 import pytest
 
 from dnspn.errors import ParameterError, ShapeError
-from dnspn.numeric import RngState, matmul, sample_normal, sigmoid, softmax_rows
-
-
-def naive_matmul(a, b):
-    """Independent triple-loop product used as the oracle."""
-    m, n = a.shape
-    n2, p = b.shape
-    assert n == n2
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_evaluation(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        expected = naive_matmul(a, b)
-        assert np.array_equal(expected, np.array([[2.0], [4.0]]))
-        assert np.array_equal(matmul(a, b), expected)
-
-    def test_zero_annihilator(self):
-        out = matmul(np.zeros((2, 3)), np.ones((3, 4)))
-        assert out.shape == (2, 4)
-        assert np.all(out == 0.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_against_triple_loop_oracle(self, rng):
-        for _ in range(20):
-            m, n, p = (int(v) for v in 1 + rng.random(3) * 31)
-            a = rng.normal(m, n)
-            b = rng.normal(n, p)
-            got = matmul(a, b)
-            want = naive_matmul(a, b)
-            scale = np.max(np.abs(want)) + 1e-30
-            assert np.max(np.abs(got - want)) / scale < 1e-12
+from dnspn.numeric import RngState, sigmoid, softmax_rows
 
 
 class TestSoftmaxRows:
@@ -69,6 +22,10 @@ class TestSoftmaxRows:
         # softmax(0, ln 3) = (1, 3) / 4
         out = softmax_rows([[0.0, math.log(3.0)]])
         assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeError):
+            softmax_rows([0.0, 1.0])
 
     def test_rows_sum_to_one_across_magnitudes(self, rng):
         for scale in (1e-6, 1e-3, 1.0, 1e2, 1e3):
@@ -100,25 +57,27 @@ class TestSigmoid:
 
 
 class TestSampleNormal:
+    """Gaussian matrices drawn through RngState.normal."""
+
     def test_degenerate_stddev(self):
-        out = sample_normal(RngState(1), 4, 5, mean=0.0, stddev=0.0)
+        out = RngState(1).normal(4, 5, mean=0.0, stddev=0.0)
         assert np.array_equal(out, np.zeros((4, 5)))
-        out = sample_normal(RngState(1), 2, 2, mean=3.5, stddev=0.0)
+        out = RngState(1).normal(2, 2, mean=3.5, stddev=0.0)
         assert np.array_equal(out, np.full((2, 2), 3.5))
 
     def test_moments_monte_carlo(self):
-        draws = sample_normal(RngState(77), 100000, 1)
+        draws = RngState(77).normal(100000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
 
     def test_same_seed_bitwise_identical(self):
-        a = sample_normal(RngState(9), 30, 30)
-        b = sample_normal(RngState(9), 30, 30)
+        a = RngState(9).normal(30, 30)
+        b = RngState(9).normal(30, 30)
         assert np.array_equal(a, b)
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ParameterError):
-            sample_normal(RngState(1), 2, 2, stddev=-1.0)
+            RngState(1).normal(2, 2, stddev=-1.0)
 
 
 class TestRngState:
