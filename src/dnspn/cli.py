@@ -35,8 +35,9 @@ from .model_io import load_model, save_model
 from .numeric import RngState, require_finite
 from .pruning import (MODE_DSP, MODE_SURGERY, MODES, LayerStats, PruneConfig,
                       mask_curve)
-from .training import (METHODS, TrainConfig, backbone_sparsity,
-                       evaluate_model, fit, method_model)
+from .training import (DEPTH, EMBED_DIM, METHOD_MODES, METHODS, TREES,
+                       TrainConfig, backbone_sparsity, evaluate_model, fit,
+                       method_model)
 
 
 class Option(NamedTuple):
@@ -49,7 +50,7 @@ class Option(NamedTuple):
 PRUNE_FLAGS = ("alpha", "beta", "gamma", "r", "epsilon", "surgery_eta")
 
 # Every setting a flag or a config file can give, keyed by flag name. A
-# default owned by a config class is read from that class.
+# default owned by a config class or by `training` is read from there.
 OPTIONS = {
     "lr": Option("train.lr", float, TrainConfig.learning_rate),
     "batch": Option("train.batch", int, TrainConfig.batch_size),
@@ -57,9 +58,9 @@ OPTIONS = {
     "epochs": Option("train.epochs", int, TrainConfig.epochs),
     "seed": Option("train.seed", int, TrainConfig.seed),
     "holdout": Option("train.holdout", float, 0.2),
-    "trees": Option("model.trees", int, 10),
-    "depth": Option("model.depth", int, 4),
-    "embed": Option("model.embed", int, 8),
+    "trees": Option("model.trees", int, TREES),
+    "depth": Option("model.depth", int, DEPTH),
+    "embed": Option("model.embed", int, EMBED_DIM),
     "prune": Option("prune.mode", str, MODE_DSP, MODES),
     **{name: Option(f"prune.{name}", float, getattr(PruneConfig, name))
        for name in PRUNE_FLAGS},
@@ -168,19 +169,14 @@ def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
 
 
 def run_method_cell(method: str, train_ds: Dataset, eval_ds: Dataset,
-                    cfg: dict, seed: int,
-                    prune_mode: str | None = None) -> dict:
-    """Standardize, build, fit, and evaluate one (method, seed) cell.
-
-    The method fixes both the architecture and its canonical mask mode;
-    `prune_mode` overrides the latter when given.
-    """
+                    cfg: dict, tcfg: TrainConfig) -> dict:
+    """Standardize, build, fit, and evaluate one (method, seed) cell; the
+    seed and the mask mode come from `tcfg`."""
     train_std, eval_std, scaler = standardize(train_ds, eval_ds)
-    model, method_mode = method_model(
-        method, train_std.d, train_std.task, RngState(seed),
+    model, _ = method_model(
+        method, train_std.d, train_std.task, RngState(tcfg.seed),
         trees=cfg["trees"], depth=cfg["depth"], embed_dim=cfg["embed"])
     model.scaler = scaler
-    tcfg = _train_config({**cfg, "seed": seed}, prune_mode or method_mode)
     history = fit(model, train_std, eval_std, tcfg)
     report = evaluate_model(model, eval_std)
     return {"model": model, "history": history, "report": report,
@@ -234,13 +230,13 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, explicit = resolve_config(args)
+    tcfg = _train_config(cfg, cfg["prune"] if "prune" in explicit
+                         else METHOD_MODES[args.method])
     out = run_dir(args.out, "train", cfg,
                   args.force, {"data": str(args.data),
                                "method": args.method})
     train_ds, eval_ds = _load_train_eval(cfg, args)
-    prune_mode = cfg["prune"] if "prune" in explicit else None
-    cell = run_method_cell(args.method, train_ds, eval_ds, cfg, cfg["seed"],
-                           prune_mode)
+    cell = run_method_cell(args.method, train_ds, eval_ds, cfg, tcfg)
     out.mkdir(parents=True, exist_ok=True)
     save_model(cell["model"], out / "model.json")
     cell["history"].to_csv(out / "history.csv")
@@ -294,6 +290,9 @@ def cmd_compare(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise UsageError("compare needs at least one seed")
+    tcfgs = {method: [_train_config({**cfg, "seed": seed},
+                                    METHOD_MODES[method]) for seed in seeds]
+             for method in methods}
     out = run_dir(args.out, "compare", cfg,
                   args.force, {"data": str(args.data), "methods": methods,
                                "seeds": seeds})
@@ -304,8 +303,8 @@ def cmd_compare(args) -> int:
     rows = []
     for method in methods:
         accs = []
-        for seed in seeds:
-            cell = run_method_cell(method, train_ds, eval_ds, cfg, seed)
+        for tcfg in tcfgs[method]:
+            cell = run_method_cell(method, train_ds, eval_ds, cfg, tcfg)
             accs.append(cell["report"].accuracy)
         accs = np.asarray(accs)
         rows.append((method, float(accs.mean()), float(accs.std())))

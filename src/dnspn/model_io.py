@@ -18,8 +18,7 @@ from .data import CLASSIFICATION, Scaler, Task
 from .errors import DataError
 from .forest import ForestHead
 from .network import IDENTITY, RELU, DenseLayer
-from .pruning import PrunedLayer, layer_stats
-from .training import Model
+from .training import FOREST, SOFTMAX, Model
 
 FORMAT = "dnspn-model-v1"
 
@@ -100,7 +99,7 @@ def load_model(path) -> Model:
                     n_classes=doc["task"]["n_classes"],
                     labels=doc["task"]["labels"])
         n_out = task.n_classes if task.kind == CLASSIFICATION else 1
-        layers, layer_prunes, width = [], [], doc["input_dim"]
+        layers, masks, width = [], [], doc["input_dim"]
         for i, rec in enumerate(doc["layers"]):
             w = _floats(rec["weights"], f"layer {i} weights", (None, width))
             width = w.shape[0]
@@ -109,16 +108,14 @@ def load_model(path) -> Model:
             layers.append(DenseLayer(
                 w, _floats(rec["bias"], f"layer {i} bias", (width,)),
                 rec["activation"]))
-            layer_prunes.append(PrunedLayer(
-                w, _floats(rec["mask"], f"layer {i} mask", w.shape),
-                layer_stats(w)))
+            masks.append(_floats(rec["mask"], f"layer {i} mask", w.shape))
         head_layers = doc["head_layers"]
         if not layers or len(head_layers) != len(doc["heads"]) or not all(
                 isinstance(j, int) and 0 <= j < len(layers)
                 for j in head_layers):
             raise DataError(f"{len(layers)} layers cannot carry heads at "
                             f"{head_layers}, one per head")
-        heads, proj_prunes = [], []
+        heads = []
         for i, (rec, j) in enumerate(zip(doc["heads"], head_layers)):
             trees, depth, e = rec["trees"], rec["depth"], rec["embed_dim"]
             if rec["kind"] != task.kind or min(trees, depth, e) < 1:
@@ -135,17 +132,22 @@ def load_model(path) -> Model:
                 _floats(rec["routing_b"], at + "routing_b", (nodes,)),
                 _floats(rec["leaf"], at + "leaf",
                         (trees * 2 ** (depth - 1), n_out))))
-            proj_prunes.append(PrunedLayer(
-                proj_w, _floats(rec["mask"], at + "mask", proj_w.shape),
-                layer_stats(proj_w)))
+            masks.append(_floats(rec["mask"], at + "mask", proj_w.shape))
+        kind = doc["kind"]
+        if kind not in (FOREST, SOFTMAX):
+            raise DataError(f"unknown model kind {kind!r}")
+        if kind == FOREST and not heads:
+            raise DataError("a forest model needs at least one head")
+        if kind == SOFTMAX and (heads or width != n_out):
+            raise DataError(f"a softmax model has no heads and {n_out} "
+                            f"outputs, not {len(heads)} and {width}")
         scaler = None
         if doc.get("scaler") is not None:
             scaler = Scaler(*(_floats(doc["scaler"][key], f"scaler {key}",
                                       (doc["input_dim"],))
                               for key in ("mean", "std")))
-        return Model(layers=layers, layer_prunes=layer_prunes, heads=heads,
-                     head_layers=head_layers,
-                     proj_prunes=proj_prunes, task=task, kind=doc["kind"],
-                     input_dim=doc["input_dim"], scaler=scaler)
+        return Model(layers=layers, heads=heads, head_layers=head_layers,
+                     task=task, kind=kind, input_dim=doc["input_dim"],
+                     scaler=scaler, masks=masks)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file is corrupt or incomplete: {path}") from exc

@@ -69,10 +69,12 @@ class LayerStats:
 
 @dataclass
 class PrunedLayer:
-    """Shadow weights, their mask, and the stats the mask was built from."""
+    """Shadow weights, their mask, and the backprop multiplier
+    d(shadow * mask)/d(shadow): the one the last DSP refresh computed, or
+    before any refresh the mask itself (the multiplier of a fixed mask)."""
     shadow: np.ndarray
     mask: np.ndarray
-    stats: LayerStats
+    multiplier: np.ndarray
 
 
 def layer_stats(w: np.ndarray) -> LayerStats:
@@ -83,23 +85,55 @@ def layer_stats(w: np.ndarray) -> LayerStats:
     return LayerStats(mu=float(np.mean(np.abs(w))), std=float(np.std(w)))
 
 
-def new_pruned_layer(shadow: np.ndarray) -> PrunedLayer:
-    return PrunedLayer(shadow=shadow, mask=np.ones_like(shadow),
-                       stats=layer_stats(shadow))
+def new_pruned_layer(shadow: np.ndarray,
+                     mask: np.ndarray | None = None) -> PrunedLayer:
+    """A mask record over `shadow`, all ones unless `mask` is given."""
+    mask = np.ones_like(shadow) if mask is None else mask
+    return PrunedLayer(shadow=shadow, mask=mask, multiplier=mask)
 
 
-def dsp_mask(w: np.ndarray, stats: LayerStats, cfg: PruneConfig) -> np.ndarray:
-    """Soft mask T = max((alpha/beta)*T~, T~), elementwise over w.
+def _dsp_pass(w: np.ndarray, stats: LayerStats,
+              cfg: PruneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The soft mask T = max((alpha/beta)*T~, T~) and its multiplier
+    d(w * T(w))/dw with mu treated as a constant, elementwise over w.
 
     When mu is 0 there is no magnitude information to prune on; the mask
-    falls back to all ones.
+    falls back to all ones. The multiplier is piecewise by the mask branch
+    active at each entry:
+      * log argument clamped at epsilon, or T~ saturated at r: the mask is
+        locally constant, so the derivative is the mask value itself. In
+        the clamped region that value is nonzero, which is what lets fully
+        decayed weights recover.
+      * decaying branch (T = alpha * log ratio): product rule gives
+        alpha * (log ratio + 1).
+      * growing branch (T = beta * log ratio): beta * (log ratio + 1).
+    At branch boundaries the derivative of the branch the formula selects
+    at that point is used.
     """
     w = np.asarray(w, dtype=np.float64)
     if stats.mu == 0.0:
-        return np.ones_like(w)
+        ones = np.ones_like(w)
+        return ones, ones
     ratio = np.abs(w) / (cfg.gamma * stats.mu)
-    t_tilde = np.minimum(cfg.r, cfg.beta * np.log(np.maximum(cfg.epsilon, ratio)))
-    return np.maximum((cfg.alpha / cfg.beta) * t_tilde, t_tilde)
+    log_r = np.log(np.maximum(cfg.epsilon, ratio))
+    grow = cfg.beta * log_r
+    t_tilde = np.minimum(cfg.r, grow)
+    scaled = (cfg.alpha / cfg.beta) * t_tilde
+    mask = np.maximum(scaled, t_tilde)
+    constant = (ratio <= cfg.epsilon) | (grow >= cfg.r)
+    coeff = np.where(scaled > t_tilde, cfg.alpha, cfg.beta)
+    return mask, np.where(constant, mask, coeff * (log_r + 1.0))
+
+
+def dsp_mask(w: np.ndarray, stats: LayerStats, cfg: PruneConfig) -> np.ndarray:
+    """Soft mask T = max((alpha/beta)*T~, T~), elementwise over w."""
+    return _dsp_pass(w, stats, cfg)[0]
+
+
+def dsp_mask_grad(w: np.ndarray, stats: LayerStats,
+                  cfg: PruneConfig) -> np.ndarray:
+    """Elementwise d(w * T(w)) / dw with mu treated as a constant."""
+    return _dsp_pass(w, stats, cfg)[1]
 
 
 def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
@@ -126,50 +160,20 @@ def apply_mask(layer: PrunedLayer) -> np.ndarray:
     return layer.shadow * layer.mask
 
 
-def dsp_mask_grad(w: np.ndarray, stats: LayerStats,
-                  cfg: PruneConfig) -> np.ndarray:
-    """Elementwise d(w * T(w)) / dw with mu treated as a constant.
-
-    Piecewise by the mask branch active at each entry:
-      * log argument clamped at epsilon, or T~ saturated at r: the mask is
-        locally constant, so the derivative is the mask value itself. In
-        the clamped region that value is nonzero, which is what lets fully
-        decayed weights recover.
-      * decaying branch (T = alpha * log ratio): product rule gives
-        alpha * (log ratio + 1).
-      * growing branch (T = beta * log ratio): beta * (log ratio + 1).
-    At branch boundaries the derivative of the branch the formula selects
-    at that point is used.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if stats.mu == 0.0:
-        return np.ones_like(w)
-    ratio = np.abs(w) / (cfg.gamma * stats.mu)
-    log_r = np.log(np.maximum(cfg.epsilon, ratio))
-    t_tilde = np.minimum(cfg.r, cfg.beta * log_r)
-    scaled = (cfg.alpha / cfg.beta) * t_tilde
-    mask = np.maximum(scaled, t_tilde)
-    constant = (ratio <= cfg.epsilon) | (cfg.beta * log_r >= cfg.r)
-    coeff = np.where(scaled > t_tilde, cfg.alpha, cfg.beta)
-    return np.where(constant, mask, coeff * (log_r + 1.0))
-
-
 def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
-    """Backprop multiplier d(effective)/d(shadow) for the active mode."""
-    if cfg.mode == MODE_DSP:
-        return dsp_mask_grad(layer.shadow, layer.stats, cfg)
-    if cfg.mode == MODE_SURGERY:
-        return layer.mask
-    return np.ones_like(layer.shadow)
+    """Backprop multiplier d(effective)/d(shadow): in DSP mode the one
+    stored by the last refresh, in surgery mode the mask itself."""
+    return layer.multiplier if cfg.mode == MODE_DSP else layer.mask
 
 
 def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
-    """Recompute stats from the current shadow weights, then the mask."""
-    layer.stats = layer_stats(layer.shadow)
+    """Recompute the mask (and in DSP mode its multiplier) from the
+    current shadow weights and their stats."""
+    stats = layer_stats(layer.shadow)
     if cfg.mode == MODE_DSP:
-        layer.mask = dsp_mask(layer.shadow, layer.stats, cfg)
+        layer.mask, layer.multiplier = _dsp_pass(layer.shadow, stats, cfg)
     elif cfg.mode == MODE_SURGERY:
-        layer.mask = surgery_mask(layer.shadow, layer.mask, layer.stats, cfg)
+        layer.mask = surgery_mask(layer.shadow, layer.mask, stats, cfg)
     else:
         layer.mask = np.ones_like(layer.shadow)
 

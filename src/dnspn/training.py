@@ -10,8 +10,8 @@ layer (the `fcnn` baseline used in comparisons). One training step runs:
      entropy or MSE);
   3. exact backprop into leaf logits, routing units, projections, and the
      backbone's shadow weights, where the soft-prune mode chains through
-     the analytic mask derivative and the surgery mode through the frozen
-     mask values;
+     the mask derivative stored at the last refresh and the surgery mode
+     through the frozen mask values (steps 1-3 are :func:`gradients`);
   4. one Adam update over every parameter at once;
   5. a mask/statistics refresh from the updated shadow weights, so the next
      forward sees the new effective weights.
@@ -24,7 +24,7 @@ come only from the forests.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,13 @@ SOFTMAX = "softmax"
 METHOD_MODES = {"fcnn": MODE_NONE, "dndn": MODE_NONE, "dnspn": MODE_DSP,
                 "surgery": MODE_SURGERY}
 METHODS = tuple(METHOD_MODES)
+
+# forest shape of every forest method unless a caller sets it
+TREES = 10
+DEPTH = 4
+EMBED_DIM = 8
+
+HEAD_PARAMS = ("proj_w", "proj_b", "routing_w", "routing_b", "leaf")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -85,15 +92,26 @@ class AdamState:
 
 @dataclass
 class Model:
+    """A backbone, its heads, and one mask record per layer and head
+    projection; `masks` gives theirs, layers first (default all ones)."""
     layers: list[DenseLayer]          # weights here are the shadow weights
-    layer_prunes: list[PrunedLayer]   # shadow aliases layers[i].weights
     heads: list[ForestHead]
     head_layers: list[int]            # attachment layer index per head
-    proj_prunes: list[PrunedLayer]    # shadow aliases heads[i].proj_w
     task: Task
     kind: str                         # "forest" | "softmax"
     input_dim: int
     scaler: Scaler | None = None      # feature scaler used at training time
+    masks: InitVar[list[np.ndarray] | None] = None
+    layer_prunes: list[PrunedLayer] = field(init=False)  # on layers[i].weights
+    proj_prunes: list[PrunedLayer] = field(init=False)   # on heads[i].proj_w
+
+    def __post_init__(self, masks):
+        shadows = ([layer.weights for layer in self.layers]
+                   + [head.proj_w for head in self.heads])
+        pruned = [new_pruned_layer(w, m) for w, m in
+                  zip(shadows, masks or [None] * len(shadows), strict=True)]
+        self.layer_prunes = pruned[:len(self.layers)]
+        self.proj_prunes = pruned[len(self.layers):]
 
 
 def _n_outputs(task: Task) -> int:
@@ -109,27 +127,21 @@ def build_forest_model(input_dim: int, task: Task, rng: RngState,
     layers = network.build_network(input_dim, o, rng)
     heads = [init_head(layer.weights.shape[0], _n_outputs(task), trees, depth,
                        embed_dim, task.kind, rng) for layer in layers]
-    return Model(
-        layers=layers,
-        layer_prunes=[new_pruned_layer(layer.weights) for layer in layers],
-        heads=heads, head_layers=list(range(len(layers))),
-        proj_prunes=[new_pruned_layer(h.proj_w) for h in heads],
-        task=task, kind=FOREST, input_dim=input_dim)
+    return Model(layers=layers, heads=heads,
+                 head_layers=list(range(len(layers))), task=task, kind=FOREST,
+                 input_dim=input_dim)
 
 
 def build_softmax_model(input_dim: int, task: Task, rng: RngState) -> Model:
     """Plain backbone whose last layer emits class scores (or one value)."""
     layers = network.build_network(input_dim, _n_outputs(task), rng)
-    return Model(
-        layers=layers,
-        layer_prunes=[new_pruned_layer(layer.weights) for layer in layers],
-        heads=[], head_layers=[], proj_prunes=[],
-        task=task, kind=SOFTMAX, input_dim=input_dim)
+    return Model(layers=layers, heads=[], head_layers=[], task=task,
+                 kind=SOFTMAX, input_dim=input_dim)
 
 
 def method_model(method: str, input_dim: int, task: Task, rng: RngState,
-                 trees: int = 10, depth: int = 4,
-                 embed_dim: int = 8) -> tuple[Model, str]:
+                 trees: int = TREES, depth: int = DEPTH,
+                 embed_dim: int = EMBED_DIM) -> tuple[Model, str]:
     """Build the model for a named method; returns (model, prune mode)."""
     if method not in METHOD_MODES:
         raise UsageError(
@@ -222,11 +234,8 @@ def model_params(model: Model) -> dict[str, np.ndarray]:
         params[f"layer{i}.w"] = layer.weights
         params[f"layer{i}.b"] = layer.bias
     for i, head in enumerate(model.heads):
-        params[f"head{i}.proj_w"] = head.proj_w
-        params[f"head{i}.proj_b"] = head.proj_b
-        params[f"head{i}.routing_w"] = head.routing_w
-        params[f"head{i}.routing_b"] = head.routing_b
-        params[f"head{i}.leaf"] = head.leaf
+        params.update({f"head{i}.{name}": getattr(head, name)
+                       for name in HEAD_PARAMS})
     return params
 
 
@@ -245,16 +254,15 @@ def _effective_heads(model: Model) -> list[ForestHead]:
 
 
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
-             rng: RngState | None, masked: bool = True,
-             keep_routings: bool = True):
+             rng: RngState | None, masked: bool = True):
     """Forward pass: (effective layers, effective heads, backbone trace,
     per-head routings, per-head outputs, fused output).
 
     `masked=False` computes with the shadow weights as they are, which is
-    exact when every mask is all ones (prune mode "none"). With
-    `keep_routings=False` each head's routing is dropped as soon as its
-    output is taken and the routings list comes back empty, so a forward
-    that will not be backpropagated holds one head's routing at a time.
+    exact when every mask is all ones (prune mode "none"). Routings are
+    kept for the backward only in training; otherwise each head's routing
+    is dropped as soon as its output is taken and the routings list comes
+    back empty, so an eval forward holds one head's routing at a time.
     """
     eff_layers = _effective_layers(model) if masked else model.layers
     trace = network.forward(eff_layers, X, dropout, training, rng)
@@ -267,7 +275,7 @@ def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
             outs.append(predict_class(head, r)
                         if model.task.kind == CLASSIFICATION
                         else predict_regress(head, r))
-            if keep_routings:
+            if training:
                 routings.append(r)
             del r
         fused = fuse(outs)
@@ -290,16 +298,14 @@ def refresh_masks(model: Model, prune: PruneConfig) -> None:
         refresh_mask(pp, prune)
 
 
-def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
-               cfg: TrainConfig, adam: AdamState,
-               rng: RngState | None) -> float:
-    """One minibatch update; returns the batch training loss.
+def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
+              rng: RngState | None) -> tuple[float, dict[str, np.ndarray]]:
+    """The batch training loss and its gradient, keyed like
+    :func:`model_params`, from a training-mode forward with `cfg.dropout`.
 
     Masks are assumed consistent with the current shadow weights (as left
-    by the previous step's refresh or by :func:`refresh_masks`); the step
-    ends by refreshing them again from the just-updated weights. In prune
-    mode "none" the masks are all ones, so the step neither applies them
-    nor chains gradients through them.
+    by the last refresh). In prune mode "none" they are all ones, so they
+    are neither applied nor chained through.
     """
     masked = cfg.prune.mode != MODE_NONE
     eff_layers, eff_heads, trace, routings, outs, fused = _forward(
@@ -310,27 +316,18 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
     upstream: list[np.ndarray | None] = [None] * len(model.layers)
 
     if model.kind == FOREST:
-        K = len(model.heads)
-        losses, head_upstreams = [], []
-        for out in outs:
-            l_i, g_i = loss_fn(out, yb)
-            losses.append(l_i)
-            head_upstreams.append(g_i / K)
-        loss = float(np.mean(losses))
-        for i, (head, j, r, g_out) in enumerate(
-                zip(eff_heads, model.head_layers, routings, head_upstreams)):
-            hg = forest_backward(head, r, trace.dropped[j], g_out)
-            grads[f"head{i}.proj_w"] = (
-                hg.proj_w * mask_grad(model.proj_prunes[i], cfg.prune)
-                if masked else hg.proj_w)
-            grads[f"head{i}.proj_b"] = hg.proj_b
-            grads[f"head{i}.routing_w"] = hg.routing_w
-            grads[f"head{i}.routing_b"] = hg.routing_b
-            grads[f"head{i}.leaf"] = hg.leaf
-            if upstream[j] is None:
-                upstream[j] = hg.activation
-            else:
-                upstream[j] = upstream[j] + hg.activation
+        per_head = [loss_fn(out, yb) for out in outs]
+        loss = float(np.mean([l_i for l_i, _ in per_head]))
+        for i, (head, j, r, (_, g_i)) in enumerate(
+                zip(eff_heads, model.head_layers, routings, per_head)):
+            hg = forest_backward(head, r, trace.dropped[j], g_i / len(outs))
+            grads.update({f"head{i}.{name}": getattr(hg, name)
+                          for name in HEAD_PARAMS})
+            if masked:
+                grads[f"head{i}.proj_w"] = hg.proj_w * mask_grad(
+                    model.proj_prunes[i], cfg.prune)
+            upstream[j] = (hg.activation if upstream[j] is None
+                           else upstream[j] + hg.activation)
     else:
         if model.task.kind == CLASSIFICATION:
             loss, g_probs = loss_ce(fused, yb)
@@ -350,10 +347,20 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
             dW[i] * mask_grad(model.layer_prunes[i], cfg.prune)
             if masked else dW[i])
         grads[f"layer{i}.b"] = db[i]
+    return loss, grads
 
+
+def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
+               cfg: TrainConfig, adam: AdamState,
+               rng: RngState | None) -> float:
+    """One minibatch update; returns the batch training loss.
+
+    Applies :func:`gradients` with Adam, then refreshes the masks from the
+    just-updated weights (not needed in prune mode "none").
+    """
+    loss, grads = gradients(model, xb, yb, cfg, rng)
     adam_update(adam, model_params(model), grads, cfg)
-
-    if masked:
+    if cfg.prune.mode != MODE_NONE:
         refresh_masks(model, cfg.prune)
     return loss
 
@@ -408,7 +415,7 @@ def predict(model: Model, X: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input shape {X.shape} != (n, {model.input_dim})"
         )
-    *_, fused = _forward(model, X, 0.0, False, None, keep_routings=False)
+    *_, fused = _forward(model, X, 0.0, False, None)
     return fused
 
 

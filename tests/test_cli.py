@@ -231,6 +231,27 @@ def test_rejected_setting_leaves_no_run_dir(command, flag, value,
         assert "holdout must be in (0, 1), got 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--lr", "nan"),
+    ("train", "--batch", "0"),
+    ("train", "--prune", "surgery"),
+    ("compare", "--dropout", "1.5"),
+    ("compare", "--alpha", "nan"),
+])
+def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
+                                             capsys):
+    # the data file does not exist: a bad setting must be reported first
+    out = tmp_path / "runs"
+    code = run(command, "--data", str(tmp_path / "nope.csv"), flag, value,
+               "--out", str(out))
+    err = capsys.readouterr().err
+    if flag == "--prune":   # a good setting: the missing file is the error
+        assert code == 3 and "not found" in err
+    else:
+        assert code == 2 and err.startswith("error: ")
+    assert not out.exists()
+
+
 # The resolved configuration with no flags and no config file. It feeds
 # every run directory's hash and the config echo in report.json, so a
 # change here renames every run.
@@ -425,6 +446,11 @@ MODEL_MUTATIONS = {
     "routing_w inf": _set(["heads", 1, "routing_w", 0, 0], float("-inf")),
     "scaler mean short": _set(["scaler", "mean"], lambda m: m[1:]),
     "scaler std nan": _set(["scaler", "std", 0], float("nan")),
+    "kind unknown": _set(["kind"], "bogus"),
+    "kind softmax with heads": _set(["kind"], "softmax"),
+    "forest without heads": lambda doc: doc.update(heads=[], head_layers=[]),
+    "softmax of wrong width": lambda doc: doc.update(
+        kind="softmax", heads=[], head_layers=[]),
 }
 
 

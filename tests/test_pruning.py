@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dnspn.errors import ParameterError, ShapeError
-from dnspn.pruning import (LayerStats, PruneConfig, PrunedLayer, apply_mask,
-                           dsp_mask, dsp_mask_grad, layer_stats, mask_curve,
-                           mask_grad, new_pruned_layer, refresh_mask,
-                           surgery_mask)
+from dnspn.pruning import (LayerStats, PruneConfig, apply_mask, dsp_mask,
+                           dsp_mask_grad, layer_stats, mask_curve, mask_grad,
+                           new_pruned_layer, refresh_mask, surgery_mask)
 
 
 def stats_for(mu, std=0.0):
@@ -114,8 +113,8 @@ class TestApplyMask:
         assert np.all(apply_mask(pl) == 0.0)
 
     def test_elementwise_product(self):
-        pl = PrunedLayer(np.array([[2.0, -3.0]]), np.array([[0.5, 0.0]]),
-                         stats_for(2.5))
+        pl = new_pruned_layer(np.array([[2.0, -3.0]]),
+                              np.array([[0.5, 0.0]]))
         assert np.array_equal(apply_mask(pl), np.array([[1.0, 0.0]]))
 
     def test_shadow_never_mutated(self, rng):
@@ -144,6 +143,18 @@ class TestDspMaskGrad:
         w = np.array([[4.0, -10.0]])   # ratio >= e -> saturated at r
         g = dsp_mask_grad(w, stats, self.cfg)
         assert np.allclose(g, self.cfg.r, atol=1e-15)
+
+    def test_refresh_stores_the_dsp_multiplier(self, rng):
+        # the refresh's one pass gives the mask and the multiplier that
+        # mask_grad hands to the backward, with the stats of that refresh
+        pl = new_pruned_layer(rng.normal(6, 5))
+        pl.shadow[0, :3] = [0.0, 1e-14, 50.0]   # clamped and saturated
+        refresh_mask(pl, self.cfg)
+        stats = layer_stats(pl.shadow)
+        want = dsp_mask_grad(pl.shadow, stats, self.cfg)
+        assert mask_grad(pl, self.cfg).tobytes() == want.tobytes()
+        assert pl.mask.tobytes() == dsp_mask(pl.shadow, stats,
+                                             self.cfg).tobytes()
 
     def test_surgery_zeroed_entries_have_zero_grad(self):
         scfg = PruneConfig(mode="surgery")

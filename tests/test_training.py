@@ -7,14 +7,16 @@ from conftest import central_diff, max_rel_error
 from dnspn.data import Dataset, Task
 from dnspn.errors import DataError, ShapeError
 from dnspn.numeric import RngState
-from dnspn.pruning import PruneConfig
-from dnspn.training import (AdamState, TrainConfig, adam_update,
+from dnspn.model_io import load_model, save_model
+from dnspn.pruning import PruneConfig, dsp_mask, layer_stats
+from dnspn.training import (AdamState, TrainConfig, _forward, adam_update,
                             build_forest_model, build_softmax_model,
-                            evaluate_model, fit, loss_ce, loss_mse,
-                            method_model, model_params, predict,
+                            evaluate_model, fit, gradients, loss_ce,
+                            loss_mse, method_model, model_params, predict,
                             refresh_masks, train_step)
 
 CLS = Task(kind="classification", n_classes=2)
+REG = Task(kind="regression")
 
 
 def separable_2d(n, seed):
@@ -273,16 +275,15 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_eval_forward_keeps_no_routing(self):
-        from dnspn.training import _forward
+        # routings are kept for the backward, so only in training
         ds = separable_2d(32, 8)
         model = build_forest_model(2, CLS, RngState(5), trees=2, depth=3,
                                    embed_dim=2)
-        kept = _forward(model, ds.X, 0.0, False, None)
-        dropped = _forward(model, ds.X, 0.0, False, None,
-                           keep_routings=False)
+        kept = _forward(model, ds.X, 0.0, True, None)
+        dropped = _forward(model, ds.X, 0.0, False, None)
         assert len(kept[3]) == len(model.heads) and dropped[3] == []
         assert np.array_equal(kept[5], dropped[5])
-        assert np.array_equal(predict(model, ds.X), kept[5])
+        assert np.array_equal(predict(model, ds.X), dropped[5])
 
     def test_softmax_model_prediction(self):
         ds = separable_2d(16, 7)
@@ -307,12 +308,35 @@ class TestPredict:
         assert out.shape == (40, 1)
 
 
+# Edge configurations of the whole-model gradient check, as overrides of
+# a forest with m=2, h=2, e=3 on widths [3, 6, 6, 2], classification,
+# prune mode none and no dropout. Central differences of an O(1) loss at
+# h=1e-5 carry ~1e-11 of round-off, so entries below 1e-7 are held to an
+# absolute 1e-10 rather than a relative 1e-4. The DSP case raises alpha
+# from 1e-4 to 0.05, since with 1e-4 the decaying branch scales most of
+# its weights' gradients down to ~1e-9.
+EDGE_CASES = {
+    "depth1-trees1-embed1": {"trees": 1, "depth": 1, "embed": 1},
+    "regression": {"task": REG},
+    "softmax": {"softmax": True},
+    "surgery": {"mode": "surgery"},
+    "dsp": {"mode": "dsp", "alpha": 0.05},
+    "dropout": {"dropout": 0.3},
+}
+
+
+def _model_loss(model, X, y, dropout, rng):
+    """The training loss from a forward of its own: the mean over heads of
+    each head's loss (the softmax model has one output)."""
+    *_, outs, _ = _forward(model, X, dropout, True, rng)
+    loss_fn = loss_ce if model.task.kind == "classification" else loss_mse
+    return float(np.mean([loss_fn(o, y)[0] for o in outs]))
+
+
 class TestEndToEndGradients:
     def test_full_model_finite_difference(self):
         # d=4, widths [4,8,8,2], m=2, h=2, e=4, batch=2, dropout off,
         # prune off: every parameter against central differences
-        from dnspn.training import _forward
-
         task = Task(kind="classification", n_classes=2)
         model = build_forest_model(4, task, RngState(42), trees=2, depth=2,
                                    embed_dim=4, output_width=2)
@@ -329,34 +353,90 @@ class TestEndToEndGradients:
             num = central_diff(total_loss, p)
             assert max_rel_error(grads[name], num) < 1e-4, name
 
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_configuration_finite_difference(self, case):
+        opts = {"task": CLS, "softmax": False, "trees": 2, "depth": 2,
+                "embed": 3, "mode": "none", "alpha": PruneConfig.alpha,
+                "dropout": 0.0, **EDGE_CASES[case]}
+        task = opts["task"]
+        if opts["softmax"]:
+            model = build_softmax_model(3, task, RngState(42))
+        else:
+            model = build_forest_model(3, task, RngState(42), opts["trees"],
+                                       opts["depth"], opts["embed"],
+                                       output_width=2)
+        # nonzero biases: a surgery mask that zeroes a whole row would put
+        # that unit's pre-activation at ReLU's kink, where no derivative is
+        for layer in model.layers:
+            layer.bias[:] = RngState(7).normal(1, layer.bias.size)[0]
+        X = RngState(5).normal(3, 3)
+        y = (np.array([0, 1, 1]) if task.kind == "classification"
+             else RngState(6).normal(3, 1).ravel())
+        cfg = TrainConfig(dropout=opts["dropout"], prune=PruneConfig(
+            mode=opts["mode"], alpha=opts["alpha"]))
+        refresh_masks(model, cfg.prune)
+        pruned = model.layer_prunes + model.proj_prunes
+        frozen = [layer_stats(pl.shadow) for pl in pruned]
+        grads = _analytic_grads(model, X, y, cfg, RngState(11))
 
-def _analytic_grads(model, X, y):
-    """Backward pass identical to train_step's, without the update."""
-    from dnspn import network
-    from dnspn.forest import forest_backward
-    from dnspn.training import _forward
+        def loss():
+            # DSP masks follow the weights, with mu and std frozen at the
+            # refresh as the multiplier assumes; surgery masks stay fixed
+            if cfg.prune.mode == "dsp":
+                for pl, stats in zip(pruned, frozen):
+                    pl.mask = dsp_mask(pl.shadow, stats, cfg.prune)
+            return _model_loss(model, X, y, cfg.dropout, RngState(11))
 
-    eff_layers, eff_heads, trace, routings, outs, _ = _forward(
-        model, X, 0.0, False, None)
-    K = len(model.heads)
-    grads = {}
-    upstream = [None] * len(model.layers)
-    for i, (head, j, r, out) in enumerate(zip(eff_heads, model.head_layers,
-                                              routings, outs)):
-        _, g = loss_ce(out, y)
-        hg = forest_backward(head, r, trace.dropped[j], g / K)
-        grads[f"head{i}.proj_w"] = hg.proj_w
-        grads[f"head{i}.proj_b"] = hg.proj_b
-        grads[f"head{i}.routing_w"] = hg.routing_w
-        grads[f"head{i}.routing_b"] = hg.routing_b
-        grads[f"head{i}.leaf"] = hg.leaf
-        upstream[j] = (hg.activation if upstream[j] is None
-                       else upstream[j] + hg.activation)
-    dW, db, _ = network.backward(eff_layers, trace, upstream)
-    for i in range(len(model.layers)):
-        grads[f"layer{i}.w"] = dW[i]
-        grads[f"layer{i}.b"] = db[i]
-    return grads
+        for name, p in model_params(model).items():
+            num = central_diff(loss, p)
+            err = max_rel_error(grads[name], num, zero_floor=1e-7)
+            assert err < 1e-4, f"{case} {name}: rel error {err}"
+            small = np.maximum(np.abs(grads[name]), np.abs(num)) <= 1e-7
+            gap = np.max(np.abs(grads[name] - num)[small], initial=0.0)
+            assert gap < 1e-10, f"{case} {name}: abs error {gap}"
+
+
+def _analytic_grads(model, X, y, cfg=None, rng=None):
+    """The gradients train_step applies, without the update (no dropout
+    and prune mode none unless `cfg` says otherwise)."""
+    return gradients(model, X, y, cfg or TrainConfig(dropout=0.0), rng)[1]
+
+
+def _assert_records_on_weights(model):
+    assert len(model.layer_prunes) == len(model.layers)
+    assert len(model.proj_prunes) == len(model.heads)
+    for layer, pl in zip(model.layers, model.layer_prunes):
+        assert pl.shadow is layer.weights
+    for head, pp in zip(model.heads, model.proj_prunes):
+        assert pp.shadow is head.proj_w
+
+
+class TestMaskRecords:
+    @pytest.mark.parametrize("method", ["fcnn", "dnspn"])
+    def test_built_model_records_alias_weights(self, method):
+        model, mode = method_model(method, 2, CLS, RngState(0), trees=2,
+                                   depth=2, embed_dim=2)
+        _assert_records_on_weights(model)
+        assert all(np.all(pl.mask == 1.0)
+                   for pl in model.layer_prunes + model.proj_prunes)
+        ds = separable_2d(64, 1)
+        fit(model, ds, ds, TrainConfig(epochs=1, batch_size=32,
+                                       prune=PruneConfig(mode=mode)))
+        _assert_records_on_weights(model)
+
+    def test_loaded_model_records_alias_weights(self, tmp_path):
+        ds = separable_2d(64, 2)
+        model = build_forest_model(2, CLS, RngState(3), trees=2, depth=2,
+                                   embed_dim=2)
+        fit(model, ds, ds, TrainConfig(epochs=1, batch_size=32,
+                                       prune=PruneConfig(mode="dsp")))
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        _assert_records_on_weights(loaded)
+        for a, b in zip(model.layer_prunes + model.proj_prunes,
+                        loaded.layer_prunes + loaded.proj_prunes):
+            assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(predict(model, ds.X), predict(loaded, ds.X))
 
 
 class TestMethodModel:
