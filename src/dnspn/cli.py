@@ -30,6 +30,7 @@ from .data import (CLASSIFICATION, Dataset, SyntheticSpec, generate,
                    load_csv, split, standardize, train_test, write_csv)
 from .errors import (DataError, DnspnError, MetricError, NumericError,
                      ParameterError, ShapeError, UsageError)
+from .forest import check_shape
 from .metrics import EvalReport
 from .model_io import load_model, save_model
 from .numeric import RngState, require_finite
@@ -71,6 +72,9 @@ OPTIONS = {
     "ntest": Option("gen.ntest", int, SyntheticSpec.n_test),
 }
 _FILE_KEYS = {opt.key: name for name, opt in OPTIONS.items()}
+# config fields whose flag has another name; an error names the flag
+_FIELD_FLAGS = {"learning_rate": "lr", "batch_size": "batch",
+                "embed_dim": "embed"}
 
 TRAIN_FLAGS = ("prune", "epochs", "lr", "batch", "dropout", "holdout",
                "trees", "depth", "embed", *PRUNE_FLAGS)
@@ -148,6 +152,18 @@ def _train_config(cfg: dict, prune_mode: str) -> TrainConfig:
         learning_rate=cfg["lr"], batch_size=cfg["batch"],
         dropout=cfg["dropout"], epochs=cfg["epochs"], seed=cfg["seed"],
         prune=_prune_config(cfg, prune_mode))
+
+
+def _check_forest_shape(cfg: dict, methods) -> None:
+    if any(method != "fcnn" for method in methods):   # fcnn has no forest
+        check_shape(cfg["trees"], cfg["depth"], cfg["embed"])
+
+
+def _flag_error(exc: ParameterError) -> str:
+    """The message of `exc`, with a leading config field named as its flag."""
+    field, sep, rest = str(exc).partition(" ")
+    name = _FIELD_FLAGS.get(field, field)
+    return f"--{name}{sep}{rest}" if name in OPTIONS else str(exc)
 
 
 def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
@@ -232,6 +248,7 @@ def cmd_train(args) -> int:
     cfg, explicit = resolve_config(args)
     tcfg = _train_config(cfg, cfg["prune"] if "prune" in explicit
                          else METHOD_MODES[args.method])
+    _check_forest_shape(cfg, [args.method])
     out = run_dir(args.out, "train", cfg,
                   args.force, {"data": str(args.data),
                                "method": args.method})
@@ -293,6 +310,7 @@ def cmd_compare(args) -> int:
     tcfgs = {method: [_train_config({**cfg, "seed": seed},
                                     METHOD_MODES[method]) for seed in seeds]
              for method in methods}
+    _check_forest_shape(cfg, methods)
     out = run_dir(args.out, "compare", cfg,
                   args.force, {"data": str(args.data), "methods": methods,
                                "seeds": seeds})
@@ -432,7 +450,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParameterError, UsageError) as exc:
+    except ParameterError as exc:
+        print(f"error: {_flag_error(exc)}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ShapeError, MetricError) as exc:

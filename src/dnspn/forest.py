@@ -15,6 +15,17 @@ by exact reverse-mode gradients (see :func:`forest_backward`).
 Node layout: internal nodes are stored per tree in breadth-first order, so
 node i has children 2i+1 and 2i+2, and leaf j's path is the bit pattern of
 j read from the most significant of h-1 bits (0 = left).
+
+Row blocks: an eval :func:`route` runs the tree-sized stage (the routing
+matmul, the sigmoid and the level products) over near-equal row blocks of
+about ROUTE_BLOCK_BYTES of decisions, so a deep forest's passes stay in L2
+in place of streaming (batch, trees * nodes) arrays through L3; each block
+writes its rows of one full-height `p`. The projection before that stage
+and the leaf contraction after it stay full-height, because OpenBLAS sums
+those products in an order that depends on the row count, and per-block
+results could differ in the last bit. The routing matmul, whose inner
+dimension is the small embedding, gave the same bits at every block size
+from 2 to 2000 rows tried; the bit-identity tests hold it to that.
 """
 
 from __future__ import annotations
@@ -28,6 +39,10 @@ from .numeric import RngState, sigmoid, softmax_rows
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+
+# Bytes of decisions (rows x trees x nodes_per_tree float64) that an eval
+# route works on at a time, so its passes stay inside a core's L2.
+ROUTE_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -55,6 +70,14 @@ class ForestHead:
         return self.leaf.shape[1]
 
 
+def check_shape(trees: int, depth: int, embed_dim: int) -> None:
+    """Reject a forest shape setting below 1, by name."""
+    for name, value in (("trees", trees), ("depth", depth),
+                        ("embed_dim", embed_dim)):
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
 def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
               embed_dim: int, kind: str, rng: RngState) -> ForestHead:
     """Randomly initialize one head.
@@ -64,8 +87,7 @@ def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
     logits start as small Gaussians so trees begin diverse but the softmax
     stays close to uniform.
     """
-    if trees < 1 or depth < 1 or embed_dim < 1:
-        raise ParameterError("trees, depth and embed_dim must be >= 1")
+    check_shape(trees, depth, embed_dim)
     if kind not in (CLASSIFICATION, REGRESSION):
         raise ParameterError(f"unknown head kind {kind!r}")
     if kind == CLASSIFICATION and n_outputs < 2:
@@ -94,16 +116,63 @@ class RoutingProbs:
     `p[b, t*L + j]` is sample b's probability of reaching leaf j of tree t;
     each tree's block sums to 1 per sample. `decisions` holds the sigmoid
     node outputs shaped (batch, trees, nodes_per_tree) and `level_mus` the
-    partial path products entering each depth level.
+    partial path products entering each depth level; an eval route leaves
+    them out (None and empty).
     """
     p: np.ndarray
     embedding: np.ndarray
-    decisions: np.ndarray
+    decisions: np.ndarray | None = None
     level_mus: list[np.ndarray] = field(default_factory=list)
 
 
-def route(head: ForestHead, activation: np.ndarray) -> RoutingProbs:
-    """Compute every leaf's reach probability for a batch of activations."""
+def _block_count(batch: int, row_bytes: int) -> int:
+    """How many near-equal row blocks of about ROUTE_BLOCK_BYTES each a
+    batch takes. No block has one row unless the batch has: a one-row
+    matmul is a matrix-vector product, which may sum in another order than
+    the matrix form."""
+    return max(1, min(-(-batch * row_bytes // ROUTE_BLOCK_BYTES), batch // 2))
+
+
+def _decisions(head: ForestHead, z: np.ndarray) -> np.ndarray:
+    """Node decisions (rows, trees, nodes_per_tree) of embedding rows z."""
+    rows = z.shape[0]
+    if head.nodes_per_tree == 0:
+        return np.zeros((rows, head.trees, 0))
+    pre = z @ head.routing_w.T + head.routing_b
+    return sigmoid(pre).reshape(rows, head.trees, head.nodes_per_tree)
+
+
+def _descend(decisions: np.ndarray, out: np.ndarray,
+             level_mus: list | None = None) -> None:
+    """Write the leaf-reach products of `decisions` (rows, trees, nodes)
+    into `out` (rows, trees, leaves), appending the partial product that
+    enters each level to `level_mus` when it is given."""
+    rows, m, _ = decisions.shape
+    depth = out.shape[2].bit_length()
+    mu = np.ones((rows, m, 1))
+    if depth == 1:
+        out[...] = mu
+    for level in range(depth - 1):
+        lo = 2 ** level - 1
+        hi = 2 ** (level + 1) - 1
+        d = decisions[:, :, lo:hi]
+        if level_mus is not None:
+            level_mus.append(mu)
+        nxt = out if level == depth - 2 else np.empty((rows, m, 2 * (hi - lo)))
+        np.multiply(mu, d, out=nxt[:, :, 0::2])
+        np.multiply(mu, 1.0 - d, out=nxt[:, :, 1::2])
+        mu = nxt
+
+
+def route(head: ForestHead, activation: np.ndarray,
+          keep_factors: bool = True) -> RoutingProbs:
+    """Compute every leaf's reach probability for a batch of activations.
+
+    With `keep_factors` (the training forward) the result also holds the
+    decisions and level products the backward needs, computed over the
+    whole batch. Without it only `p` and `embedding` are filled, and the
+    decisions and level products live one row block at a time.
+    """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.ndim != 2 or activation.shape[1] != head.proj_w.shape[1]:
         raise ShapeError(
@@ -111,29 +180,24 @@ def route(head: ForestHead, activation: np.ndarray) -> RoutingProbs:
             f"projection {head.proj_w.shape}"
         )
     batch = activation.shape[0]
-    m, n_nodes, n_leaves = head.trees, head.nodes_per_tree, head.leaves_per_tree
+    m, n_leaves = head.trees, head.leaves_per_tree
 
     z = activation @ head.proj_w.T + head.proj_b
-    if n_nodes > 0:
-        pre = z @ head.routing_w.T + head.routing_b
-        decisions = sigmoid(pre).reshape(batch, m, n_nodes)
+    p = np.empty((batch, m, n_leaves))
+    if keep_factors:
+        decisions = _decisions(head, z)
+        level_mus = []
+        _descend(decisions, p, level_mus)
+        return RoutingProbs(p=p.reshape(batch, m * n_leaves), embedding=z,
+                            decisions=decisions, level_mus=level_mus)
+    n = _block_count(batch, 8 * m * head.nodes_per_tree)
+    if n == 1:
+        _descend(_decisions(head, z), p)
     else:
-        decisions = np.zeros((batch, m, 0))
-
-    mu = np.ones((batch, m, 1))
-    level_mus = []
-    for level in range(head.depth - 1):
-        lo = 2 ** level - 1
-        hi = 2 ** (level + 1) - 1
-        d = decisions[:, :, lo:hi]
-        level_mus.append(mu)
-        nxt = np.empty((batch, m, 2 ** (level + 1)))
-        np.multiply(mu, d, out=nxt[:, :, 0::2])
-        np.multiply(mu, 1.0 - d, out=nxt[:, :, 1::2])
-        mu = nxt
-    p = mu.reshape(batch, m * n_leaves)
-    return RoutingProbs(p=p, embedding=z, decisions=decisions,
-                        level_mus=level_mus)
+        for i in range(n):
+            lo, hi = batch * i // n, batch * (i + 1) // n
+            _descend(_decisions(head, z[lo:hi]), p[lo:hi])
+    return RoutingProbs(p=p.reshape(batch, m * n_leaves), embedding=z)
 
 
 def predict_class(head: ForestHead, routing: RoutingProbs) -> np.ndarray:

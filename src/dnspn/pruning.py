@@ -55,8 +55,9 @@ class PruneConfig:
                        surgery_eta=self.surgery_eta)
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be > 0")
-        if self.beta <= 0 or self.gamma <= 0 or self.r <= 0:
-            raise ParameterError("beta, gamma and r must be > 0")
+        for name in ("beta", "gamma", "r"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be > 0")
         if self.mode not in MODES:
             raise ParameterError(f"unknown prune mode {self.mode!r}")
 

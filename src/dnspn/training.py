@@ -259,10 +259,11 @@ def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
     per-head routings, per-head outputs, fused output).
 
     `masked=False` computes with the shadow weights as they are, which is
-    exact when every mask is all ones (prune mode "none"). Routings are
-    kept for the backward only in training; otherwise each head's routing
-    is dropped as soon as its output is taken and the routings list comes
-    back empty, so an eval forward holds one head's routing at a time.
+    exact when every mask is all ones (prune mode "none"). Routings, with
+    the factors the backward needs, are kept only in training; otherwise
+    each head's leaf-reach array is dropped as soon as its output is taken
+    and the routings list comes back empty, so an eval forward holds one
+    head's `p` at a time and no full-height decisions.
     """
     eff_layers = _effective_layers(model) if masked else model.layers
     trace = network.forward(eff_layers, X, dropout, training, rng)
@@ -271,7 +272,7 @@ def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
         routings = []
         outs = []
         for head, j in zip(eff_heads, model.head_layers):
-            r = route(head, trace.dropped[j])
+            r = route(head, trace.dropped[j], keep_factors=training)
             outs.append(predict_class(head, r)
                         if model.task.kind == CLASSIFICATION
                         else predict_regress(head, r))

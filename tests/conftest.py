@@ -3,6 +3,20 @@ import pytest
 
 from dnspn.numeric import RngState
 
+# The acceptance criteria that train many models, about 95% of the suite's
+# time, marked here so test_acceptance.py itself stays as specified.
+SLOW_TESTS = {
+    "tests/test_acceptance.py::test_criterion_9_noise_resistance_ordering",
+    "tests/test_acceptance.py::test_criterion_10_linear50_noiseless_sanity",
+    "tests/test_acceptance.py::test_criterion_12_dsp_no_harm",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.nodeid in SLOW_TESTS:
+            item.add_marker(pytest.mark.slow)
+
 
 @pytest.fixture
 def rng():

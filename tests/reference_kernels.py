@@ -1,12 +1,16 @@
 """Straightforward forms of the routing kernels, kept as bit-exact references.
 
 `sigmoid_select` is the logistic function as a select on the sign, and
-`route` builds each level from temporaries with that sigmoid: the forms the
-branch-free kernels replaced. `routing_backward` and `forest_backward` copy
-the backward pass, so a later rewrite of it is held to the same bits. The
-kernels in `dnspn` must reproduce all of them bit for bit (see
+`route` builds each level from temporaries with that sigmoid, over the whole
+batch at once: the forms the branch-free, row-blocked kernels replaced.
+`head_predict` and `predict` are the head output and the eval forward of a
+model over whole-batch routings. `routing_backward` and `forest_backward`
+copy the backward pass, so a later rewrite of it is held to the same bits.
+The kernels in `dnspn` must reproduce all of them bit for bit (see
 test_bit_identity.py).
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,6 +61,31 @@ def route(head, activation):
     p = mu.reshape(batch, m * n_leaves)
     return RoutingProbs(p=p, embedding=z, decisions=decisions,
                         level_mus=level_mus)
+
+
+def head_predict(head, routing):
+    """(1/m) * p @ softmax(leaf) for classification, (1/m) * p @ leaf for
+    regression."""
+    leaf = (softmax_rows(head.leaf) if head.kind == CLASSIFICATION
+            else head.leaf)
+    return routing.p @ leaf / head.trees
+
+
+def predict(model, X):
+    """Eval forward of a forest model: masked weights, no dropout, every
+    head routed over the whole batch, outputs averaged in head order."""
+    acts = []
+    h = np.asarray(X, dtype=np.float64)
+    for layer, pl in zip(model.layers, model.layer_prunes):
+        z = h @ (pl.shadow * pl.mask).T + layer.bias
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        acts.append(h)
+    total = None
+    for head, pp, j in zip(model.heads, model.proj_prunes, model.head_layers):
+        masked = replace(head, proj_w=pp.shadow * pp.mask)
+        out = head_predict(masked, route(masked, acts[j]))
+        total = out.copy() if total is None else total + out
+    return total / len(model.heads)
 
 
 def routing_backward(head, routing, g_p):

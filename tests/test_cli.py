@@ -235,8 +235,12 @@ def test_rejected_setting_leaves_no_run_dir(command, flag, value,
     ("train", "--lr", "nan"),
     ("train", "--batch", "0"),
     ("train", "--prune", "surgery"),
+    ("train", "--trees", "0"),
+    ("train", "--depth", "0"),
+    ("train", "--embed", "0"),
     ("compare", "--dropout", "1.5"),
     ("compare", "--alpha", "nan"),
+    ("compare", "--embed", "0"),
 ])
 def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
                                              capsys):
@@ -250,6 +254,29 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
     else:
         assert code == 2 and err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("train", "--lr", "nan", "--lr must be finite, got nan"),
+    ("train", "--batch", "0", "--batch must be >= 1"),
+    ("train", "--embed", "0", "--embed must be >= 1, got 0"),
+    ("compare", "--trees", "0", "--trees must be >= 1, got 0"),
+    ("mask-curve", "--gamma", "0", "--gamma must be > 0"),
+])
+def test_rejected_setting_names_its_flag(command, flag, value, message,
+                                         tmp_path, capsys):
+    argv = ([] if command == "mask-curve"
+            else ["--data", str(tmp_path / "nope.csv")])
+    assert run(command, *argv, flag, value,
+               "--out", str(tmp_path / "runs")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fcnn_ignores_the_forest_shape(small_dataset, tmp_path):
+    # the softmax baseline builds no forest, so its shape is not checked
+    assert run("train", "--method", "fcnn", "--data",
+               str(small_dataset / "train.csv"), "--epochs", "1",
+               "--trees", "0", "--out", str(tmp_path / "runs")) == 0
 
 
 # The resolved configuration with no flags and no config file. It feeds

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ class TestPredict:
         assert len(kept[3]) == len(model.heads) and dropped[3] == []
         assert np.array_equal(kept[5], dropped[5])
         assert np.array_equal(predict(model, ds.X), dropped[5])
+
+    def test_eval_forward_holds_no_full_height_routing(self):
+        # a 2000-row predict may hold one head's leaf-reach array, not the
+        # decisions and level products that would take as much again
+        model = build_forest_model(2, CLS, RngState(6), trees=32, depth=6,
+                                   embed_dim=8)
+        X = RngState(7).normal(2000, 2)
+        p_bytes = 2000 * 32 * 2 ** 5 * 8
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p_bytes
 
     def test_softmax_model_prediction(self):
         ds = separable_2d(16, 7)
