@@ -29,7 +29,7 @@ import numpy as np
 from .data import (CLASSIFICATION, Dataset, SyntheticSpec, generate,
                    load_csv, split, standardize, train_test, write_csv)
 from .errors import (DataError, DnspnError, MetricError, NumericError,
-                     ParameterError, ShapeError, UsageError)
+                     ParameterError, ShapeError, UsageError, reading)
 from .forest import check_shape
 from .metrics import EvalReport
 from .model_io import load_model, save_model
@@ -80,12 +80,15 @@ TRAIN_FLAGS = ("prune", "epochs", "lr", "batch", "dropout", "holdout",
                "trees", "depth", "embed", *PRUNE_FLAGS)
 
 
-def _parse_config_file(path: Path) -> dict:
-    """Typed settings from a `section.key=value` file, keyed by flag name."""
+def _parse_config_file(path: Path) -> tuple[dict, dict]:
+    """Typed settings from a `section.key=value` file, keyed by flag name,
+    and where each was written ("path:line: key")."""
     if not path.exists():
         raise DataError(f"config file not found: {path}")
-    out = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    with reading(path, "config file"):
+        text = path.read_text()
+    out, where = {}, {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -102,19 +105,23 @@ def _parse_config_file(path: Path) -> dict:
             raise ParameterError(f"{path}:{lineno}: {key} must be "
                                  f"{OPTIONS[name].type.__name__}, got "
                                  f"{value!r}") from None
-    return out
+        where[name] = f"{path}:{lineno}: {key}"
+    return out, where
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
     """defaults < config file < explicit flags.
 
     Also reports which keys were explicitly set (by file or flag), so
-    commands can distinguish a deliberate choice from a default.
+    commands can distinguish a deliberate choice from a default. Where the
+    file's settings were written is kept as `args.from_file`, so an error
+    can name the line the user wrote.
     """
     merged = {name: opt.default for name, opt in OPTIONS.items()}
     explicit = set()
+    args.from_file = {}
     if getattr(args, "config", None):
-        from_file = _parse_config_file(Path(args.config))
+        from_file, args.from_file = _parse_config_file(Path(args.config))
         merged.update(from_file)
         explicit.update(from_file)
     for name in OPTIONS:
@@ -122,6 +129,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, set]:
         if flag is not None:
             merged[name] = flag
             explicit.add(name)
+            args.from_file.pop(name, None)
     return merged, explicit
 
 
@@ -159,11 +167,14 @@ def _check_forest_shape(cfg: dict, methods) -> None:
         check_shape(cfg["trees"], cfg["depth"], cfg["embed"])
 
 
-def _flag_error(exc: ParameterError) -> str:
-    """The message of `exc`, with a leading config field named as its flag."""
+def _flag_error(exc: ParameterError, args) -> str:
+    """The message of `exc`, with a leading setting named as the user gave
+    it: by its config-file line and key, or by its flag."""
     field, sep, rest = str(exc).partition(" ")
     name = _FIELD_FLAGS.get(field, field)
-    return f"--{name}{sep}{rest}" if name in OPTIONS else str(exc)
+    if name in getattr(args, "from_file", {}):
+        return f"{args.from_file[name]}{sep}{rest}"
+    return f"--{name}{sep}{rest}" if hasattr(args, name) else str(exc)
 
 
 def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
@@ -175,6 +186,9 @@ def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
     train_ds = load_csv(args.data, args.label_col, task_kind)
     if args.eval_data:
         eval_ds = load_csv(args.eval_data, args.label_col, task_kind)
+        if eval_ds.d != train_ds.d:
+            raise DataError(f"{args.eval_data} has {eval_ds.d} features, "
+                            f"{args.data} has {train_ds.d}")
         if (train_ds.task.kind == CLASSIFICATION
                 and eval_ds.task.labels != train_ds.task.labels):
             raise DataError("train and eval label sets differ")
@@ -273,6 +287,9 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     task_kind = model.task.kind
     ds = load_csv(args.data, args.label_col, task_kind)
+    if ds.d != model.input_dim:
+        raise DataError(f"{args.data} has {ds.d} features, the model "
+                        f"expects {model.input_dim}")
     if task_kind == CLASSIFICATION and model.task.labels is not None:
         if not set(ds.task.labels) <= set(model.task.labels):
             raise DataError(
@@ -451,7 +468,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParameterError as exc:
-        print(f"error: {_flag_error(exc)}", file=sys.stderr)
+        print(f"error: {_flag_error(exc, args)}", file=sys.stderr)
         return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

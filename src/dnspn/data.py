@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, reading
 from .numeric import RngState, require_finite
 
 BASE_DIM = 100
@@ -218,11 +218,20 @@ class Scaler:
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler]:
-    """Z-score both sets using training statistics; constant features -> 0."""
+    """Z-score both sets using training statistics; constant features -> 0.
+
+    A feature whose mean or variance overflows float64 is rejected, not
+    zeroed."""
     if train.n == 0:
         raise ParameterError("cannot standardize an empty training set")
-    mean = train.X.mean(axis=0)
-    std = train.X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.X.mean(axis=0)
+        std = train.X.std(axis=0)
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflow.size:
+        raise DataError(f"feature column {overflow[0]} (0-based, label "
+                        "excluded) is too large to standardize: its mean "
+                        "or variance overflows float64")
     # constant columns can carry float-rounding noise in their std
     std[std <= 1e-12 * np.maximum(1.0, np.abs(mean))] = 0.0
     scaler = Scaler(mean=mean, std=std)
@@ -244,7 +253,7 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
+    with reading(path, "dataset file"), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -4,6 +4,8 @@ Each class marks one failure family so callers (and the CLI's exit-code
 mapping) can react by category instead of parsing message text.
 """
 
+from contextlib import contextmanager
+
 
 class DnspnError(Exception):
     """Base class for all package errors."""
@@ -31,3 +33,16 @@ class NumericError(DnspnError):
 
 class MetricError(DnspnError):
     """A metric is undefined for the given inputs."""
+
+
+@contextmanager
+def reading(path, what: str):
+    """Report a failure to read `path` (a directory, no permission, bytes
+    that are not UTF-8) as a DataError that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(
+            f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: not UTF-8 text") from exc

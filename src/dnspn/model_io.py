@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CLASSIFICATION, Scaler, Task
-from .errors import DataError
+from .errors import DataError, reading
 from .forest import ForestHead
 from .network import IDENTITY, RELU, DenseLayer
 from .training import FOREST, SOFTMAX, Model
@@ -88,9 +88,9 @@ def load_model(path) -> Model:
     if not path.exists():
         raise DataError(f"model file not found: {path}")
     try:
-        with open(path) as fh:
+        with reading(path, "model file"), open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {path}") from exc
     try:
         if doc["format"] != FORMAT:

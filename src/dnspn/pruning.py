@@ -3,7 +3,7 @@
 Both methods keep the stored "shadow" weights W intact and compute with
 effective weights W * T, where T is a mask recomputed from the layer's
 current statistics (mu = mean |W|, std = standard deviation of W) at every
-training iteration.
+training iteration. A layer's record keeps W * T; see :func:`apply_mask`.
 
 The soft mask is a clipped logarithmic curve of the magnitude ratio
 |w| / (gamma * mu):
@@ -70,12 +70,15 @@ class LayerStats:
 
 @dataclass
 class PrunedLayer:
-    """Shadow weights, their mask, and the backprop multiplier
+    """Shadow weights, their mask, the backprop multiplier
     d(shadow * mask)/d(shadow): the one the last DSP refresh computed, or
-    before any refresh the mask itself (the multiplier of a fixed mask)."""
+    before any refresh the mask itself (the multiplier of a fixed mask),
+    and the effective weights shadow * mask. While the mask is all ones (a
+    new record, mode "none") those are the shadow array itself."""
     shadow: np.ndarray
     mask: np.ndarray
     multiplier: np.ndarray
+    effective: np.ndarray
 
 
 def layer_stats(w: np.ndarray) -> LayerStats:
@@ -89,8 +92,10 @@ def layer_stats(w: np.ndarray) -> LayerStats:
 def new_pruned_layer(shadow: np.ndarray,
                      mask: np.ndarray | None = None) -> PrunedLayer:
     """A mask record over `shadow`, all ones unless `mask` is given."""
-    mask = np.ones_like(shadow) if mask is None else mask
-    return PrunedLayer(shadow=shadow, mask=mask, multiplier=mask)
+    if mask is None:
+        ones = np.ones_like(shadow)
+        return PrunedLayer(shadow, ones, multiplier=ones, effective=shadow)
+    return PrunedLayer(shadow, mask, multiplier=mask, effective=shadow * mask)
 
 
 def _dsp_pass(w: np.ndarray, stats: LayerStats,
@@ -153,12 +158,16 @@ def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
 
 
 def apply_mask(layer: PrunedLayer) -> np.ndarray:
-    """Effective weights = shadow * mask; the shadow is never written."""
+    """Write the effective weights shadow * mask (in place, unless they
+    were the shadow itself) and return them, after each change of the mask
+    or the shadow; inference only reads them. The shadow is never written."""
     if layer.mask.shape != layer.shadow.shape:
         raise ShapeError(
             f"mask shape {layer.mask.shape} != shadow shape {layer.shadow.shape}"
         )
-    return layer.shadow * layer.mask
+    out = None if layer.effective is layer.shadow else layer.effective
+    layer.effective = np.multiply(layer.shadow, layer.mask, out=out)
+    return layer.effective
 
 
 def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
@@ -169,7 +178,8 @@ def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
 
 def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
     """Recompute the mask (and in DSP mode its multiplier) from the
-    current shadow weights and their stats."""
+    current shadow weights and their stats; then :func:`apply_mask` writes
+    the effective weights, but for mode "none", where they are the shadow."""
     stats = layer_stats(layer.shadow)
     if cfg.mode == MODE_DSP:
         layer.mask, layer.multiplier = _dsp_pass(layer.shadow, stats, cfg)
@@ -177,6 +187,7 @@ def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
         layer.mask = surgery_mask(layer.shadow, layer.mask, stats, cfg)
     else:
         layer.mask = np.ones_like(layer.shadow)
+        layer.effective = layer.shadow
 
 
 def mask_curve(cfg: PruneConfig, stats: LayerStats,

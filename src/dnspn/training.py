@@ -4,8 +4,8 @@ A model is a pruned fully-connected backbone with either a decision-forest
 head after every layer (the default) or a plain softmax readout on the last
 layer (the `fcnn` baseline used in comparisons). One training step runs:
 
-  1. forward with effective (masked) weights, collecting per-head outputs
-     and their fused mean;
+  1. forward with the effective (masked) weights each mask record holds,
+     collecting per-head outputs and their fused mean;
   2. the training loss: the unweighted mean of per-head losses (cross
      entropy or MSE);
   3. exact backprop into leaf logits, routing units, projections, and the
@@ -13,8 +13,8 @@ layer (the `fcnn` baseline used in comparisons). One training step runs:
      the mask derivative stored at the last refresh and the surgery mode
      through the frozen mask values (steps 1-3 are :func:`gradients`);
   4. one Adam update over every parameter at once;
-  5. a mask/statistics refresh from the updated shadow weights, so the next
-     forward sees the new effective weights.
+  5. a mask/statistics refresh from the updated shadow weights that writes
+     the effective weights (in mode "none" they are the shadow itself).
 
 Forest heads attach after every backbone layer including the last, whose
 width defaults to 2d so it acts as another embedding source; class scores
@@ -23,8 +23,9 @@ come only from the forests.
 
 from __future__ import annotations
 
+import copy
 import csv
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,9 @@ class AdamState:
 @dataclass
 class Model:
     """A backbone, its heads, and one mask record per layer and head
-    projection; `masks` gives theirs, layers first (default all ones)."""
+    projection; `masks` gives theirs, layers first (default all ones).
+    `eff_layers` and `eff_heads`, built once, are the layers and heads over
+    the records' effective weights that forwards compute with."""
     layers: list[DenseLayer]          # weights here are the shadow weights
     heads: list[ForestHead]
     head_layers: list[int]            # attachment layer index per head
@@ -104,6 +107,8 @@ class Model:
     masks: InitVar[list[np.ndarray] | None] = None
     layer_prunes: list[PrunedLayer] = field(init=False)  # on layers[i].weights
     proj_prunes: list[PrunedLayer] = field(init=False)   # on heads[i].proj_w
+    eff_layers: list[DenseLayer] = field(init=False)
+    eff_heads: list[ForestHead] = field(init=False)
 
     def __post_init__(self, masks):
         shadows = ([layer.weights for layer in self.layers]
@@ -112,6 +117,22 @@ class Model:
                   zip(shadows, masks or [None] * len(shadows), strict=True)]
         self.layer_prunes = pruned[:len(self.layers)]
         self.proj_prunes = pruned[len(self.layers):]
+        self.eff_layers = [copy.copy(layer) for layer in self.layers]
+        self.eff_heads = [copy.copy(head) for head in self.heads]
+        self._point_effective()
+
+    def _point_effective(self) -> None:
+        for layer, pl in zip(self.eff_layers, self.layer_prunes):
+            layer.weights = pl.effective
+        for head, pp in zip(self.eff_heads, self.proj_prunes):
+            head.proj_w = pp.effective
+
+    def set_mask(self, i: int, mask: np.ndarray) -> None:
+        """Give record `i` (layers first) `mask` and its effective weights."""
+        pl = (self.layer_prunes + self.proj_prunes)[i]
+        pl.mask = mask
+        apply_mask(pl)
+        self._point_effective()
 
 
 def _n_outputs(task: Task) -> int:
@@ -243,60 +264,39 @@ def model_params(model: Model) -> dict[str, np.ndarray]:
 # Forward / backward over the whole model
 # ---------------------------------------------------------------------------
 
-def _effective_layers(model: Model) -> list[DenseLayer]:
-    return [DenseLayer(apply_mask(pl), layer.bias, layer.activation)
-            for layer, pl in zip(model.layers, model.layer_prunes)]
-
-
-def _effective_heads(model: Model) -> list[ForestHead]:
-    return [replace(head, proj_w=apply_mask(pp))
-            for head, pp in zip(model.heads, model.proj_prunes)]
-
-
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
-             rng: RngState | None, masked: bool = True):
-    """Forward pass: (effective layers, effective heads, backbone trace,
-    per-head routings, per-head outputs, fused output).
-
-    `masked=False` computes with the shadow weights as they are, which is
-    exact when every mask is all ones (prune mode "none"). Routings, with
-    the factors the backward needs, are kept only in training; otherwise
-    each head's leaf-reach array is dropped as soon as its output is taken
-    and the routings list comes back empty, so an eval forward holds one
-    head's `p` at a time and no full-height decisions.
-    """
-    eff_layers = _effective_layers(model) if masked else model.layers
-    trace = network.forward(eff_layers, X, dropout, training, rng)
-    if model.kind == FOREST:
-        eff_heads = _effective_heads(model) if masked else model.heads
-        routings = []
-        outs = []
-        for head, j in zip(eff_heads, model.head_layers):
-            r = route(head, trace.dropped[j], keep_factors=training)
-            outs.append(predict_class(head, r)
-                        if model.task.kind == CLASSIFICATION
-                        else predict_regress(head, r))
-            if training:
-                routings.append(r)
-            del r
-        fused = fuse(outs)
-    else:
-        eff_heads, routings = [], []
+             rng: RngState | None):
+    """Forward pass with the model's effective layers and heads: (backbone
+    trace, per-head routings, per-head outputs, fused output). Routings,
+    with the factors the backward needs, are kept only in training; an eval
+    forward returns an empty list and drops each head's leaf reach once its
+    output is taken, so it holds one head's `p` at a time and no
+    full-height decisions."""
+    trace = network.forward(model.eff_layers, X, dropout, training, rng)
+    routings, outs = [], []
+    if model.kind == SOFTMAX:
         logits = trace.dropped[-1]
-        if model.task.kind == CLASSIFICATION:
-            outs = [softmax_rows(logits)]
-        else:
-            outs = [logits]
-        fused = outs[0]
-    return eff_layers, eff_heads, trace, routings, outs, fused
+        outs.append(softmax_rows(logits) if model.task.kind == CLASSIFICATION
+                    else logits)
+        return trace, routings, outs, outs[0]
+    for head, j in zip(model.eff_heads, model.head_layers):
+        r = route(head, trace.dropped[j], keep_factors=training)
+        outs.append(predict_class(head, r)
+                    if model.task.kind == CLASSIFICATION
+                    else predict_regress(head, r))
+        if training:
+            routings.append(r)
+        del r
+    return trace, routings, outs, fuse(outs)
 
 
 def refresh_masks(model: Model, prune: PruneConfig) -> None:
-    """Recompute stats and masks for every backbone layer and projection."""
-    for pl in model.layer_prunes:
+    """Recompute every layer and projection's mask and effective weights."""
+    for pl in model.layer_prunes + model.proj_prunes:
         refresh_mask(pl, prune)
-    for pp in model.proj_prunes:
-        refresh_mask(pp, prune)
+        if prune.mode != MODE_NONE:
+            apply_mask(pl)
+    model._point_effective()
 
 
 def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
@@ -304,13 +304,12 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
     """The batch training loss and its gradient, keyed like
     :func:`model_params`, from a training-mode forward with `cfg.dropout`.
 
-    Masks are assumed consistent with the current shadow weights (as left
-    by the last refresh). In prune mode "none" they are all ones, so they
-    are neither applied nor chained through.
+    Masks and effective weights are assumed consistent with the current
+    shadow weights (as left by the last refresh). In prune mode "none" the
+    masks are all ones, so they are not chained through.
     """
     masked = cfg.prune.mode != MODE_NONE
-    eff_layers, eff_heads, trace, routings, outs, fused = _forward(
-        model, xb, cfg.dropout, True, rng, masked=masked)
+    trace, routings, outs, fused = _forward(model, xb, cfg.dropout, True, rng)
     loss_fn = loss_ce if model.task.kind == CLASSIFICATION else loss_mse
 
     grads: dict[str, np.ndarray] = {}
@@ -320,7 +319,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
         per_head = [loss_fn(out, yb) for out in outs]
         loss = float(np.mean([l_i for l_i, _ in per_head]))
         for i, (head, j, r, (_, g_i)) in enumerate(
-                zip(eff_heads, model.head_layers, routings, per_head)):
+                zip(model.eff_heads, model.head_layers, routings, per_head)):
             hg = forest_backward(head, r, trace.dropped[j], g_i / len(outs))
             grads.update({f"head{i}.{name}": getattr(hg, name)
                           for name in HEAD_PARAMS})
@@ -342,7 +341,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
             "check the data scale and learning rate"
         )
 
-    dW, db, _ = network.backward(eff_layers, trace, upstream)
+    dW, db, _ = network.backward(model.eff_layers, trace, upstream)
     for i in range(len(model.layers)):
         grads[f"layer{i}.w"] = (
             dW[i] * mask_grad(model.layer_prunes[i], cfg.prune)
@@ -410,7 +409,7 @@ def backbone_sparsity(model: Model, threshold: float = 1e-3) -> float:
 
 
 def predict(model: Model, X: np.ndarray) -> np.ndarray:
-    """Eval-mode fused prediction (dropout off, masked weights)."""
+    """Eval-mode fused prediction (dropout off, effective weights)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(

@@ -13,6 +13,9 @@ from dnspn.data import (SyntheticSpec, gen_linear_k, gen_xor, train_test,
                         write_csv)
 from dnspn.numeric import RngState
 
+# a numeric warning from a command is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run(*argv):
     return main(list(argv))
@@ -199,7 +202,22 @@ class TestNonFiniteSettings:
         cfg_file.write_text("prune.beta=nan\n")
         argv = self._argv("train", small_dataset, tmp_path / "runs")
         assert run(*argv, "--config", str(cfg_file)) == 2
-        assert "beta must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {cfg_file}:1: prune.beta must be finite, got nan\n"
+
+    def test_config_file_line_and_key_named(self, small_dataset, tmp_path,
+                                            capsys):
+        # the file's key, not the flag, and the line it is on
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# rates\ntrain.epochs=1\ntrain.lr=nan\n")
+        argv = self._argv("train", small_dataset, tmp_path / "runs")
+        assert run(*argv, "--config", str(cfg_file)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg_file}:3: train.lr must be finite, got nan\n"
+        # a flag overrides the file's value, and is what gets named
+        assert run(*argv, "--config", str(cfg_file), "--lr", "inf") == 2
+        assert capsys.readouterr().err == \
+            "error: --lr must be finite, got inf\n"
 
 
 REJECTED_SETTINGS = [
@@ -262,6 +280,8 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
     ("train", "--embed", "0", "--embed must be >= 1, got 0"),
     ("compare", "--trees", "0", "--trees must be >= 1, got 0"),
     ("mask-curve", "--gamma", "0", "--gamma must be > 0"),
+    ("mask-curve", "--mu", "nan", "--mu must be finite, got nan"),
+    ("mask-curve", "--wmax", "inf", "--wmax must be finite, got inf"),
 ])
 def test_rejected_setting_names_its_flag(command, flag, value, message,
                                          tmp_path, capsys):
@@ -419,6 +439,90 @@ class TestEvaluate:
                    "--data", str(small_dataset / "test.csv"),
                    "--out", str(tmp_path / "eval"))
         assert code == 3
+
+
+def narrow_copy(path, root) -> Path:
+    """A copy of the CSV at `path` with 3 feature columns and the label."""
+    narrow = root / "narrow.csv"
+    with open(path) as src, open(narrow, "w", newline="") as dst:
+        writer = csv.writer(dst)
+        for row in csv.reader(src):
+            writer.writerow(row[:3] + row[-1:])
+    return narrow
+
+
+def test_evaluate_width_mismatch_is_a_data_error(small_dataset, tmp_path,
+                                                 capsys):
+    # a test.csv with 3 of the model's 100 feature columns
+    assert run("train", "--data", str(small_dataset / "train.csv"),
+               "--epochs", "1", "--trees", "2", "--depth", "2",
+               "--embed", "2", "--out", str(tmp_path / "runs")) == 0
+    narrow = narrow_copy(small_dataset / "test.csv", tmp_path)
+    capsys.readouterr()
+    model = only_run_dir(tmp_path / "runs") / "model.json"
+    assert run("evaluate", "--model", str(model), "--data", str(narrow),
+               "--out", str(tmp_path / "eval")) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {narrow} has 3 features, the model expects 100\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_data_width_mismatch_is_a_data_error(small_dataset, tmp_path,
+                                                  capsys):
+    narrow = narrow_copy(small_dataset / "test.csv", tmp_path)
+    train = small_dataset / "train.csv"
+    assert run("train", "--data", str(train), "--eval-data", str(narrow),
+               "--epochs", "1", "--out", str(tmp_path / "runs")) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {narrow} has 3 features, {train} has 100\n")
+    assert not (tmp_path / "runs").exists()
+
+
+def _unreadable(kind, root, small_dataset):
+    """(argv, the file the error must name) for one unreadable input."""
+    train = str(small_dataset / "train.csv")
+    if kind.endswith("directory"):
+        bad = root / "a-directory"
+        bad.mkdir()
+    else:
+        bad = root / "latin1"
+        bad.write_bytes("f0,label\n0.5,caf\xe9\n".encode("latin-1"))
+    if kind.startswith("data"):
+        argv = ("train", "--data", str(bad))
+    elif kind.startswith("config"):
+        argv = ("train", "--data", train, "--config", str(bad))
+    else:
+        argv = ("evaluate", "--model", str(bad), "--data", train)
+    return argv, bad
+
+
+@pytest.mark.parametrize("kind", ["data directory", "data not UTF-8",
+                                  "config directory", "config not UTF-8",
+                                  "model directory", "model not UTF-8"])
+def test_unreadable_file_is_a_data_error(kind, small_dataset, tmp_path,
+                                         capsys):
+    argv, bad = _unreadable(kind, tmp_path, small_dataset)
+    assert run(*argv, "--out", str(tmp_path / "runs")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read ")
+    assert str(bad) in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_overflowing_feature_is_a_data_error(tmp_path, capsys):
+    # a column of +-1e300 overflows its variance; it must be named, not
+    # zeroed with a warning
+    path = tmp_path / "huge.csv"
+    rows = ["f0,f1,label"] + [f"{(i % 7) * 0.1},{(-1) ** i * 1e300},{i % 2}"
+                              for i in range(40)]
+    path.write_text("\n".join(rows) + "\n")
+    assert run("train", "--data", str(path), "--epochs", "1", "--trees",
+               "2", "--depth", "2", "--embed", "2",
+               "--out", str(tmp_path / "runs")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: feature column 1 ")
+    assert "Warning" not in err
 
 
 @pytest.fixture(scope="module")

@@ -256,3 +256,12 @@ class TestStandardize:
                      Task(kind="regression"))
         _, te2, _ = standardize(tr, te)
         assert te2.X.mean() > 5.0
+
+    @pytest.mark.parametrize("scale", [1e300, 1.7e308])
+    def test_overflowing_feature_rejected(self, rng, scale):
+        # 1e300 overflows the variance, 1.7e308 already the mean's sum
+        X = rng.normal(40, 3)
+        X[:, 2] = scale * np.where(np.arange(40) % 3, 1.0, -0.5)
+        tr = Dataset(X, np.zeros(40), Task(kind="regression"))
+        with pytest.raises(DataError, match="feature column 2 "):
+            standardize(tr, tr)

@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from conftest import central_diff, max_rel_error
 from dnspn.data import Dataset, Task
 from dnspn.errors import DataError, ShapeError
+from dnspn.forest import ForestHead
+from dnspn.network import DenseLayer
 from dnspn.numeric import RngState
 from dnspn.model_io import load_model, save_model
 from dnspn.pruning import PruneConfig, dsp_mask, layer_stats
@@ -282,9 +285,9 @@ class TestPredict:
                                    embed_dim=2)
         kept = _forward(model, ds.X, 0.0, True, None)
         dropped = _forward(model, ds.X, 0.0, False, None)
-        assert len(kept[3]) == len(model.heads) and dropped[3] == []
-        assert np.array_equal(kept[5], dropped[5])
-        assert np.array_equal(predict(model, ds.X), dropped[5])
+        assert len(kept[1]) == len(model.heads) and dropped[1] == []
+        assert np.array_equal(kept[3], dropped[3])
+        assert np.array_equal(predict(model, ds.X), dropped[3])
 
     def test_eval_forward_holds_no_full_height_routing(self):
         # a 2000-row predict may hold one head's leaf-reach array, not the
@@ -397,10 +400,11 @@ class TestEndToEndGradients:
 
         def loss():
             # DSP masks follow the weights, with mu and std frozen at the
-            # refresh as the multiplier assumes; surgery masks stay fixed
-            if cfg.prune.mode == "dsp":
-                for pl, stats in zip(pruned, frozen):
-                    pl.mask = dsp_mask(pl.shadow, stats, cfg.prune)
+            # refresh as the multiplier assumes; surgery masks stay fixed.
+            # In every mode the effective weights follow the shadow.
+            for i, (pl, stats) in enumerate(zip(pruned, frozen)):
+                model.set_mask(i, dsp_mask(pl.shadow, stats, cfg.prune)
+                               if cfg.prune.mode == "dsp" else pl.mask)
             return _model_loss(model, X, y, cfg.dropout, RngState(11))
 
         for name, p in model_params(model).items():
@@ -453,6 +457,103 @@ class TestMaskRecords:
                         loaded.layer_prunes + loaded.proj_prunes):
             assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(predict(model, ds.X), predict(loaded, ds.X))
+
+
+def _assert_effective_current(model):
+    """Every record's effective weights are shadow * mask, bit for bit, and
+    the model's effective layers and heads compute with them."""
+    for pl in model.layer_prunes + model.proj_prunes:
+        assert pl.effective.tobytes() == (pl.shadow * pl.mask).tobytes()
+    for layer, pl in zip(model.eff_layers, model.layer_prunes):
+        assert layer.weights is pl.effective
+    for head, pp in zip(model.eff_heads, model.proj_prunes):
+        assert head.proj_w is pp.effective
+
+
+def _shift_shadows(model):
+    for pl in model.layer_prunes + model.proj_prunes:
+        pl.shadow *= 1.5
+
+
+class TestEffectiveWeights:
+    def test_after_build(self):
+        model = build_forest_model(2, CLS, RngState(0), trees=2, depth=2,
+                                   embed_dim=2)
+        _assert_effective_current(model)
+        assert all(pl.effective is pl.shadow
+                   for pl in model.layer_prunes + model.proj_prunes)
+
+    def test_after_load(self, tmp_path):
+        ds = separable_2d(64, 2)
+        model = build_forest_model(2, CLS, RngState(3), trees=2, depth=2,
+                                   embed_dim=2)
+        fit(model, ds, ds, TrainConfig(epochs=1, batch_size=32,
+                                       prune=PruneConfig(mode="dsp")))
+        save_model(model, tmp_path / "model.json")
+        _assert_effective_current(load_model(tmp_path / "model.json"))
+
+    @pytest.mark.parametrize("mode", ["dsp", "surgery", "none"])
+    def test_after_refresh(self, mode):
+        # from masks away from all ones, then shadows moved in place, as
+        # Adam moves them before a refresh
+        model = build_forest_model(2, CLS, RngState(4), trees=2, depth=2,
+                                   embed_dim=2)
+        refresh_masks(model, PruneConfig(mode="dsp", alpha=0.5))
+        _assert_effective_current(model)
+        _shift_shadows(model)
+        refresh_masks(model, PruneConfig(mode=mode))
+        _assert_effective_current(model)
+        aliased = [pl.effective is pl.shadow
+                   for pl in model.layer_prunes + model.proj_prunes]
+        assert all(aliased) if mode == "none" else not any(aliased)
+
+    def test_after_set_mask(self):
+        model = build_forest_model(2, CLS, RngState(5), trees=2, depth=2,
+                                   embed_dim=2)
+        pruned = model.layer_prunes + model.proj_prunes
+        for i, pl in enumerate(pruned):
+            model.set_mask(i, RngState(i).normal(*pl.shadow.shape))
+        _assert_effective_current(model)
+        _shift_shadows(model)
+        for i, pl in enumerate(pruned):
+            model.set_mask(i, pl.mask)
+        _assert_effective_current(model)
+
+    def test_mode_none_fit_computes_with_the_shadow(self):
+        # no refresh follows an update in mode none: predict must see
+        # Adam's last in-place step through the aliased arrays
+        ds = separable_2d(64, 6)
+        model = build_forest_model(2, CLS, RngState(6), trees=2, depth=3,
+                                   embed_dim=2)
+        fit(model, ds, None, TrainConfig(epochs=1, batch_size=32))
+        assert all(pl.effective is pl.shadow
+                   for pl in model.layer_prunes + model.proj_prunes)
+        before = predict(model, ds.X)
+        train_step(model, ds.X, ds.y, TrainConfig(dropout=0.0), AdamState(),
+                   None)
+        after = predict(model, ds.X)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, ref.predict(model, ds.X))
+
+    def test_predict_multiplies_and_builds_nothing(self, monkeypatch):
+        import dnspn.pruning as pruning
+        import dnspn.training as training
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("predict rebuilt effective weights")
+
+        ds = separable_2d(64, 7)
+        model = build_forest_model(2, CLS, RngState(7), trees=2, depth=3,
+                                   embed_dim=2)
+        fit(model, ds, None, TrainConfig(epochs=1, batch_size=32,
+                                         prune=PruneConfig(mode="dsp")))
+        want = predict(model, ds.X)
+        monkeypatch.setattr(training, "apply_mask", refuse)
+        monkeypatch.setattr(pruning, "apply_mask", refuse)
+        for cls in (DenseLayer, ForestHead):   # built, replaced or copied
+            monkeypatch.setattr(cls, "__init__", refuse)
+            monkeypatch.setattr(cls, "__copy__", refuse, raising=False)
+        assert np.array_equal(predict(model, ds.X), want)
 
 
 class TestMethodModel:
