@@ -260,6 +260,11 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
         except StopIteration:
             raise DataError(f"empty dataset file: {path}") from None
         header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header)
+                         if h in header[:i]), None)
+        if repeated is not None:
+            raise DataError(f"dataset file {path} repeats the column name "
+                            f"{repeated!r} in its header")
         if isinstance(label_column, int) or (
                 isinstance(label_column, str) and label_column.lstrip("-").isdigit()
                 and label_column not in header):
@@ -273,6 +278,9 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
             label_idx = header.index(label_column)
 
         feat_idx = [i for i in range(len(header)) if i != label_idx]
+        if not feat_idx:
+            raise DataError(f"dataset file {path} has no feature column, "
+                            f"only the label column {header[label_idx]!r}")
         rows, labels, bad = [], [], []
         for rownum, row in enumerate(reader, start=2):   # 1-based incl. header
             if not row or all(not c.strip() for c in row):

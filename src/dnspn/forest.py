@@ -12,9 +12,22 @@ giving output = (1/m) * p @ softmax(leaf); regression uses the raw leaf
 values with the same weighted average. All parameters are trained jointly
 by exact reverse-mode gradients (see :func:`forest_backward`).
 
-Node layout: internal nodes are stored per tree in breadth-first order, so
-node i has children 2i+1 and 2i+2, and leaf j's path is the bit pattern of
-j read from the most significant of h-1 bits (0 = left).
+Node layout: a head stores its internal nodes tree by tree, each tree in
+breadth-first order, so node i has children 2i+1 and 2i+2, and leaf j's
+path is the bit pattern of j read from the most significant of h-1 bits
+(0 = left). `routing_w`, `routing_b` and `model.json` keep this tree-major
+order. Routing and its backward work in level-major order instead: the
+decision columns run by (level, tree, node in level), so each level is one
+contiguous (rows, trees * 2^level) block, and the level products and their
+gradients run as one long pass per level rather than one short row per
+tree. The tree-major leaves of `p` are already the last level in this
+order. :func:`_level_order` gives the permutation; a route applies it to
+the smaller operand of the routing matmul: the routing rows when the batch
+has at least embed_dim rows, the pre-activation columns otherwise, so a
+one-row predict permutes one row of pre-activations, not embed_dim
+columns of weights. Both give the same bits. The backward takes its
+pre-activation gradient back to tree-major order once, before the three
+contractions, so they sum in the same order as over tree-major nodes.
 
 Row blocks: an eval :func:`route` runs the tree-sized stage (the routing
 matmul, the sigmoid and the level products) over near-equal row blocks of
@@ -25,12 +38,14 @@ and the leaf contraction after it stay full-height, because OpenBLAS sums
 those products in an order that depends on the row count, and per-block
 results could differ in the last bit. The routing matmul, whose inner
 dimension is the small embedding, gave the same bits at every block size
-from 2 to 2000 rows tried; the bit-identity tests hold it to that.
+from 2 to 2000 rows tried, and with either operand permuted; the
+bit-identity tests hold it to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,14 +130,31 @@ class RoutingProbs:
 
     `p[b, t*L + j]` is sample b's probability of reaching leaf j of tree t;
     each tree's block sums to 1 per sample. `decisions` holds the sigmoid
-    node outputs shaped (batch, trees, nodes_per_tree) and `level_mus` the
-    partial path products entering each depth level; an eval route leaves
-    them out (None and empty).
+    node outputs and `complements` their 1 - d, both (batch, trees *
+    nodes_per_tree) in level-major column order (see :func:`_level_order`);
+    `level_mus` holds the partial path products entering each depth level,
+    shaped (batch, trees, 2^level). An eval route leaves them out (None and
+    empty). `leaf_probs` is the leaf softmax :func:`predict_class` used,
+    kept so the backward of the same step does not recompute it.
     """
     p: np.ndarray
     embedding: np.ndarray
     decisions: np.ndarray | None = None
+    complements: np.ndarray | None = None
     level_mus: list[np.ndarray] = field(default_factory=list)
+    leaf_probs: np.ndarray | None = None
+
+
+@lru_cache(maxsize=None)
+def _level_order(trees: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, inverse) of a forest's internal nodes: `order[c]` is the
+    tree-major index of level-major column c, with columns run by (level,
+    tree, node in level), and `inverse` maps back. Both are read-only."""
+    levels = np.repeat(np.arange(depth - 1), 2 ** np.arange(depth - 1))
+    order = np.argsort(np.tile(levels, trees), kind="stable")
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
 
 
 def _block_count(batch: int, row_bytes: int) -> int:
@@ -133,34 +165,38 @@ def _block_count(batch: int, row_bytes: int) -> int:
     return max(1, min(-(-batch * row_bytes // ROUTE_BLOCK_BYTES), batch // 2))
 
 
-def _decisions(head: ForestHead, z: np.ndarray) -> np.ndarray:
-    """Node decisions (rows, trees, nodes_per_tree) of embedding rows z."""
-    rows = z.shape[0]
-    if head.nodes_per_tree == 0:
-        return np.zeros((rows, head.trees, 0))
-    pre = z @ head.routing_w.T + head.routing_b
-    return sigmoid(pre).reshape(rows, head.trees, head.nodes_per_tree)
+def _decisions(w: np.ndarray, b: np.ndarray, z: np.ndarray,
+               cols: np.ndarray | None) -> np.ndarray:
+    """Node decisions (rows, nodes) of embedding rows z through routing rows
+    w and b, with the pre-activation columns taken in order `cols` first
+    when it is given."""
+    pre = z @ w.T
+    pre += b
+    if cols is not None:
+        pre = np.take(pre, cols, axis=1)
+    return sigmoid(pre, out=pre)
 
 
-def _descend(decisions: np.ndarray, out: np.ndarray,
+def _descend(decisions: np.ndarray, complements: np.ndarray,
+             out: np.ndarray, trees: int,
              level_mus: list | None = None) -> None:
-    """Write the leaf-reach products of `decisions` (rows, trees, nodes)
-    into `out` (rows, trees, leaves), appending the partial product that
-    enters each level to `level_mus` when it is given."""
-    rows, m, _ = decisions.shape
-    depth = out.shape[2].bit_length()
-    mu = np.ones((rows, m, 1))
+    """Write the leaf-reach products of level-major `decisions` and their
+    `complements` (rows, trees * nodes) into `out` (rows, trees * leaves),
+    appending the partial product that enters each level to `level_mus`
+    when it is given."""
+    rows = decisions.shape[0]
+    depth = (out.shape[1] // trees).bit_length()
+    mu = np.ones((rows, trees))
     if depth == 1:
         out[...] = mu
     for level in range(depth - 1):
-        lo = 2 ** level - 1
-        hi = 2 ** (level + 1) - 1
-        d = decisions[:, :, lo:hi]
+        width = trees << level
+        lo = width - trees
         if level_mus is not None:
-            level_mus.append(mu)
-        nxt = out if level == depth - 2 else np.empty((rows, m, 2 * (hi - lo)))
-        np.multiply(mu, d, out=nxt[:, :, 0::2])
-        np.multiply(mu, 1.0 - d, out=nxt[:, :, 1::2])
+            level_mus.append(mu.reshape(rows, trees, 1 << level))
+        nxt = out if level == depth - 2 else np.empty((rows, 2 * width))
+        np.multiply(mu, decisions[:, lo:lo + width], out=nxt[:, 0::2])
+        np.multiply(mu, complements[:, lo:lo + width], out=nxt[:, 1::2])
         mu = nxt
 
 
@@ -169,9 +205,9 @@ def route(head: ForestHead, activation: np.ndarray,
     """Compute every leaf's reach probability for a batch of activations.
 
     With `keep_factors` (the training forward) the result also holds the
-    decisions and level products the backward needs, computed over the
-    whole batch. Without it only `p` and `embedding` are filled, and the
-    decisions and level products live one row block at a time.
+    decisions, their complements and the level products the backward needs,
+    computed over the whole batch. Without it only `p` and `embedding` are
+    filled, and the other factors live one row block at a time.
     """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.ndim != 2 or activation.shape[1] != head.proj_w.shape[1]:
@@ -183,29 +219,35 @@ def route(head: ForestHead, activation: np.ndarray,
     m, n_leaves = head.trees, head.leaves_per_tree
 
     z = activation @ head.proj_w.T + head.proj_b
-    p = np.empty((batch, m, n_leaves))
-    if keep_factors:
-        decisions = _decisions(head, z)
-        level_mus = []
-        _descend(decisions, p, level_mus)
-        return RoutingProbs(p=p.reshape(batch, m * n_leaves), embedding=z,
-                            decisions=decisions, level_mus=level_mus)
-    n = _block_count(batch, 8 * m * head.nodes_per_tree)
-    if n == 1:
-        _descend(_decisions(head, z), p)
+    order, _ = _level_order(m, head.depth)
+    if batch < head.embed_dim:
+        w, b, cols = head.routing_w, head.routing_b, order
     else:
-        for i in range(n):
-            lo, hi = batch * i // n, batch * (i + 1) // n
-            _descend(_decisions(head, z[lo:hi]), p[lo:hi])
-    return RoutingProbs(p=p.reshape(batch, m * n_leaves), embedding=z)
+        w, b, cols = (np.take(head.routing_w, order, axis=0),
+                      np.take(head.routing_b, order), None)
+    p = np.empty((batch, m * n_leaves))
+    if keep_factors:
+        decisions = _decisions(w, b, z, cols)
+        complements = 1.0 - decisions
+        level_mus = []
+        _descend(decisions, complements, p, m, level_mus)
+        return RoutingProbs(p=p, embedding=z, decisions=decisions,
+                            complements=complements, level_mus=level_mus)
+    n = _block_count(batch, 8 * m * head.nodes_per_tree)
+    for i in range(n):
+        lo, hi = batch * i // n, batch * (i + 1) // n
+        decisions = _decisions(w, b, z[lo:hi], cols)
+        _descend(decisions, 1.0 - decisions, p[lo:hi], m)
+    return RoutingProbs(p=p, embedding=z)
 
 
 def predict_class(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
-    """Average per-tree class distributions: (1/m) * p @ softmax(leaf)."""
+    """Average per-tree class distributions: (1/m) * p @ softmax(leaf).
+    The softmax is kept on `routing.leaf_probs` for the backward."""
     if head.kind != CLASSIFICATION:
         raise UsageError("predict_class called on a non-classification head")
-    pi = softmax_rows(head.leaf)
-    return routing.p @ pi / head.trees
+    routing.leaf_probs = softmax_rows(head.leaf)
+    return routing.p @ routing.leaf_probs / head.trees
 
 
 def predict_regress(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
@@ -227,21 +269,26 @@ class HeadGrads:
 
 def _routing_backward(head: ForestHead, routing: RoutingProbs,
                       g_p: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. node decisions from a gradient on leaf probabilities."""
-    batch = g_p.shape[0]
-    m, n_nodes, n_leaves = head.trees, head.nodes_per_tree, head.leaves_per_tree
-    g_dec = np.zeros((batch, m, n_nodes))
-    g_mu = g_p.reshape(batch, m, n_leaves)
+    """Gradient w.r.t. node pre-activations, in the level-major order of
+    `routing.decisions`, from a gradient on leaf probabilities."""
+    m = head.trees
+    decisions, complements = routing.decisions, routing.complements
+    g_pre = np.empty_like(decisions)
+    g_mu = g_p
     for level in range(head.depth - 2, -1, -1):
-        lo = 2 ** level - 1
-        hi = 2 ** (level + 1) - 1
-        d = routing.decisions[:, :, lo:hi]
-        mu = routing.level_mus[level]
-        g_left = g_mu[:, :, 0::2]
-        g_right = g_mu[:, :, 1::2]
-        g_dec[:, :, lo:hi] = (g_left - g_right) * mu
-        g_mu = g_left * d + g_right * (1.0 - d)
-    return g_dec
+        width = m << level
+        lo = width - m
+        g_left, g_right = g_mu[:, 0::2], g_mu[:, 1::2]
+        g_dec = g_pre[:, lo:lo + width]
+        np.subtract(g_left, g_right, out=g_dec)
+        g_dec *= routing.level_mus[level].reshape(-1, width)
+        if level:
+            g_mu = g_left * decisions[:, lo:lo + width]
+            g_mu += g_right * complements[:, lo:lo + width]
+    # the sigmoid derivative, in the order (g * d) * (1 - d)
+    g_pre *= decisions
+    g_pre *= complements
+    return g_pre
 
 
 def forest_backward(head: ForestHead, routing: RoutingProbs,
@@ -263,7 +310,8 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
         )
     m = head.trees
     if head.kind == CLASSIFICATION:
-        pi = softmax_rows(head.leaf)
+        pi = (routing.leaf_probs if routing.leaf_probs is not None
+              else softmax_rows(head.leaf))
         g_pi = routing.p.T @ upstream / m
         g_leaf = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
         g_p = upstream @ pi.T / m
@@ -271,18 +319,11 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
         g_leaf = routing.p.T @ upstream / m
         g_p = upstream @ head.leaf.T / m
 
-    g_dec = _routing_backward(head, routing, g_p)
-    batch = activation.shape[0]
-    d_flat = routing.decisions.reshape(batch, -1)
-    g_pre = g_dec.reshape(batch, -1) * d_flat * (1.0 - d_flat)
-    if head.nodes_per_tree > 0:
-        g_routing_w = g_pre.T @ routing.embedding
-        g_routing_b = g_pre.sum(axis=0)
-        g_z = g_pre @ head.routing_w
-    else:
-        g_routing_w = np.zeros_like(head.routing_w)
-        g_routing_b = np.zeros_like(head.routing_b)
-        g_z = np.zeros_like(routing.embedding)
+    _, inverse = _level_order(m, head.depth)
+    g_pre = np.take(_routing_backward(head, routing, g_p), inverse, axis=1)
+    g_routing_w = g_pre.T @ routing.embedding
+    g_routing_b = g_pre.sum(axis=0)
+    g_z = g_pre @ head.routing_w
     g_proj_w = g_z.T @ activation
     g_proj_b = g_z.sum(axis=0)
     g_act = g_z @ head.proj_w

@@ -37,7 +37,7 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Numerically stable logistic function; scalar in, scalar out.
 
     With z = exp(-|x|) <= 1 the result is max(z, [x >= 0]) / (1 + z). The
@@ -45,14 +45,17 @@ def sigmoid(x):
     entry is the same quotient as the two-sided form 1/(1+z) or z/(1+z),
     bit for bit, but no entry branches on its sign. The sign of a routing
     pre-activation is random, so a per-entry select on it mispredicts about
-    half the time; it cost more than the exp.
+    half the time; it cost more than the exp. An array result is written
+    to `out` when it is given, which may be `x` itself.
     """
     arr = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(arr))
-    out = np.maximum(z, arr >= 0) / (1.0 + z)
+    num = np.maximum(z, arr >= 0, out=out)
+    z += 1.0
+    result = np.divide(num, z, out=out)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(result)
+    return result
 
 
 class RngState:

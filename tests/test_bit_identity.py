@@ -3,8 +3,10 @@
 The references in reference_kernels.py are the sign-select sigmoid, the
 routing loop that built each level from temporaries over the whole batch,
 the head output and eval forward over such routings, and a copy of the
-forest backward. Every comparison is on the raw float64 bits, so signs of
-zero and NaN payloads count too.
+forest backward, all in tree-major node order. The kernels work in
+level-major order, so their decisions are mapped back before they are
+compared. Every comparison is on the raw float64 bits, so signs of zero and
+NaN payloads count too.
 """
 
 import numpy as np
@@ -12,11 +14,14 @@ import pytest
 
 import reference_kernels as ref
 from dnspn.data import Task
-from dnspn.forest import (ROUTE_BLOCK_BYTES, _block_count, forest_backward,
-                          init_head, predict_class, predict_regress, route)
+import dnspn.forest
+from dnspn.forest import (ROUTE_BLOCK_BYTES, _block_count, _decisions,
+                          _level_order, forest_backward, init_head,
+                          predict_class, predict_regress, route)
 from dnspn.numeric import RngState, sigmoid
 from dnspn.pruning import PruneConfig
-from dnspn.training import build_forest_model, predict, refresh_masks
+from dnspn.training import (AdamState, TrainConfig, build_forest_model,
+                            predict, refresh_masks, train_step)
 
 EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-320,
          -1e-320, 1.0, -1.0, 36.0, -36.0, 745.0, -745.0, 710.0, -710.0]
@@ -33,6 +38,14 @@ def assert_same_bits(got, want, what):
     assert np.array_equal(bits(got), bits(want)), what
 
 
+def tree_major(head, columns):
+    """Level-major node columns (rows, trees * nodes) back in the reference's
+    tree-major shape (rows, trees, nodes)."""
+    _, inverse = _level_order(head.trees, head.depth)
+    return np.take(columns, inverse, axis=1).reshape(
+        len(columns), head.trees, head.nodes_per_tree)
+
+
 class TestSigmoid:
     def test_normals(self):
         x = np.random.default_rng(7).normal(size=200_000) * 8.0
@@ -41,6 +54,14 @@ class TestSigmoid:
     def test_edge_values(self):
         x = np.array(EDGES)
         assert_same_bits(sigmoid(x), ref.sigmoid_select(x), "edges")
+
+    def test_in_place(self):
+        x = np.concatenate([EDGES, np.random.default_rng(8).normal(
+            size=1003) * 8.0]).reshape(17, 60)
+        want = ref.sigmoid_select(x)
+        got = sigmoid(x, out=x)
+        assert got is x
+        assert_same_bits(x, want, "in place")
 
     @pytest.mark.parametrize("value", EDGES)
     def test_scalar_in_scalar_out(self, value):
@@ -75,16 +96,100 @@ def test_route_and_backward_match_reference(kind, depth, trees, batch):
     want = ref.route(head, act)
     assert_same_bits(got.p, want.p, "p")
     assert_same_bits(got.embedding, want.embedding, "embedding")
-    assert_same_bits(got.decisions, want.decisions, "decisions")
+    assert_same_bits(tree_major(head, got.decisions), want.decisions,
+                     "decisions")
     assert len(got.level_mus) == len(want.level_mus) == depth - 1
     for level, (a, b) in enumerate(zip(got.level_mus, want.level_mus)):
         assert_same_bits(a, b, f"level_mus[{level}]")
 
+    assert_same_bits(tree_major(head, got.complements), 1.0 - want.decisions,
+                     "complements")
+
     g = forest_backward(head, got, act, upstream)
     w = ref.forest_backward(head, want, act, upstream)
-    for name in ("proj_w", "proj_b", "routing_w", "routing_b", "leaf",
-                 "activation"):
+    for name in GRADS:
         assert_same_bits(getattr(g, name), getattr(w, name), name)
+
+
+GRADS = ("proj_w", "proj_b", "routing_w", "routing_b", "leaf", "activation")
+
+
+@pytest.mark.parametrize("trees", [1, 3, 32])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+def test_level_order(trees, depth):
+    order, inverse = _level_order(trees, depth)
+    nodes = 2 ** (depth - 1) - 1
+    n = trees * nodes
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert np.array_equal(order[inverse], np.arange(n))
+    assert np.array_equal(inverse[order], np.arange(n))
+    # columns run by (level, tree, node in level)
+    tree, node = np.divmod(order, max(nodes, 1))
+    level = np.log2(node + 1).astype(int)
+    keys = list(zip(level, tree, node))
+    assert keys == sorted(keys)
+    assert not order.flags.writeable and not inverse.flags.writeable
+    assert _level_order(trees, depth)[0] is order
+
+
+# embed_dim 8: batches 1, 2 and 5 permute the pre-activation columns, 64
+# and 2000 the routing rows
+OPERAND_BATCHES = [1, 2, 5, 64, 2000]
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+@pytest.mark.parametrize("batch", OPERAND_BATCHES)
+def test_both_operand_orders_match_reference(kind, batch):
+    n_out = 3 if kind == "classification" else 1
+    rng = RngState(batch)
+    head = init_head(6, n_out, 32, 6, 8, kind, rng)
+    head.routing_b[:] = rng.random(head.routing_b.shape) * 60.0 - 30.0
+    act = rng.normal(batch, 6)
+    upstream = rng.normal(batch, n_out)
+    want = ref.route(head, act)
+    order, _ = _level_order(head.trees, head.depth)
+    z = want.embedding
+    by_cols = _decisions(head.routing_w, head.routing_b, z, order)
+    by_rows = _decisions(np.take(head.routing_w, order, axis=0),
+                         np.take(head.routing_b, order), z, None)
+    assert_same_bits(tree_major(head, by_cols), want.decisions, "columns")
+    assert_same_bits(tree_major(head, by_rows), want.decisions, "rows")
+
+    got = route(head, act)
+    assert_same_bits(got.p, want.p, "p")
+    assert_same_bits(got.embedding, want.embedding, "embedding")
+    assert_same_bits(tree_major(head, got.decisions), want.decisions,
+                     "decisions")
+    assert_same_bits(tree_major(head, got.complements), 1.0 - want.decisions,
+                     "complements")
+    for level, (a, b) in enumerate(zip(got.level_mus, want.level_mus,
+                                       strict=True)):
+        assert_same_bits(a, b, f"level_mus[{level}]")
+    g = forest_backward(head, got, act, upstream)
+    w = ref.forest_backward(head, want, act, upstream)
+    for name in GRADS:
+        assert_same_bits(getattr(g, name), getattr(w, name), name)
+    blocked = route(head, act, keep_factors=False)
+    assert_same_bits(blocked.p, want.p, "eval p")
+
+
+def test_train_step_takes_each_leaf_softmax_once(monkeypatch):
+    task = Task("classification", n_classes=2)
+    model = build_forest_model(2, task, RngState(3), trees=4, depth=3,
+                               embed_dim=2)
+    leaves = []
+    softmax = dnspn.forest.softmax_rows
+
+    def counted(m):
+        leaves.append(m)
+        return softmax(m)
+
+    monkeypatch.setattr(dnspn.forest, "softmax_rows", counted)
+    rng = RngState(4)
+    X, y = rng.normal(16, 2), (np.arange(16) % 2)
+    train_step(model, X, y, TrainConfig(dropout=0.0), AdamState(), rng)
+    assert len(leaves) == len(model.heads) == 3
+    assert all(any(m is head.leaf for m in leaves) for head in model.heads)
 
 
 # (trees, depth, layer width): a deep-forest head on a 4-wide layer and a
@@ -130,7 +235,8 @@ def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which):
 
     kept = route(head, act)
     assert_same_bits(kept.p, want.p, "kept p")
-    assert_same_bits(kept.decisions, want.decisions, "decisions")
+    assert_same_bits(tree_major(head, kept.decisions), want.decisions,
+                     "decisions")
     for level, (a, b) in enumerate(zip(kept.level_mus, want.level_mus,
                                        strict=True)):
         assert_same_bits(a, b, f"level_mus[{level}]")

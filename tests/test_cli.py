@@ -525,6 +525,23 @@ def test_overflowing_feature_is_a_data_error(tmp_path, capsys):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("header,message", [
+    ("label", "has no feature column, only the label column 'label'"),
+    ("f0,f0,label", "repeats the column name 'f0' in its header"),
+])
+def test_malformed_header_is_a_data_error(header, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    width = header.count(",") + 1
+    path.write_text(header + "\n" + "".join(
+        ",".join(["0.5"] * (width - 1) + [str(i % 2)]) + "\n"
+        for i in range(8)))
+    assert run("train", "--data", str(path), "--epochs", "1",
+               "--out", str(tmp_path / "runs")) == 3
+    assert capsys.readouterr().err == (
+        f"data error: dataset file {path} {message}\n")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.fixture(scope="module")
 def small_model(tmp_path_factory):
     """A trained 2-feature dnspn model: (its model.json doc, a data CSV)."""

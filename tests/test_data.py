@@ -51,6 +51,26 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(p, "label", "classification")
 
+    @pytest.mark.parametrize("label", ["label", 0])
+    def test_label_only_rejected(self, tmp_path, label):
+        p = self._write(tmp_path, "label\n1\n0\n")
+        with pytest.raises(DataError) as info:
+            load_csv(p, label, "classification")
+        assert str(info.value) == (f"dataset file {p} has no feature "
+                                   "column, only the label column 'label'")
+
+    @pytest.mark.parametrize("header", ["f0,f0,label", "f0,label,label",
+                                        "f0, f1,f1 ,label"])
+    def test_repeated_header_name_rejected(self, tmp_path, header):
+        p = self._write(tmp_path, header + "\n" + "1," * header.count(",")
+                        + "0\n")
+        name = "label" if header.endswith("label,label") else \
+            header.split(",")[1].strip()
+        with pytest.raises(DataError) as info:
+            load_csv(p, 0, "classification")
+        assert str(info.value) == (f"dataset file {p} repeats the column "
+                                   f"name {name!r} in its header")
+
     def test_regression_labels(self, tmp_path):
         p = self._write(tmp_path, "a,label\n1.0,0.5\n2.0,-1.5\n")
         ds = load_csv(p, "label", "regression")
