@@ -99,6 +99,9 @@ def _parse_config_file(path: Path) -> tuple[dict, dict]:
         if key not in _FILE_KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         name = _FILE_KEYS[key]
+        if name in where:
+            raise ParameterError(f"{path}:{lineno}: {key} was already set "
+                                 f"at {where[name].rsplit(':', 1)[0]}")
         try:
             out[name] = OPTIONS[name].type(value)
         except ValueError:
@@ -191,7 +194,9 @@ def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
                             f"{args.data} has {train_ds.d}")
         if (train_ds.task.kind == CLASSIFICATION
                 and eval_ds.task.labels != train_ds.task.labels):
-            raise DataError("train and eval label sets differ")
+            raise DataError(f"{args.eval_data} has the labels "
+                            f"{eval_ds.task.labels}, {args.data} has "
+                            f"{train_ds.task.labels}")
     else:
         train_ds, eval_ds = split(train_ds, 1.0 - cfg["holdout"],
                                   RngState(cfg["seed"]).child(1))
@@ -293,8 +298,8 @@ def cmd_evaluate(args) -> int:
     if task_kind == CLASSIFICATION and model.task.labels is not None:
         if not set(ds.task.labels) <= set(model.task.labels):
             raise DataError(
-                f"dataset labels {ds.task.labels} not covered by model "
-                f"labels {model.task.labels}")
+                f"{args.data} has labels {ds.task.labels} not covered by "
+                f"model labels {model.task.labels}")
         remap = {i: model.task.labels.index(name)
                  for i, name in enumerate(ds.task.labels)}
         ds = Dataset(ds.X, np.asarray([remap[int(v)] for v in ds.y]),
@@ -466,7 +471,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a float overflow, division by zero or invalid operation is a
+        # numeric error (exit 4), not a warning beside a result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ParameterError as exc:
         print(f"error: {_flag_error(exc, args)}", file=sys.stderr)
         return 2
@@ -478,6 +486,10 @@ def main(argv=None) -> int:
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
+    except FloatingPointError as exc:
+        print(f"numeric error: {exc}; check the data scale and the settings",
+              file=sys.stderr)
         return 4
     except DnspnError as exc:   # any future category defaults to data-ish
         print(f"error: {exc}", file=sys.stderr)

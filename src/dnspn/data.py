@@ -217,6 +217,21 @@ class Scaler:
         return out
 
 
+def _column_stats(X: np.ndarray,
+                  source: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation of X, with a DataError that
+    names `source` for a column whose mean or variance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflow.size:
+        raise DataError(f"feature column {overflow[0]} (0-based, label "
+                        f"excluded) of {source} is too large to standardize: "
+                        "its mean or variance overflows float64")
+    return mean, std
+
+
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler]:
     """Z-score both sets using training statistics; constant features -> 0.
 
@@ -224,14 +239,7 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler
     zeroed."""
     if train.n == 0:
         raise ParameterError("cannot standardize an empty training set")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = train.X.mean(axis=0)
-        std = train.X.std(axis=0)
-    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
-    if overflow.size:
-        raise DataError(f"feature column {overflow[0]} (0-based, label "
-                        "excluded) is too large to standardize: its mean "
-                        "or variance overflows float64")
+    mean, std = _column_stats(train.X, "the training set")
     # constant columns can carry float-rounding noise in their std
     std[std <= 1e-12 * np.maximum(1.0, np.abs(mean))] = 0.0
     scaler = Scaler(mean=mean, std=std)
@@ -244,9 +252,11 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     """Load a headered numeric CSV, mapping labels to dense indices.
 
     `label_column` is a header name or a zero-based column index. Feature
-    cells must parse as finite floats; any malformed row aborts the load
-    with an error naming the offending rows. Classification labels are
-    mapped to indices by sorted order of their distinct string values.
+    cells must parse as finite floats and label cells must not be blank;
+    any malformed row aborts the load with an error naming the offending
+    rows, and a feature column whose mean or variance overflows float64 is
+    rejected here, where the error can name the file. Classification labels
+    are mapped to indices by sorted order of their distinct string values.
     """
     if task_kind not in (CLASSIFICATION, REGRESSION):
         raise ParameterError(f"unknown task kind {task_kind!r}")
@@ -270,11 +280,13 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                 and label_column not in header):
             idx = int(label_column)
             if not -len(header) <= idx < len(header):
-                raise DataError(f"label column index {idx} out of range")
+                raise DataError(f"label column index {idx} out of range "
+                                f"for the {len(header)} columns of {path}")
             label_idx = idx % len(header)
         else:
             if label_column not in header:
-                raise DataError(f"label column {label_column!r} not in header")
+                raise DataError(f"label column {label_column!r} not in the "
+                                f"header of {path}")
             label_idx = header.index(label_column)
 
         feat_idx = [i for i in range(len(header)) if i != label_idx]
@@ -305,6 +317,9 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
             if len(feats) < len(feat_idx):
                 continue
             label_cell = row[label_idx].strip()
+            if not label_cell:
+                bad.append(f"row {rownum}: label is empty")
+                continue
             if task_kind == REGRESSION:
                 try:
                     target = float(label_cell)
@@ -326,12 +341,14 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
         raise DataError(f"dataset has no data rows: {path}")
 
     X = np.asarray(rows, dtype=np.float64)
+    _column_stats(X, str(path))
     if task_kind == REGRESSION:
         y = np.asarray(labels, dtype=np.float64)
         return Dataset(X=X, y=y, task=Task(kind=REGRESSION))
     names = sorted(set(labels))
     if len(names) < 2:
-        raise DataError("classification dataset has fewer than 2 classes")
+        raise DataError(f"classification dataset {path} has fewer than 2 "
+                        "classes")
     mapping = {name: i for i, name in enumerate(names)}
     y = np.asarray([mapping[v] for v in labels], dtype=np.int64)
     return Dataset(X=X, y=y,

@@ -12,6 +12,14 @@ giving output = (1/m) * p @ softmax(leaf); regression uses the raw leaf
 values with the same weighted average. All parameters are trained jointly
 by exact reverse-mode gradients (see :func:`forest_backward`).
 
+Where the leaf softmax lives: the leaves change only in a train step, so
+an eval :func:`predict_class` reuses a read-only softmax memoized on the
+head together with a private copy of the leaf bits it came from, and
+computes a new one only when `head.leaf` holds other bits (an optimizer
+step, a replaced array, an edit in place, a loaded model). A training
+forward computes its softmax fresh, once per head and step, keeps it on
+the routing for the backward, and never reads or writes the memo.
+
 Node layout: a head stores its internal nodes tree by tree, each tree in
 breadth-first order, so node i has children 2i+1 and 2i+2, and leaf j's
 path is the bit pattern of j read from the most significant of h-1 bits
@@ -71,6 +79,10 @@ class ForestHead:
     routing_w: np.ndarray     # (trees * nodes_per_tree, embed_dim)
     routing_b: np.ndarray     # (trees * nodes_per_tree,)
     leaf: np.ndarray          # (trees * leaves_per_tree, n_outputs)
+    # (a copy of the leaves' raw bytes, their read-only softmax); see
+    # :func:`_eval_leaf_probs`
+    _leaf_memo: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def nodes_per_tree(self) -> int:
@@ -241,12 +253,30 @@ def route(head: ForestHead, activation: np.ndarray,
     return RoutingProbs(p=p, embedding=z)
 
 
+def _eval_leaf_probs(head: ForestHead) -> np.ndarray:
+    """The read-only leaf softmax memoized on `head`, recomputed when
+    `head.leaf` no longer holds the bits it was taken from. The head's
+    shape fixes the leaves' shape, so the bits alone tell."""
+    raw = head.leaf.tobytes()
+    if head._leaf_memo is None or head._leaf_memo[0] != raw:
+        probs = softmax_rows(head.leaf)
+        probs.flags.writeable = False
+        head._leaf_memo = (raw, probs)
+    return head._leaf_memo[1]
+
+
 def predict_class(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
     """Average per-tree class distributions: (1/m) * p @ softmax(leaf).
-    The softmax is kept on `routing.leaf_probs` for the backward."""
+
+    The softmax is kept on `routing.leaf_probs` for the backward. A
+    training routing (one with kept factors) takes it fresh from the
+    leaves; an eval routing reuses the head's memo while the leaves hold
+    the same bits (see :func:`_eval_leaf_probs`)."""
     if head.kind != CLASSIFICATION:
         raise UsageError("predict_class called on a non-classification head")
-    routing.leaf_probs = softmax_rows(head.leaf)
+    routing.leaf_probs = (softmax_rows(head.leaf)
+                          if routing.decisions is not None
+                          else _eval_leaf_probs(head))
     return routing.p @ routing.leaf_probs / head.trees
 
 

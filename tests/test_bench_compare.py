@@ -17,13 +17,15 @@ ENV = {"numpy": "2.0", "blas": "openblas 0.3", "cpu_count": 2,
        "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
 
 
-def write_run(results, workload, seed, scale, env=ENV):
-    """One untraced result file whose every metric is seed * scale."""
+def write_run(results, workload, seed, scale, env=ENV, value=None):
+    """One untraced result file whose every metric is `value`, or seed *
+    scale when no value is given."""
+    value = seed * scale if value is None else value
     results.mkdir(parents=True, exist_ok=True)
     record = {"workload": workload, "seed": seed, "seconds": 8.0,
               "environment": env, "loadavg_before": [0.5 + seed, 0.4, 0.3],
               "result": {"correct": True, "attempted": 10, "failed": 0,
-                         "metrics": {name: {"value": seed * scale,
+                         "metrics": {name: {"value": value,
                                             "unit": "x"}
                                      for name in METRICS}}}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(
@@ -47,14 +49,15 @@ def sides(tmp_path):
 
 def test_same_inputs_same_bytes(sides, tmp_path, capsys):
     parent, change = sides
-    outs = []
-    for name in ("a.json", "b.json"):
-        assert bench_compare.main([str(parent), str(change),
-                                   str(tmp_path / name)]) == 0
-        outs.append(((tmp_path / name).read_bytes(),
-                     capsys.readouterr().out))
-    assert outs[0] == outs[1]
-    assert outs[0][1].startswith("| workload (pairs, seeds) | metric |")
+    for tier1 in ([], ["--tier1-s", "301.5", "287"]):
+        outs = []
+        for name in ("a.json", "b.json"):
+            assert bench_compare.main([str(parent), str(change),
+                                       str(tmp_path / name), *tier1]) == 0
+            outs.append(((tmp_path / name).read_bytes(),
+                         capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0][1].startswith("| workload (pairs, seeds) | metric |")
 
 
 def test_medians_quartiles_and_wins(sides, tmp_path, capsys):
@@ -91,3 +94,54 @@ def test_unpaired_or_mixed_runs_rejected(sides, tmp_path, capsys):
                                str(tmp_path / "x.json")]) == 2
     assert "2 environments" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_gain_rule_and_bound_flags(tmp_path, capsys):
+    # the parent reads 101..110 over seeds 1-10: median 105.5, quartiles
+    # 103.25 and 107.75
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(1, 11):
+        for workload in ("deep-forest-train", "paper-train", "cli-serve"):
+            write_run(parent, workload, seed, 1.0, value=100.0 + seed)
+        # about half on 9 pairs, far higher on the tenth
+        write_run(change, "deep-forest-train", seed, 1.0,
+                  value=50.0 + seed if seed < 10 else 200.0)
+        # about half on 8 pairs only
+        write_run(change, "paper-train", seed, 1.0,
+                  value=50.0 + seed if seed < 9 else 200.0)
+        # exactly 25% higher on every pair
+        write_run(change, "cli-serve", seed, 1.0, value=1.25 * (100.0 + seed))
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(parent), str(change), str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert "tier1_s" not in summary
+    flags = {(w, m): (v["wins"], v["gain_rule_met"], v["worse_beyond_bound"])
+             for w, rec in summary["workloads"].items()
+             for m, v in rec["metrics"].items()}
+    # lower is better: 9/10 wins and a gain beyond the quartiles meet the
+    # rule; 8/10 do not
+    assert flags["deep-forest-train", "predict_b1_ms"] == (9, True, False)
+    assert flags["paper-train", "predict_b1_ms"] == (8, False, False)
+    # higher is better: the same runs are a loss of about half
+    assert flags["deep-forest-train", "train_sps"] == (1, False, True)
+    assert flags["paper-train", "train_sps"] == (2, False, True)
+    # worse by exactly the 0.25 bound is not beyond it; better never is
+    assert flags["cli-serve", "predict_b1_ms"] == (0, False, False)
+    assert flags["cli-serve", "train_sps"] == (10, True, False)
+    table = capsys.readouterr().out
+    assert ("| `deep-forest-train` (10, 1-10) | `setup_s` | 105.5 "
+            "[103.2, 107.8] | 55.5 [53.25, 57.75] | -47.4% | 9/10 "
+            "| gain rule met |") in table
+    assert ("|  | `train_sps` | 105.5 [103.2, 107.8] | 55.5 [53.25, 57.75] "
+            "| -47.4% | 1/10 | worse beyond bound |") in table
+
+
+def test_tier1_times_recorded(sides, tmp_path, capsys):
+    parent, change = sides
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(parent), str(change), str(out),
+                               "--tier1-s", "301.5", "287"]) == 0
+    assert json.loads(out.read_text())["tier1_s"] == {"parent": 301.5,
+                                                      "change": 287.0}
+    assert capsys.readouterr().out.endswith(
+        "\nTier-1 wall time: parent 302 s, change 287 s\n")

@@ -18,6 +18,7 @@ import dnspn.forest
 from dnspn.forest import (ROUTE_BLOCK_BYTES, _block_count, _decisions,
                           _level_order, forest_backward, init_head,
                           predict_class, predict_regress, route)
+from dnspn.model_io import load_model, save_model
 from dnspn.numeric import RngState, sigmoid
 from dnspn.pruning import PruneConfig
 from dnspn.training import (AdamState, TrainConfig, build_forest_model,
@@ -267,3 +268,95 @@ def test_predict_matches_whole_batch_forward(kind):
     for batch in (1, 2, 67, 2000):
         assert_same_bits(predict(model, X[:batch]), ref.predict(model,
                          X[:batch]), f"predict of {batch} rows")
+
+
+def _memo_model():
+    """A 3-class forest model with masks away from all ones, and inputs."""
+    model = build_forest_model(2, Task("classification", n_classes=3),
+                               RngState(21), trees=4, depth=3, embed_dim=2)
+    refresh_masks(model, PruneConfig(alpha=0.5))
+    rng = RngState(22)
+    return model, rng.normal(67, 2), np.arange(67) % 3
+
+
+def _edit_in_place(model, X, y, tmp_path):
+    for head in model.heads:
+        head.leaf[1] += 0.5
+    return model
+
+
+def _replace_array(model, X, y, tmp_path):
+    # the eval heads are shallow copies sharing the stored arrays, so a
+    # replaced array goes on both; a flipped view is not contiguous
+    for head, eff in zip(model.heads, model.eff_heads):
+        head.leaf = eff.leaf = np.flipud(head.leaf)
+    return model
+
+
+def _train_step(model, X, y, tmp_path):
+    train_step(model, X, y, TrainConfig(dropout=0.0, prune=PruneConfig(
+        alpha=0.5)), AdamState(), RngState(23))
+    return model
+
+
+def _load_model(model, X, y, tmp_path):
+    _train_step(model, X, y, tmp_path)
+    save_model(model, tmp_path / "model.json")
+    return load_model(tmp_path / "model.json")
+
+
+LEAF_CHANGES = {"edited in place": _edit_in_place,
+                "array replaced": _replace_array,
+                "train_step": _train_step, "load_model": _load_model}
+
+
+@pytest.mark.parametrize("change", sorted(LEAF_CHANGES))
+def test_predict_follows_the_leaves(change, tmp_path):
+    # the first predict memoizes each head's leaf softmax; after the
+    # leaves change, predict must match the reference, not the memo
+    model, X, y = _memo_model()
+    before = predict(model, X)
+    assert_same_bits(before, ref.predict(model, X), "before")
+    model = LEAF_CHANGES[change](model, X, y, tmp_path)
+    after = predict(model, X)
+    assert_same_bits(after, ref.predict(model, X), change)
+    assert not np.array_equal(bits(after), bits(before)), change
+    assert_same_bits(predict(model, X), after, "memoized")
+
+
+def test_predict_takes_each_leaf_softmax_once(monkeypatch):
+    model, X, _ = _memo_model()
+    leaves = []
+    softmax = dnspn.forest.softmax_rows
+
+    def counted(m):
+        leaves.append(m)
+        return softmax(m)
+
+    monkeypatch.setattr(dnspn.forest, "softmax_rows", counted)
+    first = predict(model, X)
+    for batch in [1, 2, 67] * 33:
+        assert_same_bits(predict(model, X[:batch]), ref.predict(
+            model, X[:batch]), f"predict of {batch} rows")
+    assert_same_bits(predict(model, X), first, "last predict")
+    assert len(leaves) == len(model.heads) == 3
+
+
+def test_memoized_leaf_softmax_is_read_only():
+    head = init_head(3, 3, 4, 3, 2, "classification", RngState(24))
+    act = RngState(25).normal(7, 3)
+    r = route(head, act, keep_factors=False)
+    predict_class(head, r)
+    probs = r.leaf_probs
+    assert not probs.flags.writeable
+    with pytest.raises(ValueError):
+        probs[0, 0] = 0.5
+    assert not np.shares_memory(probs, head.leaf)
+    again = route(head, act, keep_factors=False)
+    predict_class(head, again)
+    assert again.leaf_probs is probs
+    # a training routing takes its own softmax, which the backward may use
+    kept = route(head, act)
+    predict_class(head, kept)
+    assert kept.leaf_probs is not probs and kept.leaf_probs.flags.writeable
+    assert_same_bits(kept.leaf_probs, probs, "training softmax")

@@ -542,6 +542,19 @@ def test_malformed_header_is_a_data_error(header, message, tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_empty_label_is_a_data_error(tmp_path, capsys):
+    # a blank label cell used to load as a class named '', and train then
+    # failed on a split with an empty side
+    path = tmp_path / "blank.csv"
+    path.write_text("f0,label\n0.5,\n" + "".join(
+        f"{i * 0.25},{i % 2}\n" for i in range(1, 12)))
+    assert run("train", "--data", str(path), "--epochs", "1",
+               "--out", str(tmp_path / "runs")) == 3
+    assert capsys.readouterr().err == (
+        f"data error: malformed rows in {path}: row 2: label is empty\n")
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.fixture(scope="module")
 def small_model(tmp_path_factory):
     """A trained 2-feature dnspn model: (its model.json doc, a data CSV)."""
@@ -622,6 +635,169 @@ class TestLoadModelValidation:
                    "--out", str(tmp_path / "eval")) == 3
         assert capsys.readouterr().err.startswith("data error: ")
         assert not (tmp_path / "eval").exists()
+
+
+def _cells(line, col, value):
+    cells = line.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+def _rows(edit):
+    """A mutation that rewrites data row i (0-based) as edit(i, row)."""
+    return lambda lines: lines[:1] + [edit(i, row)
+                                      for i, row in enumerate(lines[1:])]
+
+
+# name -> mutation of a valid dataset CSV's lines (header first, no line
+# ends); each makes the file malformed wherever it is read, except the
+# two marked below, which are malformed only beside another file
+CSV_MUTATIONS = {
+    "truncated in the header": lambda lines: [lines[0][:4]],
+    "truncated in a row": lambda lines: lines[:3] + [lines[3][:5]],
+    "truncated after a comma": lambda lines: lines[:3] + [
+        lines[3][:lines[3].rindex(",") + 1]],
+    "header only": lambda lines: lines[:1],
+    "empty file": lambda lines: [],
+    "ragged short row": lambda lines: lines[:5] + [
+        lines[5].split(",", 1)[1]] + lines[6:],
+    "ragged long row": lambda lines: lines[:5] + ["0.5," + lines[5]]
+    + lines[6:],
+    "repeated header": lambda lines: lines[:1] + lines,
+    "header repeated mid-file": lambda lines: lines[:9] + lines[:1]
+    + lines[9:],
+    "missing header": lambda lines: lines[1:],
+    "repeated header name": lambda lines: ["f0,f0,label"] + lines[1:],
+    "nan cell": _rows(lambda i, r: _cells(r, 0, "nan") if i == 3 else r),
+    "inf cell": _rows(lambda i, r: _cells(r, 1, "inf") if i == 3 else r),
+    "-inf cell": _rows(lambda i, r: _cells(r, 0, "-inf") if i == 3 else r),
+    "+1e300 cell": _rows(lambda i, r: _cells(r, 1, "1e300") if i == 7
+                         else r),
+    "-1e300 cell": _rows(lambda i, r: _cells(r, 0, "-1e300") if i == 7
+                         else r),
+    "+-1e300 column": _rows(lambda i, r: _cells(r, 0, f"{(-1) ** i}e300")),
+    "empty label cell": _rows(lambda i, r: _cells(r, 2, "") if i == 4
+                              else r),
+    "blank label cell": _rows(lambda i, r: _cells(r, 2, "  ") if i == 4
+                              else r),
+    "one class": _rows(lambda i, r: _cells(r, 2, "1")),
+    # valid alone, malformed beside a model or a training file
+    "wrong width": lambda lines: [line + ",0.5" if i else line + ",f2"
+                                  for i, line in enumerate(lines)],
+    "other label": _rows(lambda i, r: _cells(r, 2, "2") if i == 4 else r),
+}
+# how the mutated file is read: as the training data, as the held-out
+# data beside a valid training file, or by `evaluate` of a trained model
+CSV_READERS = ("train --data", "train --eval-data", "evaluate --data")
+CSV_CASES = [(name, reader) for name in sorted(CSV_MUTATIONS)
+             for reader in CSV_READERS
+             if not (reader == "train --data"
+                     and name in ("wrong width", "other label"))]
+
+
+def _csv_argv(reader, path, small_model, tmp_path):
+    """The command line that reads the CSV `path` as `reader` says."""
+    doc, data = small_model
+    if reader == "evaluate --data":
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        return ("evaluate", "--model", str(model), "--data", str(path))
+    files = (("--data", str(path)) if reader == "train --data"
+             else ("--data", str(data), "--eval-data", str(path)))
+    return ("train", *files, "--epochs", "1", "--trees", "2", "--depth",
+            "3", "--embed", "2")
+
+
+class TestCsvMutations:
+    @pytest.mark.parametrize("name,reader", CSV_CASES)
+    def test_mutation_is_a_data_error(self, name, reader, small_model,
+                                      tmp_path, capsys):
+        lines = small_model[1].read_text().splitlines()
+        path = tmp_path / "mutated.csv"
+        path.write_text("".join(line + "\n"
+                                for line in CSV_MUTATIONS[name](lines)))
+        out = tmp_path / "runs"
+        assert run(*_csv_argv(reader, path, small_model, tmp_path),
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", CSV_READERS)
+    def test_bytes_not_utf8(self, reader, small_model, tmp_path, capsys):
+        raw = small_model[1].read_bytes()
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(raw[:40] + b"\xff\xfe" + raw[40:])
+        assert run(*_csv_argv(reader, path, small_model, tmp_path),
+                   "--out", str(tmp_path / "runs")) == 3
+        assert capsys.readouterr().err == (
+            f"data error: cannot read dataset file {path}: not UTF-8 text\n")
+        assert not (tmp_path / "runs").exists()
+
+
+BASE_CONFIG = ("# a small run\ntrain.epochs=1\nmodel.trees=2\n"
+               "model.depth=3\nmodel.embed=2\ntrain.lr=0.001\n"
+               "prune.alpha=0.5\ntrain.dropout=0.1\n")
+
+# name -> (mutated config text, exit code, the line the error names or
+# None); a numeric failure (exit 4) comes from training, not from a line
+CONFIG_MUTATIONS = {
+    "truncated in a key": (BASE_CONFIG[:BASE_CONFIG.index("depth")], 2, 4),
+    "truncated after =": (BASE_CONFIG[:BASE_CONFIG.index("depth") + 6],
+                          2, 4),
+    "line without =": (BASE_CONFIG.replace("lr=", "lr "), 2, 6),
+    "section header": ("[train]\n" + BASE_CONFIG, 2, 1),
+    "repeated key": (BASE_CONFIG + "train.epochs=2\n", 2, 9),
+    "missing key": (BASE_CONFIG + "=2\n", 2, 9),
+    "unknown key": (BASE_CONFIG + "train.momentum=0.9\n", 2, 9),
+    "empty value": (BASE_CONFIG.replace("0.001", ""), 2, 6),
+    "wrong type": (BASE_CONFIG.replace("trees=2", "trees=2.5"), 2, 3),
+    "nan value": (BASE_CONFIG.replace("0.001", "nan"), 2, 6),
+    "inf value": (BASE_CONFIG.replace("alpha=0.5", "alpha=inf"), 2, 7),
+    "-inf value": (BASE_CONFIG.replace("0.001", "-inf"), 2, 6),
+    "+1e300 int": (BASE_CONFIG.replace("trees=2", "trees=1e300"), 2, 3),
+    "+1e300 dropout": (BASE_CONFIG.replace("0.1\n", "1e300\n"), 2, 8),
+    "-1e300 dropout": (BASE_CONFIG.replace("0.1\n", "-1e300\n"), 2, 8),
+    "+1e300 holdout": (BASE_CONFIG + "train.holdout=1e300\n", 2, 9),
+    "+1e300 lr": (BASE_CONFIG.replace("0.001", "1e300"), 4, None),
+    "-1e300 lr": (BASE_CONFIG.replace("0.001", "-1e300"), 4, None),
+    "+1e300 alpha": (BASE_CONFIG.replace("alpha=0.5", "alpha=1e300"), 4,
+                     None),
+}
+
+
+class TestConfigMutations:
+    def test_unmutated_config_trains(self, small_model, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CONFIG)
+        assert run("train", "--data", str(small_model[1]), "--config",
+                   str(path), "--out", str(tmp_path / "runs")) == 0
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_MUTATIONS))
+    def test_mutation_exit_code(self, name, small_model, tmp_path, capsys):
+        text, code, line = CONFIG_MUTATIONS[name]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert run("train", "--data", str(small_model[1]), "--config",
+                   str(path), "--out", str(tmp_path / "runs")) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if line is None:
+            assert err.startswith("numeric error: ")
+        else:
+            assert err.startswith(f"error: {path}:{line}: ")
+        assert not (tmp_path / "runs").exists()
+
+    def test_bytes_not_utf8(self, small_model, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(BASE_CONFIG.encode()[:30] + b"\xff"
+                         + BASE_CONFIG.encode()[30:])
+        assert run("train", "--data", str(small_model[1]), "--config",
+                   str(path), "--out", str(tmp_path / "runs")) == 3
+        assert capsys.readouterr().err == (
+            f"data error: cannot read config file {path}: not UTF-8 text\n")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCompare:

@@ -71,6 +71,24 @@ class TestLoadCsv:
         assert str(info.value) == (f"dataset file {p} repeats the column "
                                    f"name {name!r} in its header")
 
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    @pytest.mark.parametrize("cell", ["", "  ", '""'])
+    def test_empty_label_rejected(self, tmp_path, kind, cell):
+        # a blank label is not a class named '' (nor a target)
+        p = self._write(tmp_path, f"a,label\n0.5,{cell}\n1.5,1\n2.5,0\n"
+                        "3.5,1\n")
+        with pytest.raises(DataError) as info:
+            load_csv(p, "label", kind)
+        assert str(info.value) == (f"malformed rows in {p}: row 2: label "
+                                   "is empty")
+
+    def test_empty_labels_all_named(self, tmp_path):
+        p = self._write(tmp_path, "label,a\n,0.5\n1,1.5\n ,2.5\n0,3.5\n")
+        with pytest.raises(DataError) as info:
+            load_csv(p, 0, "classification")
+        assert str(info.value) == (f"malformed rows in {p}: row 2: label "
+                                   "is empty; row 4: label is empty")
+
     def test_regression_labels(self, tmp_path):
         p = self._write(tmp_path, "a,label\n1.0,0.5\n2.0,-1.5\n")
         ds = load_csv(p, "label", "regression")
