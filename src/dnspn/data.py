@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ def _binary_task() -> Task:
     return Task(kind=CLASSIFICATION, n_classes=2, labels=["0", "1"])
 
 
-def gen_linear_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
+def gen_linear_k(spec: SyntheticSpec) -> Dataset:
     """linear-k dataset: n_train + n_test rows (train rows first).
 
     Draw order is fixed: feature subset, then the k+1 map coefficients,
@@ -105,7 +105,7 @@ def gen_linear_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
     """
     if spec.kind != "linear":
         raise ParameterError("spec.kind must be 'linear'")
-    rng = rng or RngState(spec.seed)
+    rng = RngState(spec.seed)
     dims = np.sort(rng.permutation(BASE_DIM)[: spec.k])
     w = rng.normal(1, spec.k)[0]
     b = float(rng.normal(1, 1)[0, 0])
@@ -113,22 +113,18 @@ def gen_linear_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
     clean = gen_base(n, rng)
     y = (clean[:, dims] @ w + b > 0).astype(np.int64)
     X = add_noise(clean, spec.sigma, rng)
-    meta = {
-        "kind": "linear", "k": spec.k, "sigma": spec.sigma,
-        "n_train": spec.n_train, "n_test": spec.n_test, "seed": spec.seed,
-        "dims": dims.tolist(), "w": w.tolist(), "b": b,
-    }
+    meta = {**asdict(spec), "dims": dims.tolist(), "w": w.tolist(), "b": b}
     return Dataset(X=X, y=y, task=_binary_task(), meta=meta)
 
 
-def gen_quadratic_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
+def gen_quadratic_k(spec: SyntheticSpec) -> Dataset:
     """quadratic-k dataset: labels from sign(w1 . x1^2 + w2 . x2 + b).
 
     The two k-subsets are drawn independently and may overlap.
     """
     if spec.kind != "quadratic":
         raise ParameterError("spec.kind must be 'quadratic'")
-    rng = rng or RngState(spec.seed)
+    rng = RngState(spec.seed)
     dims1 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
     dims2 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
     w1 = rng.normal(1, spec.k)[0]
@@ -139,19 +135,15 @@ def gen_quadratic_k(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset
     score = clean[:, dims1] ** 2 @ w1 + clean[:, dims2] @ w2 + b
     y = (score > 0).astype(np.int64)
     X = add_noise(clean, spec.sigma, rng)
-    meta = {
-        "kind": "quadratic", "k": spec.k, "sigma": spec.sigma,
-        "n_train": spec.n_train, "n_test": spec.n_test, "seed": spec.seed,
-        "dims1": dims1.tolist(), "dims2": dims2.tolist(),
-        "w1": w1.tolist(), "w2": w2.tolist(), "b": b,
-    }
+    meta = {**asdict(spec), "dims1": dims1.tolist(), "dims2": dims2.tolist(),
+            "w1": w1.tolist(), "w2": w2.tolist(), "b": b}
     return Dataset(X=X, y=y, task=_binary_task(), meta=meta)
 
 
-def generate(spec: SyntheticSpec, rng: RngState | None = None) -> Dataset:
+def generate(spec: SyntheticSpec) -> Dataset:
     if spec.kind == "linear":
-        return gen_linear_k(spec, rng)
-    return gen_quadratic_k(spec, rng)
+        return gen_linear_k(spec)
+    return gen_quadratic_k(spec)
 
 
 def train_test(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:

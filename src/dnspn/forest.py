@@ -67,6 +67,10 @@ REGRESSION = "regression"
 # route works on at a time, so its passes stay inside a core's L2.
 ROUTE_BLOCK_BYTES = 512 * 1024
 
+# Most leaves (trees * 2^(depth-1)) a head may have; its leaf matrix and
+# leaf reach grow with them. 16x the largest forest in use, 32 of depth 6.
+MAX_LEAVES = 2 ** 14
+
 
 @dataclass
 class ForestHead:
@@ -98,11 +102,20 @@ class ForestHead:
 
 
 def check_shape(trees: int, depth: int, embed_dim: int) -> None:
-    """Reject a forest shape setting below 1, by name."""
+    """Reject, by name, a forest shape setting below 1 or one that gives a
+    head more than MAX_LEAVES leaves."""
     for name, value in (("trees", trees), ("depth", depth),
                         ("embed_dim", embed_dim)):
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
+    max_depth = MAX_LEAVES.bit_length()   # deeper, one tree has too many
+    if depth > max_depth:
+        raise ParameterError(f"depth must be <= {max_depth} (at most "
+                             f"{MAX_LEAVES} leaves a head), got {depth}")
+    if trees << (depth - 1) > MAX_LEAVES:
+        raise ParameterError(
+            f"trees must be <= {MAX_LEAVES >> (depth - 1)} at depth {depth} "
+            f"(at most {MAX_LEAVES} leaves a head), got {trees}")
 
 
 def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
@@ -125,12 +138,9 @@ def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
     n_leaves = trees * 2 ** (depth - 1)
     proj_w = rng.normal(embed_dim, layer_width, 0.0, np.sqrt(2.0 / layer_width))
     proj_b = np.zeros(embed_dim)
-    if n_nodes > 0:
-        routing_w = rng.normal(n_nodes, embed_dim, 0.0, 1.0 / np.sqrt(embed_dim))
-        routing_b = np.zeros(n_nodes)
-    else:
-        routing_w = np.zeros((0, embed_dim))
-        routing_b = np.zeros(0)
+    routing_w = (rng.normal(n_nodes, embed_dim, 0.0, 1.0 / np.sqrt(embed_dim))
+                 if n_nodes else np.zeros((0, embed_dim)))
+    routing_b = np.zeros(n_nodes)
     leaf = rng.normal(n_leaves, n_outputs, 0.0, 0.5)
     return ForestHead(trees, depth, embed_dim, kind,
                       proj_w, proj_b, routing_w, routing_b, leaf)

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import CLASSIFICATION, Scaler, Task
-from .errors import DataError, reading
-from .forest import ForestHead
+from .errors import DataError, ParameterError, reading
+from .forest import ForestHead, check_shape
 from .network import IDENTITY, RELU, DenseLayer
 from .training import FOREST, SOFTMAX, Model
 
@@ -50,7 +50,7 @@ def save_model(model: Model, path) -> None:
         },
         "layers": [
             {
-                "weights": _arr(layer.weights),
+                "weights": _arr(pl.shadow),
                 "bias": _arr(layer.bias),
                 "activation": layer.activation,
                 "mask": _arr(pl.mask),
@@ -63,7 +63,7 @@ def save_model(model: Model, path) -> None:
                 "depth": head.depth,
                 "embed_dim": head.embed_dim,
                 "kind": head.kind,
-                "proj_w": _arr(head.proj_w),
+                "proj_w": _arr(pp.shadow),
                 "proj_b": _arr(head.proj_b),
                 "routing_w": _arr(head.routing_w),
                 "routing_b": _arr(head.routing_b),
@@ -118,8 +118,9 @@ def load_model(path) -> Model:
         heads = []
         for i, (rec, j) in enumerate(zip(doc["heads"], head_layers)):
             trees, depth, e = rec["trees"], rec["depth"], rec["embed_dim"]
-            if rec["kind"] != task.kind or min(trees, depth, e) < 1:
+            if rec["kind"] != task.kind:
                 raise DataError(f"head {i} does not fit the task")
+            check_shape(trees, depth, e)     # before 2^(depth-1) is taken
             nodes = trees * (2 ** (depth - 1) - 1)
             at = f"head {i} "
             proj_w = _floats(rec["proj_w"], at + "proj_w",
@@ -149,5 +150,5 @@ def load_model(path) -> Model:
         return Model(layers=layers, heads=heads, head_layers=head_layers,
                      task=task, kind=kind, input_dim=doc["input_dim"],
                      scaler=scaler, masks=masks)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise DataError(f"model file is corrupt or incomplete: {path}") from exc

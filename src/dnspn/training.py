@@ -4,15 +4,17 @@ A model is a pruned fully-connected backbone with either a decision-forest
 head after every layer (the default) or a plain softmax readout on the last
 layer (the `fcnn` baseline used in comparisons). One training step runs:
 
-  1. forward with the effective (masked) weights each mask record holds,
-     collecting per-head outputs and their fused mean;
+  1. forward with the model's layers and heads, whose weights are their
+     mask records' effective (masked) arrays, collecting per-head outputs
+     and their fused mean;
   2. the training loss: the unweighted mean of per-head losses (cross
      entropy or MSE);
   3. exact backprop into leaf logits, routing units, projections, and the
      backbone's shadow weights, where the soft-prune mode chains through
      the mask derivative stored at the last refresh and the surgery mode
      through the frozen mask values (steps 1-3 are :func:`gradients`);
-  4. one Adam update over every parameter at once;
+  4. one Adam update over every parameter at once, reading the shadow
+     weights from the mask records, which own them;
   5. a mask/statistics refresh from the updated shadow weights that writes
      the effective weights (in mode "none" they are the shadow itself).
 
@@ -23,7 +25,6 @@ come only from the forests.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -64,6 +65,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+SPARSE_MASK = 1e-3    # a |mask| below it counts as pruned (sparsity_l*)
+
 
 @dataclass
 class TrainConfig:
@@ -80,24 +83,26 @@ class TrainConfig:
             raise ParameterError("dropout must be in [0, 1)")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
 
 
+@dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict."""
-
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
 
 
 @dataclass
 class Model:
     """A backbone, its heads, and one mask record per layer and head
     projection; `masks` gives theirs, layers first (default all ones).
-    `eff_layers` and `eff_heads`, built once, are the layers and heads over
-    the records' effective weights that forwards compute with."""
-    layers: list[DenseLayer]          # weights here are the shadow weights
+    A record owns its shadow weights; a layer's `weights` or a head's
+    `proj_w` is its record's effective array, which forwards and the
+    backward compute with (the shadow itself while the mask is all ones)."""
+    layers: list[DenseLayer]
     heads: list[ForestHead]
     head_layers: list[int]            # attachment layer index per head
     task: Task
@@ -105,10 +110,8 @@ class Model:
     input_dim: int
     scaler: Scaler | None = None      # feature scaler used at training time
     masks: InitVar[list[np.ndarray] | None] = None
-    layer_prunes: list[PrunedLayer] = field(init=False)  # on layers[i].weights
-    proj_prunes: list[PrunedLayer] = field(init=False)   # on heads[i].proj_w
-    eff_layers: list[DenseLayer] = field(init=False)
-    eff_heads: list[ForestHead] = field(init=False)
+    layer_prunes: list[PrunedLayer] = field(init=False)  # per layers[i]
+    proj_prunes: list[PrunedLayer] = field(init=False)   # per heads[i]
 
     def __post_init__(self, masks):
         shadows = ([layer.weights for layer in self.layers]
@@ -117,22 +120,13 @@ class Model:
                   zip(shadows, masks or [None] * len(shadows), strict=True)]
         self.layer_prunes = pruned[:len(self.layers)]
         self.proj_prunes = pruned[len(self.layers):]
-        self.eff_layers = [copy.copy(layer) for layer in self.layers]
-        self.eff_heads = [copy.copy(head) for head in self.heads]
         self._point_effective()
 
     def _point_effective(self) -> None:
-        for layer, pl in zip(self.eff_layers, self.layer_prunes):
+        for layer, pl in zip(self.layers, self.layer_prunes):
             layer.weights = pl.effective
-        for head, pp in zip(self.eff_heads, self.proj_prunes):
+        for head, pp in zip(self.heads, self.proj_prunes):
             head.proj_w = pp.effective
-
-    def set_mask(self, i: int, mask: np.ndarray) -> None:
-        """Give record `i` (layers first) `mask` and its effective weights."""
-        pl = (self.layer_prunes + self.proj_prunes)[i]
-        pl.mask = mask
-        apply_mask(pl)
-        self._point_effective()
 
 
 def _n_outputs(task: Task) -> int:
@@ -251,12 +245,13 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
 def model_params(model: Model) -> dict[str, np.ndarray]:
     """Flat name -> array view of every trainable parameter."""
     params: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(model.layers):
-        params[f"layer{i}.w"] = layer.weights
+    for i, (layer, pl) in enumerate(zip(model.layers, model.layer_prunes)):
+        params[f"layer{i}.w"] = pl.shadow
         params[f"layer{i}.b"] = layer.bias
-    for i, head in enumerate(model.heads):
+    for i, (head, pp) in enumerate(zip(model.heads, model.proj_prunes)):
         params.update({f"head{i}.{name}": getattr(head, name)
                        for name in HEAD_PARAMS})
+        params[f"head{i}.proj_w"] = pp.shadow
     return params
 
 
@@ -266,20 +261,20 @@ def model_params(model: Model) -> dict[str, np.ndarray]:
 
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
              rng: RngState | None):
-    """Forward pass with the model's effective layers and heads: (backbone
+    """Forward pass with the model's layers and heads: (backbone
     trace, per-head routings, per-head outputs, fused output). Routings,
     with the factors the backward needs, are kept only in training; an eval
     forward returns an empty list and drops each head's leaf reach once its
     output is taken, so it holds one head's `p` at a time and no
     full-height decisions."""
-    trace = network.forward(model.eff_layers, X, dropout, training, rng)
+    trace = network.forward(model.layers, X, dropout, training, rng)
     routings, outs = [], []
     if model.kind == SOFTMAX:
         logits = trace.dropped[-1]
         outs.append(softmax_rows(logits) if model.task.kind == CLASSIFICATION
                     else logits)
         return trace, routings, outs, outs[0]
-    for head, j in zip(model.eff_heads, model.head_layers):
+    for head, j in zip(model.heads, model.head_layers):
         r = route(head, trace.dropped[j], keep_factors=training)
         outs.append(predict_class(head, r)
                     if model.task.kind == CLASSIFICATION
@@ -319,7 +314,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
         per_head = [loss_fn(out, yb) for out in outs]
         loss = float(np.mean([l_i for l_i, _ in per_head]))
         for i, (head, j, r, (_, g_i)) in enumerate(
-                zip(model.eff_heads, model.head_layers, routings, per_head)):
+                zip(model.heads, model.head_layers, routings, per_head)):
             hg = forest_backward(head, r, trace.dropped[j], g_i / len(outs))
             grads.update({f"head{i}.{name}": getattr(hg, name)
                           for name in HEAD_PARAMS})
@@ -341,7 +336,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
             "check the data scale and learning rate"
         )
 
-    dW, db, _ = network.backward(model.eff_layers, trace, upstream)
+    dW, db, _ = network.backward(model.layers, trace, upstream)
     for i in range(len(model.layers)):
         grads[f"layer{i}.w"] = (
             dW[i] * mask_grad(model.layer_prunes[i], cfg.prune)
@@ -395,15 +390,15 @@ class TrainHistory:
                                 + [repr(s) for s in rec.sparsity])
 
 
-def sparsity_fractions(model: Model, threshold: float = 1e-3) -> tuple[float, ...]:
-    """Per backbone layer, the fraction of mask entries with |T| < threshold."""
-    return tuple(float(np.mean(np.abs(pl.mask) < threshold))
+def sparsity_fractions(model: Model) -> tuple[float, ...]:
+    """Per backbone layer, the fraction of mask entries below SPARSE_MASK."""
+    return tuple(float(np.mean(np.abs(pl.mask) < SPARSE_MASK))
                  for pl in model.layer_prunes)
 
 
-def backbone_sparsity(model: Model, threshold: float = 1e-3) -> float:
+def backbone_sparsity(model: Model) -> float:
     total = sum(pl.mask.size for pl in model.layer_prunes)
-    small = sum(int(np.sum(np.abs(pl.mask) < threshold))
+    small = sum(int(np.sum(np.abs(pl.mask) < SPARSE_MASK))
                 for pl in model.layer_prunes)
     return small / total
 

@@ -1,0 +1,80 @@
+"""What the benchmark under perfbench/ relies on in the program.
+
+Its traced run (`perfbench/run.py --trace 1`) replaces the functions that
+`perfbench/spans.py` lists in `PATCHES` with timing wrappers, and its
+checks read each model's mask records. A refactor that renames one of those
+functions or records would break only the traced run, so these tests hold
+the program to that contract. They read perfbench/ and change nothing there.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dnspn.training as training
+from dnspn.data import Dataset, Task
+from dnspn.numeric import RngState
+from dnspn.pruning import PruneConfig, PrunedLayer
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+PATCHED = sorted({(module, attr) for module, attr, *_ in spans.PATCHES})
+CLS = Task(kind="classification", n_classes=2)
+
+
+@pytest.mark.parametrize("module,attr", PATCHED)
+def test_patched_function_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("method", training.METHODS)
+def test_model_exposes_mask_records(method):
+    model, _ = training.method_model(method, 3, CLS, RngState(0), trees=2,
+                                     depth=2, embed_dim=2)
+    assert len(model.layer_prunes) == len(model.layers)
+    assert len(model.proj_prunes) == len(model.heads)
+    for pl in model.layer_prunes + model.proj_prunes:
+        assert isinstance(pl, PrunedLayer)
+        assert pl.mask.shape == pl.shadow.shape
+        assert pl.shadow.dtype == pl.mask.dtype == np.float64
+
+
+def test_traced_fit_and_predict():
+    # the wrappers call through, and each mask span counts the entries of
+    # the record it was given
+    fit = training.fit
+    tracer = spans.Tracer()
+    tracer.install({module: importlib.import_module(module)
+                    for module, _ in PATCHED})
+    try:
+        rng = RngState(1)
+        X = rng.normal(40, 3)
+        ds = Dataset(X, (X[:, 0] > 0).astype(np.int64), CLS)
+        model, mode = training.method_model("dnspn", 3, CLS, RngState(2),
+                                            trees=2, depth=2, embed_dim=2)
+        training.fit(model, ds, ds, training.TrainConfig(
+            epochs=1, batch_size=20, prune=PruneConfig(mode=mode)))
+        training.predict(model, X[:1])
+    finally:
+        tracer.uninstall()
+    summary = spans.Summary(tracer.spans)
+    assert summary.nesting_error() == 0.0
+    _, _, counts = summary.totals(lambda i, s: True)
+    entries = sum(pl.shadow.size
+                  for pl in model.layer_prunes + model.proj_prunes)
+    for name in ("training.fit", "training.train_step", "training.predict",
+                 "training.adam_update", "network.forward",
+                 "network.backward", "forest.route", "forest.backward",
+                 "pruning.apply_mask", "pruning.mask_grad", "pruning.refresh",
+                 "ensemble.fuse"):
+        assert summary.calls(name) > 0, name
+    # a refresh before the first step and after each of the two steps
+    assert counts["pruning.refresh"] == 3 * entries
+    assert counts["pruning.apply_mask"] == 3 * entries
+    assert training.fit is fit

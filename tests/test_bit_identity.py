@@ -286,10 +286,9 @@ def _edit_in_place(model, X, y, tmp_path):
 
 
 def _replace_array(model, X, y, tmp_path):
-    # the eval heads are shallow copies sharing the stored arrays, so a
-    # replaced array goes on both; a flipped view is not contiguous
-    for head, eff in zip(model.heads, model.eff_heads):
-        head.leaf = eff.leaf = np.flipud(head.leaf)
+    # a flipped view is not contiguous
+    for head in model.heads:
+        head.leaf = np.flipud(head.leaf)
     return model
 
 
@@ -322,6 +321,19 @@ def test_predict_follows_the_leaves(change, tmp_path):
     assert_same_bits(after, ref.predict(model, X), change)
     assert not np.array_equal(bits(after), bits(before)), change
     assert_same_bits(predict(model, X), after, "memoized")
+
+
+def test_predict_follows_replaced_parameters():
+    # predict computes with the model's own layers and heads, so arrays
+    # replaced on them (not edited in place) are what it routes with
+    model, X, _ = _memo_model()
+    before = predict(model, X)
+    for head in model.heads:
+        head.routing_w = 2.0 * head.routing_w
+    model.layers[1].bias = model.layers[1].bias + 0.3
+    after = predict(model, X)
+    assert_same_bits(after, ref.predict(model, X), "replaced parameters")
+    assert not np.array_equal(bits(after), bits(before))
 
 
 def test_predict_takes_each_leaf_softmax_once(monkeypatch):

@@ -227,6 +227,8 @@ REJECTED_SETTINGS = [
     ("train", "--batch", "0"),
     ("train", "--dropout", "1.5"),
     ("train", "--holdout", "1.5"),
+    ("train", "--epochs", "-5"),
+    ("train", "--depth", "40"),
     ("compare", "--lr", "nan"),
     ("mask-curve", "--beta", "0"),
     ("mask-curve", "--epsilon", "-1"),
@@ -279,6 +281,12 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
     ("train", "--batch", "0", "--batch must be >= 1"),
     ("train", "--embed", "0", "--embed must be >= 1, got 0"),
     ("compare", "--trees", "0", "--trees must be >= 1, got 0"),
+    ("train", "--epochs", "-5", "--epochs must be >= 0, got -5"),
+    ("compare", "--epochs", "-1", "--epochs must be >= 0, got -1"),
+    ("train", "--depth", "40",
+     "--depth must be <= 15 (at most 16384 leaves a head), got 40"),
+    ("train", "--trees", "2049", "--trees must be <= 2048 at depth 4 "
+     "(at most 16384 leaves a head), got 2049"),
     ("mask-curve", "--gamma", "0", "--gamma must be > 0"),
     ("mask-curve", "--mu", "nan", "--mu must be finite, got nan"),
     ("mask-curve", "--wmax", "inf", "--wmax must be finite, got inf"),
@@ -594,6 +602,7 @@ MODEL_MUTATIONS = {
     "head depth": _set(["heads", 0, "depth"], 4),
     "head trees": _set(["heads", 1, "trees"], 3),
     "head trees zero": _set(["heads", 1, "trees"], 0),
+    "head beyond the leaf bound": _set(["heads", 0, "depth"], 10 ** 6),
     "head embed_dim": _set(["heads", 2, "embed_dim"], 3),
     "head kind": _set(["heads", 0, "kind"], "regression"),
     "proj_w width": _set(["heads", 1, "proj_w"], lambda w: [
@@ -764,6 +773,10 @@ CONFIG_MUTATIONS = {
     "-1e300 lr": (BASE_CONFIG.replace("0.001", "-1e300"), 4, None),
     "+1e300 alpha": (BASE_CONFIG.replace("alpha=0.5", "alpha=1e300"), 4,
                      None),
+    "too deep": (BASE_CONFIG.replace("depth=3", "depth=40"), 2, 4),
+    "too many trees": (BASE_CONFIG.replace("trees=2", "trees=" + "9" * 40),
+                       2, 3),
+    "negative epochs": (BASE_CONFIG.replace("epochs=1", "epochs=-5"), 2, 2),
 }
 
 

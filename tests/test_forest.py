@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, max_rel_error
-from dnspn.errors import ShapeError, UsageError
-from dnspn.forest import (ForestHead, forest_backward, init_head,
-                          predict_class, predict_regress, route)
+from dnspn.errors import ParameterError, ShapeError, UsageError
+from dnspn.forest import (MAX_LEAVES, ForestHead, check_shape,
+                          forest_backward, init_head, predict_class,
+                          predict_regress, route)
 from dnspn.numeric import RngState, sigmoid
 
 
@@ -38,6 +39,21 @@ def leaf_probs_oracle(head, activation):
                     node = 2 * node + 1 + bit
                 out[b, t * n_leaves + j] = prob
     return out
+
+
+class TestCheckShape:
+    @pytest.mark.parametrize("trees,depth", [(32, 6), (1, 15), (2, 14),
+                                             (MAX_LEAVES, 1)])
+    def test_up_to_the_leaf_bound(self, trees, depth):
+        assert trees * 2 ** (depth - 1) <= MAX_LEAVES
+        check_shape(trees, depth, 8)
+
+    @pytest.mark.parametrize("trees,depth,name", [
+        (1, 16, "depth"), (1, 10 ** 12, "depth"), (2, 15, "trees"),
+        (MAX_LEAVES + 1, 1, "trees"), (10 ** 40 - 1, 4, "trees")])
+    def test_beyond_the_leaf_bound_named(self, trees, depth, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be <= "):
+            check_shape(trees, depth, 8)
 
 
 class TestRoute:

@@ -12,7 +12,7 @@ from dnspn.forest import ForestHead
 from dnspn.network import DenseLayer
 from dnspn.numeric import RngState
 from dnspn.model_io import load_model, save_model
-from dnspn.pruning import PruneConfig, dsp_mask, layer_stats
+from dnspn.pruning import PruneConfig, apply_mask, dsp_mask, layer_stats
 from dnspn.training import (AdamState, TrainConfig, _forward, adam_update,
                             build_forest_model, build_softmax_model,
                             evaluate_model, fit, gradients, loss_ce,
@@ -401,10 +401,14 @@ class TestEndToEndGradients:
         def loss():
             # DSP masks follow the weights, with mu and std frozen at the
             # refresh as the multiplier assumes; surgery masks stay fixed.
-            # In every mode the effective weights follow the shadow.
-            for i, (pl, stats) in enumerate(zip(pruned, frozen)):
-                model.set_mask(i, dsp_mask(pl.shadow, stats, cfg.prune)
-                               if cfg.prune.mode == "dsp" else pl.mask)
+            # In every mode the effective weights follow the shadow: in mode
+            # none they are the shadow, otherwise a masked refresh left them
+            # an array of their own, which apply_mask writes in place.
+            for pl, stats in zip(pruned, frozen):
+                if cfg.prune.mode == "dsp":
+                    pl.mask = dsp_mask(pl.shadow, stats, cfg.prune)
+                if cfg.prune.mode != "none":
+                    apply_mask(pl)
             return _model_loss(model, X, y, cfg.dropout, RngState(11))
 
         for name, p in model_params(model).items():
@@ -423,12 +427,13 @@ def _analytic_grads(model, X, y, cfg=None, rng=None):
 
 
 def _assert_records_on_weights(model):
+    """The layers and heads compute with their records' effective weights."""
     assert len(model.layer_prunes) == len(model.layers)
     assert len(model.proj_prunes) == len(model.heads)
     for layer, pl in zip(model.layers, model.layer_prunes):
-        assert pl.shadow is layer.weights
+        assert pl.effective is layer.weights
     for head, pp in zip(model.heads, model.proj_prunes):
-        assert pp.shadow is head.proj_w
+        assert pp.effective is head.proj_w
 
 
 class TestMaskRecords:
@@ -461,13 +466,10 @@ class TestMaskRecords:
 
 def _assert_effective_current(model):
     """Every record's effective weights are shadow * mask, bit for bit, and
-    the model's effective layers and heads compute with them."""
+    the model's layers and heads compute with them."""
     for pl in model.layer_prunes + model.proj_prunes:
         assert pl.effective.tobytes() == (pl.shadow * pl.mask).tobytes()
-    for layer, pl in zip(model.eff_layers, model.layer_prunes):
-        assert layer.weights is pl.effective
-    for head, pp in zip(model.eff_heads, model.proj_prunes):
-        assert head.proj_w is pp.effective
+    _assert_records_on_weights(model)
 
 
 def _shift_shadows(model):
@@ -506,18 +508,6 @@ class TestEffectiveWeights:
         aliased = [pl.effective is pl.shadow
                    for pl in model.layer_prunes + model.proj_prunes]
         assert all(aliased) if mode == "none" else not any(aliased)
-
-    def test_after_set_mask(self):
-        model = build_forest_model(2, CLS, RngState(5), trees=2, depth=2,
-                                   embed_dim=2)
-        pruned = model.layer_prunes + model.proj_prunes
-        for i, pl in enumerate(pruned):
-            model.set_mask(i, RngState(i).normal(*pl.shadow.shape))
-        _assert_effective_current(model)
-        _shift_shadows(model)
-        for i, pl in enumerate(pruned):
-            model.set_mask(i, pl.mask)
-        _assert_effective_current(model)
 
     def test_mode_none_fit_computes_with_the_shadow(self):
         # no refresh follows an update in mode none: predict must see
