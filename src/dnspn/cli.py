@@ -31,8 +31,7 @@ from .data import (CLASSIFICATION, Dataset, SyntheticSpec, generate,
 from .errors import (DataError, DnspnError, MetricError, NumericError,
                      ParameterError, ShapeError, UsageError, reading)
 from .forest import check_shape
-from .metrics import EvalReport
-from .model_io import load_model, save_model
+from .model_io import load_model, save_model, write_json
 from .numeric import RngState, require_finite
 from .pruning import (MODE_DSP, MODE_SURGERY, MODES, LayerStats, PruneConfig,
                       mask_curve)
@@ -74,7 +73,10 @@ OPTIONS = {
 _FILE_KEYS = {opt.key: name for name, opt in OPTIONS.items()}
 # config fields whose flag has another name; an error names the flag
 _FIELD_FLAGS = {"learning_rate": "lr", "batch_size": "batch",
-                "embed_dim": "embed"}
+                "embed_dim": "embed", "n_train": "ntrain", "n_test": "ntest"}
+
+# Most points a mask-curve table may have (one CSV row a mode and point).
+MAX_CURVE_SAMPLES = 10 ** 6
 
 TRAIN_FLAGS = ("prune", "epochs", "lr", "batch", "dropout", "holdout",
                "trees", "depth", "embed", *PRUNE_FLAGS)
@@ -158,11 +160,14 @@ def _prune_config(cfg: dict, mode: str) -> PruneConfig:
     return PruneConfig(**{name: cfg[name] for name in PRUNE_FLAGS}, mode=mode)
 
 
-def _train_config(cfg: dict, prune_mode: str) -> TrainConfig:
+def _train_config(cfg: dict, explicit: set, method: str) -> TrainConfig:
+    """A method's training settings; an explicit prune mode (flag or config
+    file) overrides the method's own."""
+    mode = cfg["prune"] if "prune" in explicit else METHOD_MODES[method]
     return TrainConfig(
         learning_rate=cfg["lr"], batch_size=cfg["batch"],
         dropout=cfg["dropout"], epochs=cfg["epochs"], seed=cfg["seed"],
-        prune=_prune_config(cfg, prune_mode))
+        prune=_prune_config(cfg, mode))
 
 
 def _check_forest_shape(cfg: dict, methods) -> None:
@@ -215,23 +220,7 @@ def run_method_cell(method: str, train_ds: Dataset, eval_ds: Dataset,
     history = fit(model, train_std, eval_std, tcfg)
     report = evaluate_model(model, eval_std)
     return {"model": model, "history": history, "report": report,
-            "sparsity": backbone_sparsity(model),
-            "prune_mode": tcfg.prune.mode}
-
-
-def _report_doc(report: EvalReport, cfg: dict, seed: int,
-                sparsity: float) -> dict:
-    doc = report.to_dict()
-    doc["sparsity"] = sparsity
-    doc["seed"] = seed
-    doc["config"] = {k: cfg[k] for k in sorted(cfg)}
-    return doc
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+            "sparsity": backbone_sparsity(model)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +243,7 @@ def cmd_generate(args) -> int:
     else:
         train_ds = ds
     write_csv(out / "train.csv", train_ds)
-    _write_json(out / "meta.json", ds.meta)
+    write_json(out / "meta.json", ds.meta)
     written.append("meta.json")
     balance = float(np.mean(ds.y == 1))
     print(f"generated {spec.kind}-{spec.k}: n={ds.n} d={ds.d} "
@@ -265,8 +254,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, explicit = resolve_config(args)
-    tcfg = _train_config(cfg, cfg["prune"] if "prune" in explicit
-                         else METHOD_MODES[args.method])
+    tcfg = _train_config(cfg, explicit, args.method)
     _check_forest_shape(cfg, [args.method])
     out = run_dir(args.out, "train", cfg,
                   args.force, {"data": str(args.data),
@@ -276,10 +264,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(cell["model"], out / "model.json")
     cell["history"].to_csv(out / "history.csv")
-    doc = _report_doc(cell["report"], {**cfg, "prune": cell["prune_mode"]},
-                      cfg["seed"], cell["sparsity"])
-    doc["method"] = args.method
-    _write_json(out / "report.json", doc)
+    doc = {**cell["report"].to_dict(), "sparsity": cell["sparsity"],
+           "seed": cfg["seed"], "method": args.method,
+           "config": {**cfg, "prune": tcfg.prune.mode}}
+    write_json(out / "report.json", doc)
     metric = (f"accuracy={doc['accuracy']:.4f}"
               if doc["accuracy"] is not None else f"mse={doc['mse']:.6f}")
     print(f"trained {args.method} ({cfg['epochs']} epochs): {metric} "
@@ -313,13 +301,13 @@ def cmd_evaluate(args) -> int:
     out = run_dir(args.out, "evaluate", {}, args.force,
                   {"model": str(args.model), "data": str(args.data)})
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", doc)
+    write_json(out / "report.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg, _ = resolve_config(args)
+    cfg, explicit = resolve_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least 2 methods")
@@ -329,9 +317,8 @@ def cmd_compare(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise UsageError("compare needs at least one seed")
-    tcfgs = {method: [_train_config({**cfg, "seed": seed},
-                                    METHOD_MODES[method]) for seed in seeds]
-             for method in methods}
+    tcfgs = {method: [_train_config({**cfg, "seed": seed}, explicit, method)
+                      for seed in seeds] for method in methods}
     _check_forest_shape(cfg, methods)
     out = run_dir(args.out, "compare", cfg,
                   args.force, {"data": str(args.data), "methods": methods,
@@ -368,8 +355,9 @@ def cmd_compare(args) -> int:
 
 def cmd_mask_curve(args) -> int:
     cfg, _ = resolve_config(args)
-    if args.samples < 2:
-        raise UsageError("need at least 2 curve samples")
+    if not 2 <= args.samples <= MAX_CURVE_SAMPLES:
+        raise ParameterError(f"samples must be in [2, {MAX_CURVE_SAMPLES}], "
+                             f"got {args.samples}")
     require_finite(mu=args.mu, std=args.std, wmin=args.wmin, wmax=args.wmax)
     if not args.wmin < args.wmax:
         raise UsageError("empty weight range: wmin must be < wmax")

@@ -23,6 +23,10 @@ from .numeric import RngState, require_finite
 
 BASE_DIM = 100
 
+# Most rows (n_train + n_test) a synthetic dataset may have: 87x the
+# paper's 12,000, and 800 MiB of features.
+MAX_ROWS = 2 ** 20
+
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
@@ -67,8 +71,13 @@ class SyntheticSpec:
         require_finite(sigma=self.sigma)
         if np.any(np.asarray(self.sigma) < 0):
             raise ParameterError("sigma must be >= 0")
-        if self.n_train < 1 or self.n_test < 0:
-            raise ParameterError("n_train must be >= 1 and n_test >= 0")
+        for name, value, low, high in (
+                ("n_train", self.n_train, 1, MAX_ROWS),
+                ("n_test", self.n_test, 0, MAX_ROWS - self.n_train)):
+            if not low <= value <= high:
+                raise ParameterError(f"{name} must be in [{low}, {high}] "
+                                     f"(at most {MAX_ROWS} rows in all), "
+                                     f"got {value}")
 
 
 def gen_base(n: int, rng: RngState) -> np.ndarray:

@@ -12,13 +12,13 @@ giving output = (1/m) * p @ softmax(leaf); regression uses the raw leaf
 values with the same weighted average. All parameters are trained jointly
 by exact reverse-mode gradients (see :func:`forest_backward`).
 
-Where the leaf softmax lives: the leaves change only in a train step, so
-an eval :func:`predict_class` reuses a read-only softmax memoized on the
-head together with a private copy of the leaf bits it came from, and
-computes a new one only when `head.leaf` holds other bits (an optimizer
-step, a replaced array, an edit in place, a loaded model). A training
-forward computes its softmax fresh, once per head and step, keeps it on
-the routing for the backward, and never reads or writes the memo.
+Where the leaf softmax lives: in one read-only memo on the head, with a
+private copy of the leaf bits it came from (:func:`_leaf_probs`), which
+:func:`predict_class` and :func:`forest_backward` both read. It is
+recomputed only when `head.leaf` holds other bits (an optimizer step, a
+replaced array, an edit in place, a loaded model): once a head per train
+step, whose forward misses after the last Adam update and whose backward
+hits, and never for repeated `predict` calls on fixed leaves.
 
 Node layout: a head stores its internal nodes tree by tree, each tree in
 breadth-first order, so node i has children 2i+1 and 2i+2, and leaf j's
@@ -37,17 +37,18 @@ columns of weights. Both give the same bits. The backward takes its
 pre-activation gradient back to tree-major order once, before the three
 contractions, so they sum in the same order as over tree-major nodes.
 
-Row blocks: an eval :func:`route` runs the tree-sized stage (the routing
-matmul, the sigmoid and the level products) over near-equal row blocks of
+Row blocks: :func:`route` runs the tree-sized stage (the routing matmul,
+the sigmoid and the level products) in one loop over row blocks, each
+writing its rows of one full-height `p`. A training route is one block,
+whose factors the backward keeps; an eval route takes near-equal blocks of
 about ROUTE_BLOCK_BYTES of decisions, so a deep forest's passes stay in L2
-in place of streaming (batch, trees * nodes) arrays through L3; each block
-writes its rows of one full-height `p`. The projection before that stage
-and the leaf contraction after it stay full-height, because OpenBLAS sums
-those products in an order that depends on the row count, and per-block
-results could differ in the last bit. The routing matmul, whose inner
-dimension is the small embedding, gave the same bits at every block size
-from 2 to 2000 rows tried, and with either operand permuted; the
-bit-identity tests hold it to that.
+in place of streaming (batch, trees * nodes) arrays through L3. The
+projection before that stage and the leaf contraction after it stay
+full-height, because OpenBLAS sums those products in an order that depends
+on the row count, and per-block results could differ in the last bit. The
+routing matmul, whose inner dimension is the small embedding, gave the
+same bits at every block size from 2 to 2000 rows tried, and with either
+operand permuted; the bit-identity tests hold it to that.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ ROUTE_BLOCK_BYTES = 512 * 1024
 # leaf reach grow with them. 16x the largest forest in use, 32 of depth 6.
 MAX_LEAVES = 2 ** 14
 
+# Widest embedding a head may have; its projection holds embed_dim rows of
+# the layer's width. 128x the 8 in use.
+MAX_EMBED = 2 ** 10
+
 
 @dataclass
 class ForestHead:
@@ -84,7 +89,7 @@ class ForestHead:
     routing_b: np.ndarray     # (trees * nodes_per_tree,)
     leaf: np.ndarray          # (trees * leaves_per_tree, n_outputs)
     # (a copy of the leaves' raw bytes, their read-only softmax); see
-    # :func:`_eval_leaf_probs`
+    # :func:`_leaf_probs`
     _leaf_memo: tuple | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -102,12 +107,16 @@ class ForestHead:
 
 
 def check_shape(trees: int, depth: int, embed_dim: int) -> None:
-    """Reject, by name, a forest shape setting below 1 or one that gives a
-    head more than MAX_LEAVES leaves."""
+    """Reject, by name, a forest shape setting below 1, an embedding wider
+    than MAX_EMBED, or a shape that gives a head more than MAX_LEAVES
+    leaves."""
     for name, value in (("trees", trees), ("depth", depth),
                         ("embed_dim", embed_dim)):
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
+    if embed_dim > MAX_EMBED:
+        raise ParameterError(f"embed_dim must be <= {MAX_EMBED}, got "
+                             f"{embed_dim}")
     max_depth = MAX_LEAVES.bit_length()   # deeper, one tree has too many
     if depth > max_depth:
         raise ParameterError(f"depth must be <= {max_depth} (at most "
@@ -156,15 +165,13 @@ class RoutingProbs:
     nodes_per_tree) in level-major column order (see :func:`_level_order`);
     `level_mus` holds the partial path products entering each depth level,
     shaped (batch, trees, 2^level). An eval route leaves them out (None and
-    empty). `leaf_probs` is the leaf softmax :func:`predict_class` used,
-    kept so the backward of the same step does not recompute it.
+    empty). The leaf softmax is not kept here; it lives on the head.
     """
     p: np.ndarray
     embedding: np.ndarray
     decisions: np.ndarray | None = None
     complements: np.ndarray | None = None
     level_mus: list[np.ndarray] = field(default_factory=list)
-    leaf_probs: np.ndarray | None = None
 
 
 @lru_cache(maxsize=None)
@@ -199,14 +206,17 @@ def _decisions(w: np.ndarray, b: np.ndarray, z: np.ndarray,
     return sigmoid(pre, out=pre)
 
 
-def _descend(decisions: np.ndarray, complements: np.ndarray,
-             out: np.ndarray, trees: int,
-             level_mus: list | None = None) -> None:
-    """Write the leaf-reach products of level-major `decisions` and their
-    `complements` (rows, trees * nodes) into `out` (rows, trees * leaves),
-    appending the partial product that enters each level to `level_mus`
-    when it is given."""
+def _descend(decisions: np.ndarray, out: np.ndarray, trees: int,
+             kept: RoutingProbs | None = None) -> None:
+    """Write the leaf-reach products of level-major `decisions` (rows,
+    trees * nodes) into `out` (rows, trees * leaves). The decisions, their
+    complements and the partial product that enters each level are stored
+    on `kept` when it is given; otherwise they go with the block, so an
+    eval route holds one block's temporaries at a time."""
     rows = decisions.shape[0]
+    complements = 1.0 - decisions
+    if kept is not None:
+        kept.decisions, kept.complements = decisions, complements
     depth = (out.shape[1] // trees).bit_length()
     mu = np.ones((rows, trees))
     if depth == 1:
@@ -214,8 +224,8 @@ def _descend(decisions: np.ndarray, complements: np.ndarray,
     for level in range(depth - 1):
         width = trees << level
         lo = width - trees
-        if level_mus is not None:
-            level_mus.append(mu.reshape(rows, trees, 1 << level))
+        if kept is not None:
+            kept.level_mus.append(mu.reshape(rows, trees, 1 << level))
         nxt = out if level == depth - 2 else np.empty((rows, 2 * width))
         np.multiply(mu, decisions[:, lo:lo + width], out=nxt[:, 0::2])
         np.multiply(mu, complements[:, lo:lo + width], out=nxt[:, 1::2])
@@ -226,10 +236,11 @@ def route(head: ForestHead, activation: np.ndarray,
           keep_factors: bool = True) -> RoutingProbs:
     """Compute every leaf's reach probability for a batch of activations.
 
-    With `keep_factors` (the training forward) the result also holds the
-    decisions, their complements and the level products the backward needs,
-    computed over the whole batch. Without it only `p` and `embedding` are
-    filled, and the other factors live one row block at a time.
+    One loop runs the row blocks. With `keep_factors` (the training
+    forward) the whole batch is one block, and the result also holds its
+    decisions, their complements and the level products the backward
+    needs. Without it the batch runs in :func:`_block_count` blocks, and
+    only `p` and `embedding` are kept.
     """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.ndim != 2 or activation.shape[1] != head.proj_w.shape[1]:
@@ -247,26 +258,20 @@ def route(head: ForestHead, activation: np.ndarray,
     else:
         w, b, cols = (np.take(head.routing_w, order, axis=0),
                       np.take(head.routing_b, order), None)
-    p = np.empty((batch, m * n_leaves))
-    if keep_factors:
-        decisions = _decisions(w, b, z, cols)
-        complements = 1.0 - decisions
-        level_mus = []
-        _descend(decisions, complements, p, m, level_mus)
-        return RoutingProbs(p=p, embedding=z, decisions=decisions,
-                            complements=complements, level_mus=level_mus)
-    n = _block_count(batch, 8 * m * head.nodes_per_tree)
+    routing = RoutingProbs(np.empty((batch, m * n_leaves)), z)
+    n = 1 if keep_factors else _block_count(batch, 8 * m * head.nodes_per_tree)
     for i in range(n):
         lo, hi = batch * i // n, batch * (i + 1) // n
-        decisions = _decisions(w, b, z[lo:hi], cols)
-        _descend(decisions, 1.0 - decisions, p[lo:hi], m)
-    return RoutingProbs(p=p, embedding=z)
+        _descend(_decisions(w, b, z[lo:hi], cols), routing.p[lo:hi], m,
+                 routing if keep_factors else None)
+    return routing
 
 
-def _eval_leaf_probs(head: ForestHead) -> np.ndarray:
-    """The read-only leaf softmax memoized on `head`, recomputed when
-    `head.leaf` no longer holds the bits it was taken from. The head's
-    shape fixes the leaves' shape, so the bits alone tell."""
+def _leaf_probs(head: ForestHead) -> np.ndarray:
+    """The head's one leaf softmax: read-only, memoized on `head`, and
+    recomputed when `head.leaf` no longer holds the bits it was taken
+    from. The head's shape fixes the leaves' shape, so the bits alone
+    tell."""
     raw = head.leaf.tobytes()
     if head._leaf_memo is None or head._leaf_memo[0] != raw:
         probs = softmax_rows(head.leaf)
@@ -278,16 +283,11 @@ def _eval_leaf_probs(head: ForestHead) -> np.ndarray:
 def predict_class(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
     """Average per-tree class distributions: (1/m) * p @ softmax(leaf).
 
-    The softmax is kept on `routing.leaf_probs` for the backward. A
-    training routing (one with kept factors) takes it fresh from the
-    leaves; an eval routing reuses the head's memo while the leaves hold
-    the same bits (see :func:`_eval_leaf_probs`)."""
+    The softmax is the head's memo (see :func:`_leaf_probs`), for a
+    training routing and an eval one alike; the backward reads the same."""
     if head.kind != CLASSIFICATION:
         raise UsageError("predict_class called on a non-classification head")
-    routing.leaf_probs = (softmax_rows(head.leaf)
-                          if routing.decisions is not None
-                          else _eval_leaf_probs(head))
-    return routing.p @ routing.leaf_probs / head.trees
+    return routing.p @ _leaf_probs(head) / head.trees
 
 
 def predict_regress(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
@@ -350,8 +350,7 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
         )
     m = head.trees
     if head.kind == CLASSIFICATION:
-        pi = (routing.leaf_probs if routing.leaf_probs is not None
-              else softmax_rows(head.leaf))
+        pi = _leaf_probs(head)
         g_pi = routing.p.T @ upstream / m
         g_leaf = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
         g_p = upstream @ pi.T / m

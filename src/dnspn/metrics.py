@@ -8,7 +8,7 @@ column as that class's score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,11 +94,5 @@ class EvalReport:
     class_counts: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "mse": self.mse,
-            "class_counts": {str(k): v for k, v in self.class_counts.items()},
-        }
+        return {**asdict(self), "class_counts": {
+            str(k): v for k, v in self.class_counts.items()}}

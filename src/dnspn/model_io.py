@@ -38,6 +38,13 @@ def _floats(value, what: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def write_json(path, doc: dict) -> None:
+    """Every JSON file the package writes: sorted keys, indent 1, newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def save_model(model: Model, path) -> None:
     doc = {
         "format": FORMAT,
@@ -78,9 +85,7 @@ def save_model(model: Model, path) -> None:
             if model.scaler is not None else None
         ),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> Model:

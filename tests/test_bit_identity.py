@@ -16,13 +16,16 @@ import reference_kernels as ref
 from dnspn.data import Task
 import dnspn.forest
 from dnspn.forest import (ROUTE_BLOCK_BYTES, _block_count, _decisions,
-                          _level_order, forest_backward, init_head,
-                          predict_class, predict_regress, route)
+                          _leaf_probs, _level_order, forest_backward,
+                          init_head, predict_class, predict_regress, route)
 from dnspn.model_io import load_model, save_model
 from dnspn.numeric import RngState, sigmoid
-from dnspn.pruning import PruneConfig
+from dnspn.pruning import MODE_DSP, PruneConfig
 from dnspn.training import (AdamState, TrainConfig, build_forest_model,
-                            predict, refresh_masks, train_step)
+                            gradients, predict, refresh_masks, train_step)
+
+# a DSP refresh at a large alpha, so masks move well away from all ones
+DSP = PruneConfig(alpha=0.5, mode=MODE_DSP)
 
 EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-320,
          -1e-320, 1.0, -1.0, 36.0, -36.0, 745.0, -745.0, 710.0, -710.0]
@@ -45,6 +48,19 @@ def tree_major(head, columns):
     _, inverse = _level_order(head.trees, head.depth)
     return np.take(columns, inverse, axis=1).reshape(
         len(columns), head.trees, head.nodes_per_tree)
+
+
+def _count_softmax(monkeypatch):
+    """The leaf arrays each later `softmax_rows` call in dnspn.forest takes."""
+    leaves = []
+    softmax = dnspn.forest.softmax_rows
+
+    def counted(m):
+        leaves.append(m)
+        return softmax(m)
+
+    monkeypatch.setattr(dnspn.forest, "softmax_rows", counted)
+    return leaves
 
 
 class TestSigmoid:
@@ -178,14 +194,7 @@ def test_train_step_takes_each_leaf_softmax_once(monkeypatch):
     task = Task("classification", n_classes=2)
     model = build_forest_model(2, task, RngState(3), trees=4, depth=3,
                                embed_dim=2)
-    leaves = []
-    softmax = dnspn.forest.softmax_rows
-
-    def counted(m):
-        leaves.append(m)
-        return softmax(m)
-
-    monkeypatch.setattr(dnspn.forest, "softmax_rows", counted)
+    leaves = _count_softmax(monkeypatch)
     rng = RngState(4)
     X, y = rng.normal(16, 2), (np.arange(16) % 2)
     train_step(model, X, y, TrainConfig(dropout=0.0), AdamState(), rng)
@@ -263,7 +272,7 @@ def test_predict_matches_whole_batch_forward(kind):
     model = build_forest_model(2, task, RngState(11), trees=32, depth=6,
                                embed_dim=8)
     # masks away from all ones, so the masked weights are what is routed
-    refresh_masks(model, PruneConfig(alpha=0.5))
+    refresh_masks(model, DSP)
     X = RngState(12).normal(2000, 2)
     for batch in (1, 2, 67, 2000):
         assert_same_bits(predict(model, X[:batch]), ref.predict(model,
@@ -274,7 +283,7 @@ def _memo_model():
     """A 3-class forest model with masks away from all ones, and inputs."""
     model = build_forest_model(2, Task("classification", n_classes=3),
                                RngState(21), trees=4, depth=3, embed_dim=2)
-    refresh_masks(model, PruneConfig(alpha=0.5))
+    refresh_masks(model, DSP)
     rng = RngState(22)
     return model, rng.normal(67, 2), np.arange(67) % 3
 
@@ -293,8 +302,8 @@ def _replace_array(model, X, y, tmp_path):
 
 
 def _train_step(model, X, y, tmp_path):
-    train_step(model, X, y, TrainConfig(dropout=0.0, prune=PruneConfig(
-        alpha=0.5)), AdamState(), RngState(23))
+    train_step(model, X, y, TrainConfig(dropout=0.0, prune=DSP), AdamState(),
+               RngState(23))
     return model
 
 
@@ -338,14 +347,7 @@ def test_predict_follows_replaced_parameters():
 
 def test_predict_takes_each_leaf_softmax_once(monkeypatch):
     model, X, _ = _memo_model()
-    leaves = []
-    softmax = dnspn.forest.softmax_rows
-
-    def counted(m):
-        leaves.append(m)
-        return softmax(m)
-
-    monkeypatch.setattr(dnspn.forest, "softmax_rows", counted)
+    leaves = _count_softmax(monkeypatch)
     first = predict(model, X)
     for batch in [1, 2, 67] * 33:
         assert_same_bits(predict(model, X[:batch]), ref.predict(
@@ -354,21 +356,34 @@ def test_predict_takes_each_leaf_softmax_once(monkeypatch):
     assert len(leaves) == len(model.heads) == 3
 
 
-def test_memoized_leaf_softmax_is_read_only():
+def test_predict_gradients_predict_take_each_leaf_softmax_once(monkeypatch):
+    # the training forward and the backward read the memo the eval forward
+    # left, while the leaves hold the same bits
+    model, X, y = _memo_model()
+    leaves = _count_softmax(monkeypatch)
+    first = predict(model, X)
+    gradients(model, X, y, TrainConfig(dropout=0.0, prune=DSP), None)
+    assert_same_bits(predict(model, X), first, "predict after gradients")
+    assert len(leaves) == len(model.heads) == 3
+
+
+def test_memoized_leaf_softmax_is_read_only(monkeypatch):
     head = init_head(3, 3, 4, 3, 2, "classification", RngState(24))
     act = RngState(25).normal(7, 3)
-    r = route(head, act, keep_factors=False)
-    predict_class(head, r)
-    probs = r.leaf_probs
+    leaves = _count_softmax(monkeypatch)
+    predict_class(head, route(head, act, keep_factors=False))
+    probs = _leaf_probs(head)
     assert not probs.flags.writeable
     with pytest.raises(ValueError):
         probs[0, 0] = 0.5
     assert not np.shares_memory(probs, head.leaf)
-    again = route(head, act, keep_factors=False)
-    predict_class(head, again)
-    assert again.leaf_probs is probs
-    # a training routing takes its own softmax, which the backward may use
-    kept = route(head, act)
-    predict_class(head, kept)
-    assert kept.leaf_probs is not probs and kept.leaf_probs.flags.writeable
-    assert_same_bits(kept.leaf_probs, probs, "training softmax")
+    # a training routing's forward and backward read that same memo
+    kept, want = route(head, act), ref.route(head, act)
+    assert_same_bits(predict_class(head, kept), ref.head_predict(head, want),
+                     "training head output")
+    upstream = RngState(26).normal(7, 3)
+    g = forest_backward(head, kept, act, upstream)
+    w = ref.forest_backward(head, want, act, upstream)
+    for name in GRADS:
+        assert_same_bits(getattr(g, name), getattr(w, name), name)
+    assert _leaf_probs(head) is probs and len(leaves) == 1

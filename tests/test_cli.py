@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dnspn.cli
 from dnspn.cli import OPTIONS, build_parser, config_hash, main, resolve_config
 from dnspn.data import (SyntheticSpec, gen_linear_k, gen_xor, train_test,
                         write_csv)
@@ -229,9 +230,14 @@ REJECTED_SETTINGS = [
     ("train", "--holdout", "1.5"),
     ("train", "--epochs", "-5"),
     ("train", "--depth", "40"),
+    ("train", "--embed", "9" * 40),
     ("compare", "--lr", "nan"),
+    ("compare", "--embed", "1025"),
+    ("generate", "--ntrain", str(10 ** 15)),
+    ("generate", "--ntest", "1048576"),
     ("mask-curve", "--beta", "0"),
     ("mask-curve", "--epsilon", "-1"),
+    ("mask-curve", "--samples", str(10 ** 15)),
 ]
 
 
@@ -241,6 +247,8 @@ def test_rejected_setting_leaves_no_run_dir(command, flag, value,
     out = tmp_path / "runs"
     if command == "mask-curve":
         argv = ("mask-curve", "--samples", "11")
+    elif command == "generate":
+        argv = ("generate", "--k", "3", "--ntrain", "20", "--ntest", "5")
     else:
         argv = (command, "--data", str(small_dataset / "train.csv"),
                 "--epochs", "1", "--trees", "2", "--depth", "2",
@@ -287,14 +295,24 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
      "--depth must be <= 15 (at most 16384 leaves a head), got 40"),
     ("train", "--trees", "2049", "--trees must be <= 2048 at depth 4 "
      "(at most 16384 leaves a head), got 2049"),
+    ("train", "--embed", "9" * 40, f"--embed must be <= 1024, got {'9' * 40}"),
+    ("compare", "--embed", "1025", "--embed must be <= 1024, got 1025"),
+    ("generate", "--ntrain", str(10 ** 15), "--ntrain must be in "
+     f"[1, 1048576] (at most 1048576 rows in all), got {10 ** 15}"),
+    ("generate", "--ntest", "1048576", "--ntest must be in [0, 1038576] "
+     "(at most 1048576 rows in all), got 1048576"),
+    ("mask-curve", "--samples", str(10 ** 15),
+     f"--samples must be in [2, 1000000], got {10 ** 15}"),
+    ("mask-curve", "--samples", "1", "--samples must be in [2, 1000000], "
+     "got 1"),
     ("mask-curve", "--gamma", "0", "--gamma must be > 0"),
     ("mask-curve", "--mu", "nan", "--mu must be finite, got nan"),
     ("mask-curve", "--wmax", "inf", "--wmax must be finite, got inf"),
 ])
 def test_rejected_setting_names_its_flag(command, flag, value, message,
                                          tmp_path, capsys):
-    argv = ([] if command == "mask-curve"
-            else ["--data", str(tmp_path / "nope.csv")])
+    argv = (["--data", str(tmp_path / "nope.csv")]
+            if command in ("train", "compare") else [])
     assert run(command, *argv, flag, value,
                "--out", str(tmp_path / "runs")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -777,6 +795,8 @@ CONFIG_MUTATIONS = {
     "too many trees": (BASE_CONFIG.replace("trees=2", "trees=" + "9" * 40),
                        2, 3),
     "negative epochs": (BASE_CONFIG.replace("epochs=1", "epochs=-5"), 2, 2),
+    "too wide an embedding": (
+        BASE_CONFIG.replace("embed=2", "embed=" + "9" * 40), 2, 5),
 }
 
 
@@ -840,6 +860,41 @@ class TestCompare:
         code = run("compare", "--data", str(small_dataset / "train.csv"),
                    "--methods", "fcnn", "--out", str(tmp_path))
         assert code == 2
+
+    # how the prune mode is given -> (flags, config file, each method's mode)
+    PRUNE_MODES = {
+        "not given": ((), "", {"dndn": "none", "dnspn": "dsp",
+                               "surgery": "surgery"}),
+        "flag none": (("--prune", "none"), "", dict.fromkeys(
+            ("dndn", "dnspn", "surgery"), "none")),
+        "flag surgery": (("--prune", "surgery"), "", dict.fromkeys(
+            ("dndn", "dnspn", "surgery"), "surgery")),
+        "file dsp": ((), "prune.mode=dsp\n", dict.fromkeys(
+            ("dndn", "dnspn", "surgery"), "dsp")),
+    }
+
+    @pytest.mark.parametrize("how", sorted(PRUNE_MODES))
+    def test_explicit_prune_mode_overrides_each_method(
+            self, how, small_dataset, tmp_path, monkeypatch):
+        # the rule train applies: an explicit mode overrides the method's
+        flags, text, modes = self.PRUNE_MODES[how]
+        (tmp_path / "run.cfg").write_text(text)
+        seen, real = [], dnspn.cli.run_method_cell
+
+        def spy(method, train_ds, eval_ds, cfg, tcfg):
+            seen.append((method, tcfg.seed, tcfg.prune.mode))
+            return real(method, train_ds, eval_ds, cfg, tcfg)
+
+        monkeypatch.setattr(dnspn.cli, "run_method_cell", spy)
+        assert run("compare", "--data", str(small_dataset / "train.csv"),
+                   "--methods", "dndn,dnspn,surgery", "--seeds", "0,1",
+                   "--epochs", "1", "--trees", "2", "--depth", "2",
+                   "--embed", "2", *flags, "--config",
+                   str(tmp_path / "run.cfg"), "--out",
+                   str(tmp_path / "runs")) == 0
+        assert seen == [(method, seed, modes[method])
+                        for method in ("dndn", "dnspn", "surgery")
+                        for seed in (0, 1)]
 
 
 class TestMaskCurve:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dnspn.data import (Dataset, SyntheticSpec, Task, add_noise, gen_base,
-                        gen_linear_k, gen_quadratic_k, gen_xor, load_csv,
-                        split, standardize, train_test, write_csv)
+from dnspn.data import (MAX_ROWS, Dataset, SyntheticSpec, Task, add_noise,
+                        gen_base, gen_linear_k, gen_quadratic_k, gen_xor,
+                        load_csv, split, standardize, train_test, write_csv)
 from dnspn.errors import DataError, ParameterError
 from dnspn.numeric import RngState
 
@@ -186,6 +186,18 @@ class TestGenLinear:
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(kind="linear", k=200, sigma=0.0)
+
+    @pytest.mark.parametrize("n_train,n_test,name", [
+        (0, 0, "n_train"), (MAX_ROWS + 1, 0, "n_train"),
+        (10 ** 15, 2000, "n_train"), (10, -1, "n_test"),
+        (MAX_ROWS - 10, 11, "n_test"), (1, MAX_ROWS, "n_test")])
+    def test_row_count_out_of_range(self, n_train, n_test, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be in "):
+            SyntheticSpec(kind="linear", k=3, n_train=n_train, n_test=n_test)
+
+    def test_row_count_up_to_the_bound(self):
+        SyntheticSpec(kind="linear", k=3, n_train=MAX_ROWS - 10, n_test=10)
+        SyntheticSpec(kind="linear", k=3, n_train=MAX_ROWS, n_test=0)
 
 
 class TestGenQuadratic:

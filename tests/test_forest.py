@@ -3,7 +3,7 @@ import pytest
 
 from conftest import central_diff, max_rel_error
 from dnspn.errors import ParameterError, ShapeError, UsageError
-from dnspn.forest import (MAX_LEAVES, ForestHead, check_shape,
+from dnspn.forest import (MAX_EMBED, MAX_LEAVES, ForestHead, check_shape,
                           forest_backward, init_head, predict_class,
                           predict_regress, route)
 from dnspn.numeric import RngState, sigmoid
@@ -54,6 +54,13 @@ class TestCheckShape:
     def test_beyond_the_leaf_bound_named(self, trees, depth, name):
         with pytest.raises(ParameterError, match=f"^{name} must be <= "):
             check_shape(trees, depth, 8)
+
+    def test_embedding_bound(self):
+        check_shape(32, 6, MAX_EMBED)
+        for embed_dim in (MAX_EMBED + 1, 10 ** 40 - 1):
+            with pytest.raises(ParameterError, match=(
+                    f"^embed_dim must be <= {MAX_EMBED}, got {embed_dim}$")):
+                check_shape(32, 6, embed_dim)
 
 
 class TestRoute:
