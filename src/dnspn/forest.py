@@ -76,6 +76,9 @@ MAX_LEAVES = 2 ** 14
 # the layer's width. 128x the 8 in use.
 MAX_EMBED = 2 ** 10
 
+# A head's trainable arrays, in the order forest_backward returns them
+HEAD_PARAMS = ("proj_w", "proj_b", "routing_w", "routing_b", "leaf")
+
 
 @dataclass
 class ForestHead:
@@ -297,16 +300,6 @@ def predict_regress(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
     return routing.p @ head.leaf / head.trees
 
 
-@dataclass
-class HeadGrads:
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-    routing_w: np.ndarray
-    routing_b: np.ndarray
-    leaf: np.ndarray
-    activation: np.ndarray
-
-
 def _routing_backward(head: ForestHead, routing: RoutingProbs,
                       g_p: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. node pre-activations, in the level-major order of
@@ -333,13 +326,14 @@ def _routing_backward(head: ForestHead, routing: RoutingProbs,
 
 def forest_backward(head: ForestHead, routing: RoutingProbs,
                     activation: np.ndarray,
-                    upstream: np.ndarray) -> HeadGrads:
+                    upstream: np.ndarray) -> tuple[np.ndarray, ...]:
     """Exact gradients of the head's prediction w.r.t. all its parameters.
 
     `upstream` is dLoss/d(prediction), shaped (batch, k) for classification
-    or (batch, 1) for regression. Returns gradients for the projection,
-    routing units, leaf logits (through the row softmax for classification),
-    and the feeding activation.
+    or (batch, 1) for regression. Returns a plain tuple: the gradients of
+    the arrays in HEAD_PARAMS order (projection, routing units, leaf logits
+    through the row softmax for classification), then the gradient of the
+    feeding activation.
     """
     activation = np.asarray(activation, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -366,5 +360,4 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
     g_proj_w = g_z.T @ activation
     g_proj_b = g_z.sum(axis=0)
     g_act = g_z @ head.proj_w
-    return HeadGrads(g_proj_w, g_proj_b, g_routing_w, g_routing_b,
-                     g_leaf, g_act)
+    return g_proj_w, g_proj_b, g_routing_w, g_routing_b, g_leaf, g_act

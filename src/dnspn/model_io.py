@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLASSIFICATION, Scaler, Task
+from .data import CLASSIFICATION, REGRESSION, Scaler, Task
 from .errors import DataError, ParameterError, reading
 from .forest import ForestHead, check_shape
 from .network import IDENTITY, RELU, DenseLayer
@@ -103,7 +103,18 @@ def load_model(path) -> Model:
         task = Task(kind=doc["task"]["kind"],
                     n_classes=doc["task"]["n_classes"],
                     labels=doc["task"]["labels"])
-        n_out = task.n_classes if task.kind == CLASSIFICATION else 1
+        # a classification task has 2+ classes, and null labels or one
+        # distinct string a class; a regression task 0 and null labels
+        n, labels = task.n_classes, task.labels
+        named = labels is None or (isinstance(labels, list) and all(
+            isinstance(name, str) for name in labels)
+            and len(set(labels)) == len(labels) == n)
+        if not (task.kind == CLASSIFICATION and isinstance(n, int)
+                and n >= 2 and named or task.kind == REGRESSION and n == 0
+                and labels is None):
+            raise DataError(f"model file {path} has an inconsistent task: "
+                            f"{doc['task']!r}")
+        n_out = n if task.kind == CLASSIFICATION else 1
         layers, masks, width = [], [], doc["input_dim"]
         for i, rec in enumerate(doc["layers"]):
             w = _floats(rec["weights"], f"layer {i} weights", (None, width))

@@ -13,8 +13,8 @@ layer (the `fcnn` baseline used in comparisons). One training step runs:
      backbone's shadow weights, where the soft-prune mode chains through
      the mask derivative stored at the last refresh and the surgery mode
      through the frozen mask values (steps 1-3 are :func:`gradients`);
-  4. one Adam update over every parameter at once, reading the shadow
-     weights from the mask records, which own them;
+  4. one Adam update over every array of :func:`model_params`, whose
+     shadow weights the mask records own, with moments matched by position;
   5. a mask/statistics refresh from the updated shadow weights that writes
      the effective weights (in mode "none" they are the shadow itself).
 
@@ -36,8 +36,8 @@ from .data import CLASSIFICATION, REGRESSION, Dataset, Scaler, Task
 from .ensemble import fuse
 from .errors import (DataError, MetricError, NumericError, ParameterError,
                      ShapeError, UsageError)
-from .forest import (ForestHead, forest_backward, init_head, predict_class,
-                     predict_regress, route)
+from .forest import (HEAD_PARAMS, ForestHead, forest_backward, init_head,
+                     predict_class, predict_regress, route)
 from .metrics import EvalReport, accuracy, auc_macro_ovr, mse_metric, \
     roc_auc_binary
 from .network import DenseLayer
@@ -58,8 +58,6 @@ METHODS = tuple(METHOD_MODES)
 TREES = 10
 DEPTH = 4
 EMBED_DIM = 8
-
-HEAD_PARAMS = ("proj_w", "proj_b", "routing_w", "routing_b", "leaf")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -89,9 +87,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """First/second moment accumulators, one per parameter by position."""
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
     t: int = 0
 
 
@@ -101,7 +99,9 @@ class Model:
     projection; `masks` gives theirs, layers first (default all ones).
     A record owns its shadow weights; a layer's `weights` or a head's
     `proj_w` is its record's effective array, which forwards and the
-    backward compute with (the shadow itself while the mask is all ones)."""
+    backward compute with (the shadow itself while the mask is all ones).
+    The trainable arrays are walked by :func:`model_params`, which reads
+    these fields on each call and keeps no list of its own."""
     layers: list[DenseLayer]
     heads: list[ForestHead]
     head_layers: list[int]            # attachment layer index per head
@@ -221,20 +221,18 @@ def _softmax_backward(probs: np.ndarray, g_probs: np.ndarray) -> np.ndarray:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def adam_update(state: AdamState, params: dict[str, np.ndarray],
-                grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
-    """One bias-corrected Adam step, updating parameters in place."""
+def adam_update(state: AdamState, params: list[np.ndarray],
+                grads: list[np.ndarray], cfg: TrainConfig) -> None:
+    """One bias-corrected Adam step, updating parameters in place;
+    `params`, `grads` and the state's moments are matched by position."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
+    for p, g, m, v in zip(params, grads, state.m, state.v, strict=True):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -242,16 +240,17 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
         p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def model_params(model: Model) -> dict[str, np.ndarray]:
-    """Flat name -> array view of every trainable parameter."""
-    params: dict[str, np.ndarray] = {}
-    for i, (layer, pl) in enumerate(zip(model.layers, model.layer_prunes)):
-        params[f"layer{i}.w"] = pl.shadow
-        params[f"layer{i}.b"] = layer.bias
-    for i, (head, pp) in enumerate(zip(model.heads, model.proj_prunes)):
-        params.update({f"head{i}.{name}": getattr(head, name)
-                       for name in HEAD_PARAMS})
-        params[f"head{i}.proj_w"] = pp.shadow
+def model_params(model: Model) -> list[tuple[np.ndarray, PrunedLayer | None]]:
+    """Each trainable array with its mask record (None if unmasked), in the
+    order of :func:`gradients` and Adam's moments: per layer its shadow
+    weights and bias, then per head its HEAD_PARAMS, the projection's
+    shadow first. Read on each call, so it follows a replaced array."""
+    params: list[tuple[np.ndarray, PrunedLayer | None]] = []
+    for layer, pl in zip(model.layers, model.layer_prunes):
+        params += [(pl.shadow, pl), (layer.bias, None)]
+    for head, pp in zip(model.heads, model.proj_prunes):
+        params.append((pp.shadow, pp))     # HEAD_PARAMS[0], "proj_w"
+        params += [(getattr(head, name), None) for name in HEAD_PARAMS[1:]]
     return params
 
 
@@ -295,34 +294,30 @@ def refresh_masks(model: Model, prune: PruneConfig) -> None:
 
 
 def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
-              rng: RngState | None) -> tuple[float, dict[str, np.ndarray]]:
-    """The batch training loss and its gradient, keyed like
-    :func:`model_params`, from a training-mode forward with `cfg.dropout`.
+              rng: RngState | None) -> tuple[float, list[np.ndarray]]:
+    """The batch training loss and its gradients, in :func:`model_params`
+    order, from a training-mode forward with `cfg.dropout`.
 
     Masks and effective weights are assumed consistent with the current
-    shadow weights (as left by the last refresh). In prune mode "none" the
+    shadow weights (as left by the last refresh). A masked array's gradient
+    chains through its record's :func:`mask_grad`; in prune mode "none" the
     masks are all ones, so they are not chained through.
     """
-    masked = cfg.prune.mode != MODE_NONE
     trace, routings, outs, fused = _forward(model, xb, cfg.dropout, True, rng)
     loss_fn = loss_ce if model.task.kind == CLASSIFICATION else loss_mse
 
-    grads: dict[str, np.ndarray] = {}
+    head_grads: list[np.ndarray] = []
     upstream: list[np.ndarray | None] = [None] * len(model.layers)
 
     if model.kind == FOREST:
         per_head = [loss_fn(out, yb) for out in outs]
         loss = float(np.mean([l_i for l_i, _ in per_head]))
-        for i, (head, j, r, (_, g_i)) in enumerate(
-                zip(model.heads, model.head_layers, routings, per_head)):
-            hg = forest_backward(head, r, trace.dropped[j], g_i / len(outs))
-            grads.update({f"head{i}.{name}": getattr(hg, name)
-                          for name in HEAD_PARAMS})
-            if masked:
-                grads[f"head{i}.proj_w"] = hg.proj_w * mask_grad(
-                    model.proj_prunes[i], cfg.prune)
-            upstream[j] = (hg.activation if upstream[j] is None
-                           else upstream[j] + hg.activation)
+        for head, j, r, (_, g_i) in zip(model.heads, model.head_layers,
+                                        routings, per_head):
+            *g_head, g_act = forest_backward(head, r, trace.dropped[j],
+                                             g_i / len(outs))
+            head_grads += g_head
+            upstream[j] = g_act if upstream[j] is None else upstream[j] + g_act
     else:
         if model.task.kind == CLASSIFICATION:
             loss, g_probs = loss_ce(fused, yb)
@@ -337,12 +332,12 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
         )
 
     dW, db, _ = network.backward(model.layers, trace, upstream)
-    for i in range(len(model.layers)):
-        grads[f"layer{i}.w"] = (
-            dW[i] * mask_grad(model.layer_prunes[i], cfg.prune)
-            if masked else dW[i])
-        grads[f"layer{i}.b"] = db[i]
-    return loss, grads
+    grads = [g for pair in zip(dW, db) for g in pair] + head_grads
+    if cfg.prune.mode == MODE_NONE:
+        return loss, grads
+    return loss, [g if pl is None else g * mask_grad(pl, cfg.prune)
+                  for g, (_, pl) in zip(grads, model_params(model),
+                                        strict=True)]
 
 
 def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
@@ -354,7 +349,7 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray,
     just-updated weights (not needed in prune mode "none").
     """
     loss, grads = gradients(model, xb, yb, cfg, rng)
-    adam_update(adam, model_params(model), grads, cfg)
+    adam_update(adam, [p for p, _ in model_params(model)], grads, cfg)
     if cfg.prune.mode != MODE_NONE:
         refresh_masks(model, cfg.prune)
     return loss

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnspn.forest import HEAD_PARAMS
 from dnspn.numeric import RngState
 
 # The acceptance criteria that train many models, about 95% of the suite's
@@ -52,3 +53,12 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
     if not np.any(live):
         return 0.0
     return float(np.max(np.abs(analytic - numeric)[live] / denom[live]))
+
+
+def param_names(model) -> list[str]:
+    """A name for each entry of `training.model_params(model)`, in its
+    order, for failure messages: layer0.w, layer0.b, ..., head0.proj_w, ..."""
+    return ([f"layer{i}.{part}" for i in range(len(model.layers))
+             for part in "wb"]
+            + [f"head{i}.{name}" for i in range(len(model.heads))
+               for name in HEAD_PARAMS])

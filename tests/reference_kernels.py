@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from dnspn.errors import ShapeError
-from dnspn.forest import CLASSIFICATION, HeadGrads, RoutingProbs
+from dnspn.forest import CLASSIFICATION, RoutingProbs
 from dnspn.numeric import softmax_rows
 
 
@@ -140,5 +140,4 @@ def forest_backward(head, routing, activation, upstream):
     g_proj_w = g_z.T @ activation
     g_proj_b = g_z.sum(axis=0)
     g_act = g_z @ head.proj_w
-    return HeadGrads(g_proj_w, g_proj_b, g_routing_w, g_routing_b,
-                     g_leaf, g_act)
+    return g_proj_w, g_proj_b, g_routing_w, g_routing_b, g_leaf, g_act

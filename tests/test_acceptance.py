@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import central_diff, max_rel_error
+from conftest import central_diff, max_rel_error, param_names
 from dnspn.cli import main as cli_main
 from dnspn.data import (SyntheticSpec, gen_linear_k, gen_quadratic_k,
                         gen_xor, standardize, train_test, write_csv)
@@ -94,9 +94,10 @@ def test_criterion_3_full_model_gradient_check():
             return float(np.mean([loss_ce(o, y)[0] for o in outs]))
 
         grads = _analytic_grads(model, X, y)
-        for name, p in model_params(model).items():
+        for name, (p, _), g in zip(param_names(model), model_params(model),
+                                   grads, strict=True):
             num = central_diff(total_loss, p)
-            err = max_rel_error(grads[name], num)
+            err = max_rel_error(g, num)
             assert err < 1e-4, f"{name}: rel error {err}"
 
 

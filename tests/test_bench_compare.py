@@ -11,24 +11,33 @@ spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
 bench_compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_compare)
 
-METRICS = [m["name"] for m in json.loads(
-    (TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+SPEC = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+LAYER_METRICS = [m["name"] for m in SPEC["per_layer"]]
 ENV = {"numpy": "2.0", "blas": "openblas 0.3", "cpu_count": 2,
        "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
 
 
-def write_run(results, workload, seed, scale, env=ENV, value=None):
-    """One untraced result file whose every metric is `value`, or seed *
-    scale when no value is given."""
+def write_run(results, workload, seed, scale, env=ENV, value=None,
+              trace=0, drop=()):
+    """One result file whose every metric is `value`, or seed * scale when
+    no value is given. A traced run (`trace=1`) reports the per-layer
+    metrics, but for the `fcnn.` ones, which read 0 as in a workload
+    without that method, and its traced end-to-end figures read 1000.
+    Metrics named in `drop` are left out."""
     value = seed * scale if value is None else value
     results.mkdir(parents=True, exist_ok=True)
+    names = LAYER_METRICS if trace else METRICS
     record = {"workload": workload, "seed": seed, "seconds": 8.0,
-              "environment": env, "loadavg_before": [0.5 + seed, 0.4, 0.3],
+              "environment": env,
+              "loadavg_before": [0.5 + seed, 0.4, 0.3],
               "result": {"correct": True, "attempted": 10, "failed": 0,
-                         "metrics": {name: {"value": value,
-                                            "unit": "x"}
-                                     for name in METRICS}}}
-    (results / f"{workload}-seed{seed}-trace0.json").write_text(
+                         "metrics": {name: {"value": 0.0 if name.startswith(
+                             "fcnn.") else value, "unit": "x"}
+                                     for name in names if name not in drop}}}
+    if trace:
+        record["traced_end_to_end"] = {name: 1000.0 for name in METRICS}
+    (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(
         json.dumps(record))
 
 
@@ -42,8 +51,11 @@ def sides(tmp_path):
                   0.9 if seed == 2 else 1.1)
         write_run(parent, "cli-serve", seed, 2.0)
         write_run(change, "cli-serve", seed, 2.0)
-    # a traced run is not part of the comparison
-    (parent / "cli-serve-seed9-trace1.json").write_text("{}")
+    # traced runs on other seeds: per-layer figures only, the change's
+    # twice the parent's
+    for seed in (7, 8, 9):
+        write_run(parent, "paper-train", seed, 1.0, trace=1)
+        write_run(change, "paper-train", seed, 2.0, trace=1)
     return parent, change
 
 
@@ -58,6 +70,7 @@ def test_same_inputs_same_bytes(sides, tmp_path, capsys):
                          capsys.readouterr().out))
         assert outs[0] == outs[1]
         assert outs[0][1].startswith("| workload (pairs, seeds) | metric |")
+        assert "\nPer-layer metrics, from the traced runs:\n" in outs[0][1]
 
 
 def test_medians_quartiles_and_wins(sides, tmp_path, capsys):
@@ -145,3 +158,52 @@ def test_tier1_times_recorded(sides, tmp_path, capsys):
                                                       "change": 287.0}
     assert capsys.readouterr().out.endswith(
         "\nTier-1 wall time: parent 302 s, change 287 s\n")
+
+
+def test_per_layer_from_traced_pairs(sides, tmp_path, capsys):
+    parent, change = sides
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(parent), str(change), str(out)]) == 0
+    summary = json.loads(out.read_text())
+    # the untraced figures hold no traced run: paper-train ran traced only
+    assert sorted(summary["workloads"]) == ["cli-serve", "deep-forest-train"]
+    layers = summary["per_layer"]
+    assert sorted(layers) == ["paper-train"]
+    paper = layers["paper-train"]
+    assert paper["seeds"] == [7, 8, 9] and paper["runs"] == 3
+    step = paper["metrics"]["dnspn.training.adam_update_ms"]
+    assert step["parent"] == {"median": 8.0, "q1": 7.5, "q3": 8.5}
+    assert step["change"]["median"] == 16.0
+    assert step["wins"] == 0 and step["change_pct"] == 100.0
+    assert "gain_rule_met" not in step
+    # a layer no run uses is left out
+    assert not any(name.startswith("fcnn.") for name in paper["metrics"])
+    assert len(paper["metrics"]) == len(LAYER_METRICS) - sum(
+        name.startswith("fcnn.") for name in LAYER_METRICS)
+    table = capsys.readouterr().out
+    assert ("| `paper-train` (3, 7-9) | `dndn.training.train_step_ms` |"
+            in table)
+    assert ("|  | `dnspn.training.adam_update_ms` | 8 [7.5, 8.5] | 16 "
+            "[15, 17] | +100.0% | 0/3 |\n") in table
+
+
+def test_one_sided_per_layer_metric_refused(sides, tmp_path, capsys):
+    parent, change = sides
+    write_run(change, "paper-train", 8, 2.0, trace=1,
+              drop=("dnspn.training.adam_update_ms",))
+    assert bench_compare.main([str(parent), str(change),
+                               str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: per-layer metric dnspn.training.adam_update_ms of "
+        "paper-train is reported by the parent side only\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_unpaired_traced_runs_rejected(sides, tmp_path, capsys):
+    parent, change = sides
+    write_run(parent, "paper-train", 6, 1.0, trace=1)
+    assert bench_compare.main([str(parent), str(change),
+                               str(tmp_path / "x.json")]) == 2
+    assert "traced runs have different workloads or seeds" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

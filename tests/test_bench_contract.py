@@ -4,11 +4,14 @@ Its traced run (`perfbench/run.py --trace 1`) replaces the functions that
 `perfbench/spans.py` lists in `PATCHES` with timing wrappers, and its
 checks read each model's mask records. A refactor that renames one of those
 functions or records would break only the traced run, so these tests hold
-the program to that contract. They read perfbench/ and change nothing there.
+the program to that contract, and run the benchmark's own model checks
+(`perfbench/checks.py`) on trained models. They read perfbench/ and change
+nothing there.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +22,23 @@ from dnspn.data import Dataset, Task
 from dnspn.numeric import RngState
 from dnspn.pruning import PruneConfig, PrunedLayer
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-spans = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(spans)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+sys.path.insert(0, str(PERFBENCH))     # checks.py imports its sibling
+try:
+    checks = _load("checks")
+finally:
+    sys.path.remove(str(PERFBENCH))
 
 PATCHED = sorted({(module, attr) for module, attr, *_ in spans.PATCHES})
 CLS = Task(kind="classification", n_classes=2)
@@ -78,3 +94,19 @@ def test_traced_fit_and_predict():
     assert counts["pruning.refresh"] == 3 * entries
     assert counts["pruning.apply_mask"] == 3 * entries
     assert training.fit is fit
+
+
+@pytest.mark.parametrize("method", training.METHODS)
+def test_benchmark_checks_pass_after_a_fit(method):
+    # the masks follow their mode's definition, and predict agrees with
+    # the benchmark's reference forward over shadow * mask
+    X = RngState(3).normal(60, 3)
+    ds = Dataset(X, (X[:, 0] * X[:, 1] > 0).astype(np.int64), CLS)
+    model, mode = training.method_model(method, 3, CLS, RngState(4), trees=3,
+                                        depth=3, embed_dim=2)
+    prune = PruneConfig(mode=mode)
+    training.fit(model, ds, None, training.TrainConfig(
+        epochs=1, batch_size=20, prune=prune))
+    checks.masks(model, prune)
+    want, _ = checks.reference.forward(model, X)
+    checks.close(training.predict(model, X), want, f"{method} predict")

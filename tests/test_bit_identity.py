@@ -15,9 +15,10 @@ import pytest
 import reference_kernels as ref
 from dnspn.data import Task
 import dnspn.forest
-from dnspn.forest import (ROUTE_BLOCK_BYTES, _block_count, _decisions,
-                          _leaf_probs, _level_order, forest_backward,
-                          init_head, predict_class, predict_regress, route)
+from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
+                          _decisions, _leaf_probs, _level_order,
+                          forest_backward, init_head, predict_class,
+                          predict_regress, route)
 from dnspn.model_io import load_model, save_model
 from dnspn.numeric import RngState, sigmoid
 from dnspn.pruning import MODE_DSP, PruneConfig
@@ -124,11 +125,11 @@ def test_route_and_backward_match_reference(kind, depth, trees, batch):
 
     g = forest_backward(head, got, act, upstream)
     w = ref.forest_backward(head, want, act, upstream)
-    for name in GRADS:
-        assert_same_bits(getattr(g, name), getattr(w, name), name)
+    for name, a, b in zip(GRADS, g, w, strict=True):
+        assert_same_bits(a, b, name)
 
 
-GRADS = ("proj_w", "proj_b", "routing_w", "routing_b", "leaf", "activation")
+GRADS = HEAD_PARAMS + ("activation",)
 
 
 @pytest.mark.parametrize("trees", [1, 3, 32])
@@ -184,8 +185,8 @@ def test_both_operand_orders_match_reference(kind, batch):
         assert_same_bits(a, b, f"level_mus[{level}]")
     g = forest_backward(head, got, act, upstream)
     w = ref.forest_backward(head, want, act, upstream)
-    for name in GRADS:
-        assert_same_bits(getattr(g, name), getattr(w, name), name)
+    for name, a, b in zip(GRADS, g, w, strict=True):
+        assert_same_bits(a, b, name)
     blocked = route(head, act, keep_factors=False)
     assert_same_bits(blocked.p, want.p, "eval p")
 
@@ -384,6 +385,6 @@ def test_memoized_leaf_softmax_is_read_only(monkeypatch):
     upstream = RngState(26).normal(7, 3)
     g = forest_backward(head, kept, act, upstream)
     w = ref.forest_backward(head, want, act, upstream)
-    for name in GRADS:
-        assert_same_bits(getattr(g, name), getattr(w, name), name)
+    for name, a, b in zip(GRADS, g, w, strict=True):
+        assert_same_bits(a, b, name)
     assert _leaf_probs(head) is probs and len(leaves) == 1

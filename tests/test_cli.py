@@ -602,6 +602,17 @@ def _set(path, value):
     return mutate
 
 
+def _as_regression(kind):
+    """A mutation that makes the model a one-output regression model whose
+    task and heads say `kind`."""
+    def mutate(doc):
+        doc["task"] = {"kind": kind, "n_classes": 0, "labels": None}
+        for head in doc["heads"]:
+            head["kind"] = kind
+            head["leaf"] = [row[:1] for row in head["leaf"]]
+    return mutate
+
+
 MODEL_MUTATIONS = {
     "no layers": _set(["layers"], []),
     "input_dim": _set(["input_dim"], 3),
@@ -639,6 +650,9 @@ MODEL_MUTATIONS = {
     "forest without heads": lambda doc: doc.update(heads=[], head_layers=[]),
     "softmax of wrong width": lambda doc: doc.update(
         kind="softmax", heads=[], head_layers=[]),
+    "more labels than classes": _set(["task", "labels"], ["0", "1", "2"]),
+    "repeated labels": _set(["task", "labels"], ["1", "1"]),
+    "regression of unknown kind": _as_regression("foo"),
 }
 
 
@@ -649,6 +663,31 @@ class TestLoadModelValidation:
         path.write_text(json.dumps(doc))
         assert run("evaluate", "--model", str(path), "--data", str(data),
                    "--out", str(tmp_path / "eval")) == 0
+
+    def test_regression_form_loads(self, small_model, tmp_path):
+        # the form "regression of unknown kind" mutates, with a known kind
+        doc, data = small_model
+        doc = json.loads(json.dumps(doc))
+        _as_regression("regression")(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 0
+
+    @pytest.mark.parametrize("name", ["more labels than classes",
+                                      "repeated labels",
+                                      "regression of unknown kind"])
+    def test_inconsistent_task_names_the_file(self, name, small_model,
+                                              tmp_path, capsys):
+        doc, data = small_model
+        doc = json.loads(json.dumps(doc))
+        MODEL_MUTATIONS[name](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: model file {path} has an inconsistent task: ")
 
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_corruption_is_a_data_error(self, name, small_model, tmp_path,

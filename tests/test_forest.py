@@ -3,9 +3,9 @@ import pytest
 
 from conftest import central_diff, max_rel_error
 from dnspn.errors import ParameterError, ShapeError, UsageError
-from dnspn.forest import (MAX_EMBED, MAX_LEAVES, ForestHead, check_shape,
-                          forest_backward, init_head, predict_class,
-                          predict_regress, route)
+from dnspn.forest import (HEAD_PARAMS, MAX_EMBED, MAX_LEAVES, ForestHead,
+                          check_shape, forest_backward, init_head,
+                          predict_class, predict_regress, route)
 from dnspn.numeric import RngState, sigmoid
 
 
@@ -202,8 +202,8 @@ class TestForestBackward:
         act = rng.normal(3, 4)
         r = route(head, act)
         g = forest_backward(head, r, act, np.zeros((3, 2)))
-        for arr in (g.proj_w, g.proj_b, g.routing_w, g.routing_b, g.leaf,
-                    g.activation):
+        assert len(g) == len(HEAD_PARAMS) + 1
+        for arr in g:
             assert np.all(arr == 0)
 
     def test_regression_leaf_grad_is_reach_probability(self):
@@ -213,7 +213,8 @@ class TestForestBackward:
         r = route(head, act)
         r.p = np.array([[1.0, 0.0]])
         g = forest_backward(head, r, act, np.array([[1.0]]))
-        assert np.allclose(g.leaf, [[1.0], [0.0]], atol=1e-12)
+        g_leaf = g[HEAD_PARAMS.index("leaf")]
+        assert np.allclose(g_leaf, [[1.0], [0.0]], atol=1e-12)
 
     @pytest.mark.parametrize("kind,n_out", [("classification", 3),
                                             ("regression", 1)])
@@ -233,13 +234,8 @@ class TestForestBackward:
 
             r0 = route(head, act)
             g = forest_backward(head, r0, act, coeff)
-            for name, param, grad in [
-                    ("proj_w", head.proj_w, g.proj_w),
-                    ("proj_b", head.proj_b, g.proj_b),
-                    ("routing_w", head.routing_w, g.routing_w),
-                    ("routing_b", head.routing_b, g.routing_b),
-                    ("leaf", head.leaf, g.leaf)]:
-                num = central_diff(loss, param)
+            for name, grad in zip(HEAD_PARAMS, g):
+                num = central_diff(loss, getattr(head, name))
                 assert max_rel_error(grad, num) < 1e-4, f"{name} depth {depth}"
 
     def test_activation_gradient_finite_difference(self):
@@ -254,4 +250,4 @@ class TestForestBackward:
 
         g = forest_backward(head, route(head, act), act, coeff)
         num = central_diff(loss, act)
-        assert max_rel_error(g.activation, num) < 1e-4
+        assert max_rel_error(g[-1], num) < 1e-4

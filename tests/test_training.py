@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from conftest import central_diff, max_rel_error
+from conftest import central_diff, max_rel_error, param_names
 from dnspn.data import Dataset, Task
 from dnspn.errors import DataError, ShapeError
 from dnspn.forest import ForestHead
@@ -13,11 +13,11 @@ from dnspn.network import DenseLayer
 from dnspn.numeric import RngState
 from dnspn.model_io import load_model, save_model
 from dnspn.pruning import PruneConfig, apply_mask, dsp_mask, layer_stats
-from dnspn.training import (AdamState, TrainConfig, _forward, adam_update,
-                            build_forest_model, build_softmax_model,
-                            evaluate_model, fit, gradients, loss_ce,
-                            loss_mse, method_model, model_params, predict,
-                            refresh_masks, train_step)
+from dnspn.training import (METHODS, AdamState, TrainConfig, _forward,
+                            adam_update, build_forest_model,
+                            build_softmax_model, evaluate_model, fit,
+                            gradients, loss_ce, loss_mse, method_model,
+                            model_params, predict, refresh_masks, train_step)
 
 CLS = Task(kind="classification", n_classes=2)
 REG = Task(kind="regression")
@@ -31,11 +31,11 @@ def separable_2d(n, seed):
 
 
 def snapshot(model):
-    return {k: v.copy() for k, v in model_params(model).items()}
+    return [p.copy() for p, _ in model_params(model)]
 
 
 def params_equal(a, b):
-    return all(np.array_equal(a[k], b[k]) for k in a)
+    return all(np.array_equal(p, q) for p, q in zip(a, b, strict=True))
 
 
 class TestLossCe:
@@ -95,14 +95,14 @@ class TestAdam:
         cfg = TrainConfig()
         p = np.array([[1.0, -2.0]])
         state = AdamState()
-        adam_update(state, {"p": p}, {"p": np.zeros_like(p)}, cfg)
+        adam_update(state, [p], [np.zeros_like(p)], cfg)
         assert np.array_equal(p, np.array([[1.0, -2.0]]))
 
     def test_first_step_is_signed_lr(self):
         cfg = TrainConfig(learning_rate=1e-3)
         p = np.array([[0.0, 0.0]])
         g = np.array([[0.7, -1.3]])
-        adam_update(AdamState(), {"p": p}, {"p": g}, cfg)
+        adam_update(AdamState(), [p], [g], cfg)
         expected = -cfg.learning_rate * np.sign(g)
         assert np.max(np.abs(p - expected)) < cfg.learning_rate * 1e-6
 
@@ -114,7 +114,7 @@ class TestAdam:
             state = AdamState()
             rng = RngState(5)
             for _ in range(20):
-                adam_update(state, {"p": p}, {"p": rng.normal(2, 2)}, cfg)
+                adam_update(state, [p], [rng.normal(2, 2)], cfg)
             runs.append(p.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -155,7 +155,7 @@ class TestTrainStep:
         def build():
             model = build_forest_model(2, CLS, RngState(3), trees=2, depth=2,
                                        embed_dim=2)
-            for p in model_params(model).values():
+            for p, _ in model_params(model):
                 if p.ndim == 2:
                     p[:] = 0.35 * np.sign(p + 1e-30)
             return model
@@ -368,9 +368,10 @@ class TestEndToEndGradients:
             return float(np.mean([loss_ce(o, y)[0] for o in outs]))
 
         grads = _analytic_grads(model, X, y)
-        for name, p in model_params(model).items():
+        for name, (p, _), g in zip(param_names(model), model_params(model),
+                                   grads, strict=True):
             num = central_diff(total_loss, p)
-            assert max_rel_error(grads[name], num) < 1e-4, name
+            assert max_rel_error(g, num) < 1e-4, name
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_configuration_finite_difference(self, case):
@@ -411,12 +412,13 @@ class TestEndToEndGradients:
                     apply_mask(pl)
             return _model_loss(model, X, y, cfg.dropout, RngState(11))
 
-        for name, p in model_params(model).items():
+        for name, (p, _), g in zip(param_names(model), model_params(model),
+                                   grads, strict=True):
             num = central_diff(loss, p)
-            err = max_rel_error(grads[name], num, zero_floor=1e-7)
+            err = max_rel_error(g, num, zero_floor=1e-7)
             assert err < 1e-4, f"{case} {name}: rel error {err}"
-            small = np.maximum(np.abs(grads[name]), np.abs(num)) <= 1e-7
-            gap = np.max(np.abs(grads[name] - num)[small], initial=0.0)
+            small = np.maximum(np.abs(g), np.abs(num)) <= 1e-7
+            gap = np.max(np.abs(g - num)[small], initial=0.0)
             assert gap < 1e-10, f"{case} {name}: abs error {gap}"
 
 
@@ -544,6 +546,50 @@ class TestEffectiveWeights:
             monkeypatch.setattr(cls, "__init__", refuse)
             monkeypatch.setattr(cls, "__copy__", refuse, raising=False)
         assert np.array_equal(predict(model, ds.X), want)
+
+
+class TestModelParams:
+    """model_params, gradients and Adam's moments share one order."""
+
+    @pytest.mark.parametrize("method", METHODS + ("loaded",))
+    def test_one_gradient_per_array(self, method, tmp_path):
+        ds = separable_2d(64, 8)
+        model, mode = method_model("dnspn" if method == "loaded" else method,
+                                   2, CLS, RngState(8), trees=2, depth=3,
+                                   embed_dim=2)
+        cfg = TrainConfig(epochs=1, batch_size=32, dropout=0.0,
+                          prune=PruneConfig(mode=mode))
+        fit(model, ds, None, cfg)
+        if method == "loaded":
+            save_model(model, tmp_path / "model.json")
+            model = load_model(tmp_path / "model.json")
+        params = model_params(model)
+        names = param_names(model)
+        _, grads = gradients(model, ds.X, ds.y, cfg, None)
+        assert len(grads) == len(params) == len(names)
+        for name, (p, record), g in zip(names, params, grads):
+            assert g.shape == p.shape, name
+            masked = name.endswith((".w", ".proj_w"))
+            assert (record.shadow is p) if masked else record is None, name
+
+    def test_train_step_updates_replaced_arrays(self):
+        # arrays replaced on the model, not edited in place, are the ones
+        # the next step trains; the arrays they replaced stay as they were
+        ds = separable_2d(64, 9)
+        model = build_forest_model(2, CLS, RngState(9), trees=2, depth=3,
+                                   embed_dim=2)
+        cfg = TrainConfig(dropout=0.0, prune=PruneConfig(mode="dsp"))
+        adam = AdamState()
+        refresh_masks(model, cfg.prune)
+        train_step(model, ds.X, ds.y, cfg, adam, None)
+        head, layer = model.heads[1], model.layers[0]
+        old = head.leaf, layer.bias
+        head.leaf, layer.bias = old[0].copy(), old[1].copy()
+        before = [a.copy() for a in old]
+        train_step(model, ds.X, ds.y, cfg, adam, None)
+        for new, was, kept in zip((head.leaf, layer.bias), before, old):
+            assert not np.array_equal(new, was)
+            assert np.array_equal(kept, was)
 
 
 class TestMethodModel:

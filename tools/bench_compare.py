@@ -4,12 +4,12 @@
         [--tier1-s PARENT_SECONDS CHANGE_SECONDS]
 
 PARENT_RESULTS and CHANGE_RESULTS are the `.perfbench/results` directories
-of two checkouts that ran `perfbench/run.py --trace 0` on the same
-workloads and seeds. A run of the parent and a run of the change with the
-same workload and seed make a pair. For every end-to-end metric that
-BENCHMARK.json declares, OUT.json gets each side's median and quartiles,
-the change in the median, and the number of pairs the change won, with
-two flags:
+of two checkouts that ran `perfbench/run.py` on the same workloads and
+seeds. A run of the parent and a run of the change with the same workload,
+seed and `--trace` value make a pair. For every end-to-end metric that
+BENCHMARK.json declares, OUT.json gets, from the untraced pairs
+(`*-trace0.json`), each side's median and quartiles, the change in the
+median, and the number of pairs the change won, with two flags:
 
 - `worse_beyond_bound`: the change's median is worse than the parent's by
   more than the metric's `bound` in BENCHMARK.json (a fraction of the
@@ -21,10 +21,19 @@ two flags:
 Beside them it keeps the seeds, the run count, each side's failed
 operations and load average, the environment the runs report (BLAS and
 its threads, numpy, the CPU count) and, when `--tier1-s` gives them, each
-side's Tier-1 wall time in seconds. The script only reads results; it
+side's Tier-1 wall time in seconds.
+
+The traced pairs (`*-trace1.json`), when there are any, are summarized the
+same way under a separate `per_layer` key: for each per-layer metric of
+BENCHMARK.json, each side's median and quartiles, the change in the
+median and the wins, with no flags. A metric that reads 0 on every run of
+a workload, on both sides, is a layer the workload does not use and is
+left out. A per-layer metric that only one side's runs report is refused.
+The end-to-end figures come from untraced runs only: a traced run's
+timings include the tracer's own cost. The script only reads results; it
 gates nothing.
 
-It prints the same numbers as a markdown table, one row per workload and
+It prints the same numbers as markdown tables, one row per workload and
 metric. The same inputs give the same bytes in both outputs.
 """
 
@@ -39,10 +48,11 @@ from statistics import median, quantiles
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_runs(results: Path) -> dict[tuple[str, int], dict]:
-    """(workload, seed) -> the record of each untraced run in `results`."""
+def load_runs(results: Path, trace: int = 0) -> dict[tuple[str, int], dict]:
+    """(workload, seed) -> the record of each run in `results` with this
+    `--trace` value."""
     runs = {}
-    for path in sorted(results.glob("*-trace0.json")):
+    for path in sorted(results.glob(f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
         runs[record["workload"], record["seed"]] = record
     return runs
@@ -56,71 +66,129 @@ def spread(values: list[float]) -> dict:
     return {"median": mid, "q1": q1, "q3": q3}
 
 
-def compare(parent: dict, change: dict, spec: dict) -> dict:
-    """The summary of paired runs; raises ValueError when the two sides do
-    not pair up or ran in different environments."""
-    if sorted(parent) != sorted(change):
-        raise ValueError("the two sides ran different workloads or seeds: "
-                         f"{sorted(set(parent) ^ set(change))}")
-    if not parent:
-        raise ValueError("no *-trace0.json results to compare")
+def _environment(*sides: dict) -> dict:
+    """The one environment that every run of `sides` reports; raises
+    ValueError when they report more than one."""
     envs = {json.dumps(r["environment"], sort_keys=True)
-            for r in list(parent.values()) + list(change.values())}
+            for runs in sides for r in runs.values()}
     if len(envs) != 1:
         raise ValueError(f"runs from {len(envs)} environments: "
                          + "; ".join(sorted(envs)))
-    workloads = {}
+    return json.loads(envs.pop())
+
+
+def _pairs(parent: dict, change: dict, what: str):
+    """(workload, seeds, {side: its records in seed order}) for each
+    workload; raises ValueError when the two sides do not pair up."""
+    if sorted(parent) != sorted(change):
+        raise ValueError(f"the two sides' {what} runs have different "
+                         "workloads or seeds: "
+                         f"{sorted(set(parent) ^ set(change))}")
     for name in sorted({w for w, _ in parent}):
         seeds = sorted(s for w, s in parent if w == name)
-        sides = {"parent": [parent[name, s] for s in seeds],
-                 "change": [change[name, s] for s in seeds]}
-        metrics = {}
-        for m in spec["end_to_end"]:
-            values = {side: [r["result"]["metrics"][m["name"]]["value"]
-                             for r in recs] for side, recs in sides.items()}
-            sign = 1.0 if m["better"] == "higher" else -1.0
-            base, new = spread(values["parent"]), spread(values["change"])
-            gain = sign * (new["median"] - base["median"])
-            wins = sum(sign * (c - p) > 0 for p, c in
-                       zip(values["parent"], values["change"]))
-            beyond_iqr = gain > base["q3"] - base["q1"]
-            metrics[m["name"]] = {
-                "unit": m["unit"], "better": m["better"],
-                "parent": base, "change": new,
-                "change_pct": (100.0 * (new["median"] / base["median"] - 1.0)
-                               if base["median"] else None),
-                "wins": wins,
-                "gain_beyond_parent_iqr": beyond_iqr,
-                "gain_rule_met": 10 * wins >= 9 * len(seeds) and beyond_iqr,
-                "worse_beyond_bound": gain < -m["bound"] * abs(base["median"]),
-            }
-        workloads[name] = {
-            "seeds": seeds,
-            "runs": len(seeds),
-            "seconds": sorted({r["seconds"] for recs in sides.values()
-                               for r in recs}),
-            "failed": {side: sum(r["result"]["failed"] for r in recs)
-                       for side, recs in sides.items()},
+        yield name, seeds, {"parent": [parent[name, s] for s in seeds],
+                            "change": [change[name, s] for s in seeds]}
+
+
+def _metric(m: dict, values: dict) -> dict:
+    """Each side's spread of metric `m`, the change in the median and the
+    change's wins over its pairs, from each side's `values` in seed
+    order."""
+    sign = 1.0 if m["better"] == "higher" else -1.0
+    base, new = spread(values["parent"]), spread(values["change"])
+    return {"unit": m["unit"], "better": m["better"],
+            "parent": base, "change": new,
+            "change_pct": (100.0 * (new["median"] / base["median"] - 1.0)
+                           if base["median"] else None),
+            "wins": sum(sign * (c - p) > 0 for p, c in
+                        zip(values["parent"], values["change"]))}
+
+
+def _end_to_end(seeds: list, sides: dict, spec: dict) -> dict:
+    """The end-to-end summary of one workload's untraced pairs."""
+    metrics = {}
+    for m in spec["end_to_end"]:
+        row = metrics[m["name"]] = _metric(m, {
+            side: [r["result"]["metrics"][m["name"]]["value"] for r in recs]
+            for side, recs in sides.items()})
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        base = row["parent"]
+        gain = sign * (row["change"]["median"] - base["median"])
+        beyond_iqr = gain > base["q3"] - base["q1"]
+        row["gain_beyond_parent_iqr"] = beyond_iqr
+        row["gain_rule_met"] = 10 * row["wins"] >= 9 * len(seeds) \
+            and beyond_iqr
+        row["worse_beyond_bound"] = gain < -m["bound"] * abs(base["median"])
+    return {
+        "seeds": seeds,
+        "runs": len(seeds),
+        "seconds": sorted({r["seconds"] for recs in sides.values()
+                           for r in recs}),
+        "failed": {side: sum(r["result"]["failed"] for r in recs)
+                   for side, recs in sides.items()},
+        "correct": {side: all(r["result"]["correct"] for r in recs)
+                    for side, recs in sides.items()},
+        "loadavg_1min": {side: spread([r["loadavg_before"][0]
+                                       for r in recs])
+                         for side, recs in sides.items()},
+        "metrics": metrics,
+    }
+
+
+def _per_layer(name: str, seeds: list, sides: dict, spec: dict) -> dict:
+    """The per-layer summary of one workload's traced pairs; raises
+    ValueError for a metric that only one side's runs all report."""
+    metrics = {}
+    for m in spec["per_layer"]:
+        values = {}
+        for side, recs in sides.items():
+            got = [r["result"]["metrics"].get(m["name"]) for r in recs]
+            if None not in got:
+                values[side] = [g["value"] for g in got]
+        if len(values) == 1:
+            raise ValueError(f"per-layer metric {m['name']} of {name} is "
+                             f"reported by the {', '.join(values)} side only")
+        if values and any(values["parent"] + values["change"]):
+            metrics[m["name"]] = _metric(m, values)
+    return {"seeds": seeds, "runs": len(seeds),
             "correct": {side: all(r["result"]["correct"] for r in recs)
                         for side, recs in sides.items()},
-            "loadavg_1min": {side: spread([r["loadavg_before"][0]
-                                           for r in recs])
-                             for side, recs in sides.items()},
-            "metrics": metrics,
-        }
-    return {"environment": json.loads(envs.pop()), "workloads": workloads}
+            "metrics": metrics}
+
+
+def compare(parent: dict, change: dict, spec: dict,
+            parent_traced: dict | None = None,
+            change_traced: dict | None = None) -> dict:
+    """The summary of paired runs, with a `per_layer` part when there are
+    traced runs; raises ValueError when the two sides do not pair up, the
+    runs report more than one environment, or only one side reports a
+    per-layer metric."""
+    if not parent:
+        raise ValueError("no *-trace0.json results to compare")
+    traced = (parent_traced or {}, change_traced or {})
+    summary = {
+        "environment": _environment(parent, change, *traced),
+        "workloads": {name: _end_to_end(seeds, sides, spec) for
+                      name, seeds, sides in _pairs(parent, change,
+                                                   "untraced")}}
+    if any(traced):
+        summary["per_layer"] = {
+            name: _per_layer(name, seeds, sides, spec)
+            for name, seeds, sides in _pairs(*traced, "traced")}
+    return summary
 
 
 def _num(value: float) -> str:
     return f"{value:.4g}"
 
 
-def table(summary: dict) -> str:
-    """The summary as the markdown table CHANGES.md quotes."""
-    lines = ["| workload (pairs, seeds) | metric | parent median [q1, q3] "
-             "| change median [q1, q3] | change | wins | flags |",
-             "|---|---|---|---|---|---|---|"]
-    for name, w in summary["workloads"].items():
+HEADER = ("| workload (pairs, seeds) | metric | parent median [q1, q3] "
+          "| change median [q1, q3] | change | wins |")
+
+
+def _rows(workloads: dict, flagged: bool) -> list[str]:
+    lines = []
+    for name, w in workloads.items():
         label = (f"`{name}` ({w['runs']}, {w['seeds'][0]}-{w['seeds'][-1]})"
                  if w["runs"] > 1 else f"`{name}` (1, {w['seeds'][0]})")
         for metric, m in w["metrics"].items():
@@ -128,12 +196,26 @@ def table(summary: dict) -> str:
                      for s in (m["parent"], m["change"])]
             pct = ("n/a" if m["change_pct"] is None
                    else f"{m['change_pct']:+.1f}%")
-            flags = ", ".join(flag.replace("_", " ") for flag in
-                              ("gain_rule_met", "worse_beyond_bound")
-                              if m[flag])
-            lines.append(f"| {label} | `{metric}` | {cells[0]} | {cells[1]} "
-                         f"| {pct} | {m['wins']}/{w['runs']} | {flags} |")
+            line = (f"| {label} | `{metric}` | {cells[0]} | {cells[1]} "
+                    f"| {pct} | {m['wins']}/{w['runs']} |")
+            if flagged:
+                line += " " + ", ".join(
+                    flag.replace("_", " ") for flag in
+                    ("gain_rule_met", "worse_beyond_bound") if m[flag]) + " |"
+            lines.append(line)
             label = ""
+    return lines
+
+
+def table(summary: dict) -> str:
+    """The summary as the markdown tables CHANGES.md quotes: end-to-end,
+    then per-layer when there are traced runs."""
+    lines = [HEADER + " flags |", "|---|---|---|---|---|---|---|",
+             *_rows(summary["workloads"], True)]
+    if "per_layer" in summary:
+        lines += ["\nPer-layer metrics, from the traced runs:\n", HEADER,
+                  "|---|---|---|---|---|---|",
+                  *_rows(summary["per_layer"], False)]
     if "tier1_s" in summary:
         lines.append("\nTier-1 wall time: parent {parent:.0f} s, change "
                      "{change:.0f} s".format(**summary["tier1_s"]))
@@ -152,7 +234,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
         summary = compare(load_runs(args.parent), load_runs(args.change),
-                          spec)
+                          spec, load_runs(args.parent, trace=1),
+                          load_runs(args.change, trace=1))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
