@@ -166,5 +166,9 @@ def load_model(path) -> Model:
         return Model(layers=layers, heads=heads, head_layers=head_layers,
                      task=task, kind=kind, input_dim=doc["input_dim"],
                      scaler=scaler, masks=masks)
+    except DataError as exc:
+        if str(path) in str(exc):    # the task check names the file itself
+            raise
+        raise DataError(f"model file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise DataError(f"model file is corrupt or incomplete: {path}") from exc

@@ -3,7 +3,14 @@
 Both methods keep the stored "shadow" weights W intact and compute with
 effective weights W * T, where T is a mask recomputed from the layer's
 current statistics (mu = mean |W|, std = standard deviation of W) at every
-training iteration. A layer's record keeps W * T; see :func:`apply_mask`.
+training iteration. Only surgery reads std. A layer's record keeps W * T;
+see :func:`apply_mask`.
+
+The refresh (:func:`refresh_mask`) is one pass over each record: it takes
+|W| once, mu from it, std only in surgery mode, and writes each step in
+place into temporaries of its own call, so a DSP refresh allocates four
+float arrays, not a dozen. It gives the same bits as computing every step
+into a new array with ``np.where`` selections, a form kept in the tests.
 
 The soft mask is a clipped logarithmic curve of the magnitude ratio
 |w| / (gamma * mu):
@@ -81,12 +88,19 @@ class PrunedLayer:
     effective: np.ndarray
 
 
+def _abs_and_mu(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """|w| in a fresh array, and mu = mean |w| as ``np.mean`` computes it:
+    the pairwise sum of the entries over their count."""
+    if w.size == 0:
+        raise ParameterError("layer_stats of an empty matrix")
+    aw = np.abs(w)
+    return aw, float(np.add.reduce(aw, axis=None) / aw.size)
+
+
 def layer_stats(w: np.ndarray) -> LayerStats:
     """mu = mean |w|, std = population standard deviation of w's entries."""
     w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
-        raise ParameterError("layer_stats of an empty matrix")
-    return LayerStats(mu=float(np.mean(np.abs(w))), std=float(np.std(w)))
+    return LayerStats(mu=_abs_and_mu(w)[1], std=float(np.std(w)))
 
 
 def new_pruned_layer(shadow: np.ndarray,
@@ -98,10 +112,11 @@ def new_pruned_layer(shadow: np.ndarray,
     return PrunedLayer(shadow, mask, multiplier=mask, effective=shadow * mask)
 
 
-def _dsp_pass(w: np.ndarray, stats: LayerStats,
+def _dsp_pass(aw: np.ndarray, mu: float,
               cfg: PruneConfig) -> tuple[np.ndarray, np.ndarray]:
     """The soft mask T = max((alpha/beta)*T~, T~) and its multiplier
-    d(w * T(w))/dw with mu treated as a constant, elementwise over w.
+    d(w * T(w))/dw with mu treated as a constant, elementwise over
+    aw = |w|, a fresh array of the caller's that the pass overwrites.
 
     When mu is 0 there is no magnitude information to prune on; the mask
     falls back to all ones. The multiplier is piecewise by the mask branch
@@ -115,31 +130,64 @@ def _dsp_pass(w: np.ndarray, stats: LayerStats,
       * growing branch (T = beta * log ratio): beta * (log ratio + 1).
     At branch boundaries the derivative of the branch the formula selects
     at that point is used.
+
+    Each step writes in place into a temporary of this call: besides aw,
+    the pass allocates three float arrays (two of them the results) and
+    three boolean ones, and at mu 0 two separate arrays of ones. The
+    branch coefficient is selected without a data-dependent branch, by
+    blending the bits of alpha and beta: whether the decaying branch wins
+    flips from entry to entry, and a per-entry select mispredicts on it.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if stats.mu == 0.0:
-        ones = np.ones_like(w)
-        return ones, ones
-    ratio = np.abs(w) / (cfg.gamma * stats.mu)
-    log_r = np.log(np.maximum(cfg.epsilon, ratio))
+    if mu == 0.0:
+        return np.ones_like(aw), np.ones_like(aw)
+    ratio = np.divide(aw, cfg.gamma * mu, out=aw)
+    constant = ratio <= cfg.epsilon
+    log_r = np.log(np.maximum(cfg.epsilon, ratio, out=ratio), out=ratio)
     grow = cfg.beta * log_r
-    t_tilde = np.minimum(cfg.r, grow)
+    constant |= grow >= cfg.r
+    t_tilde = np.minimum(cfg.r, grow, out=grow)
     scaled = (cfg.alpha / cfg.beta) * t_tilde
-    mask = np.maximum(scaled, t_tilde)
-    constant = (ratio <= cfg.epsilon) | (grow >= cfg.r)
-    coeff = np.where(scaled > t_tilde, cfg.alpha, cfg.beta)
-    return mask, np.where(constant, mask, coeff * (log_r + 1.0))
+    decaying = scaled > t_tilde
+    mask = np.maximum(scaled, t_tilde, out=scaled)
+    # alpha's bits where decaying, beta's elsewhere: 0 or (a ^ b), then ^ b
+    a, b = np.array([cfg.alpha, cfg.beta]).view(np.int64)
+    bits = decaying.astype(np.int64)
+    bits *= a ^ b
+    bits ^= b
+    coeff = bits.view(np.float64)
+    multiplier = np.multiply(coeff, np.add(log_r, 1.0, out=log_r), out=coeff)
+    np.copyto(multiplier, mask, where=constant)
+    return mask, multiplier
+
+
+def _surgery_pass(aw: np.ndarray, prev_mask: np.ndarray,
+                  omega: float) -> np.ndarray:
+    """The three-band mask over aw = |w|: 0 below 0.9*omega, prev_mask
+    inside the band, 1 at or above 1.1*omega, and 1 where aw is NaN.
+
+    aw >= 0, and 0.9*omega <= 1.1*omega whenever omega >= 0, so an entry
+    below 0.9*omega is also below 1.1*omega; for a negative omega no entry
+    is below either. So the mask is 1 wherever aw < 1.1*omega fails (NaN
+    included), 0 elsewhere, and prev_mask in the band.
+    """
+    low = aw < 0.9 * omega
+    below = aw < 1.1 * omega
+    mask = (~below).astype(np.float64)
+    np.copyto(mask, prev_mask, where=below & ~low)
+    return mask
 
 
 def dsp_mask(w: np.ndarray, stats: LayerStats, cfg: PruneConfig) -> np.ndarray:
     """Soft mask T = max((alpha/beta)*T~, T~), elementwise over w."""
-    return _dsp_pass(w, stats, cfg)[0]
+    return _dsp_pass(np.abs(np.asarray(w, dtype=np.float64)), stats.mu,
+                     cfg)[0]
 
 
 def dsp_mask_grad(w: np.ndarray, stats: LayerStats,
                   cfg: PruneConfig) -> np.ndarray:
     """Elementwise d(w * T(w)) / dw with mu treated as a constant."""
-    return _dsp_pass(w, stats, cfg)[1]
+    return _dsp_pass(np.abs(np.asarray(w, dtype=np.float64)), stats.mu,
+                     cfg)[1]
 
 
 def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
@@ -151,10 +199,8 @@ def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
         raise ShapeError(
             f"prev_mask shape {prev_mask.shape} != weight shape {w.shape}"
         )
-    omega = stats.mu + cfg.surgery_eta * stats.std
-    aw = np.abs(w)
-    return np.where(aw < 0.9 * omega, 0.0,
-                    np.where(aw < 1.1 * omega, prev_mask, 1.0))
+    return _surgery_pass(np.abs(w), prev_mask,
+                         stats.mu + cfg.surgery_eta * stats.std)
 
 
 def apply_mask(layer: PrunedLayer) -> np.ndarray:
@@ -178,16 +224,23 @@ def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
 
 def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
     """Recompute the mask (and in DSP mode its multiplier) from the
-    current shadow weights and their stats; then :func:`apply_mask` writes
-    the effective weights, but for mode "none", where they are the shadow."""
-    stats = layer_stats(layer.shadow)
-    if cfg.mode == MODE_DSP:
-        layer.mask, layer.multiplier = _dsp_pass(layer.shadow, stats, cfg)
-    elif cfg.mode == MODE_SURGERY:
-        layer.mask = surgery_mask(layer.shadow, layer.mask, stats, cfg)
-    else:
+    current shadow weights in one pass over the record; then
+    :func:`apply_mask` writes the effective weights, but for mode "none",
+    where they are the shadow.
+
+    The pass takes |w| once, mu from it, and the std only in surgery mode,
+    the one mode that reads it. It writes fresh arrays, never the record's
+    old ones: a new record's mask and multiplier are one array."""
+    if cfg.mode == MODE_NONE:
         layer.mask = np.ones_like(layer.shadow)
         layer.effective = layer.shadow
+        return
+    aw, mu = _abs_and_mu(layer.shadow)
+    if cfg.mode == MODE_DSP:
+        layer.mask, layer.multiplier = _dsp_pass(aw, mu, cfg)
+    else:
+        omega = mu + cfg.surgery_eta * float(np.std(layer.shadow))
+        layer.mask = _surgery_pass(aw, layer.mask, omega)
 
 
 def mask_curve(cfg: PruneConfig, stats: LayerStats,

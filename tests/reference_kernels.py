@@ -6,6 +6,9 @@ batch at once: the forms the branch-free, row-blocked kernels replaced.
 `head_predict` and `predict` are the head output and the eval forward of a
 model over whole-batch routings. `routing_backward` and `forest_backward`
 copy the backward pass, so a later rewrite of it is held to the same bits.
+`layer_stats`, `dsp_pass` and `surgery_mask` are the mask refresh as it was
+computed with a temporary for every step and `np.where` selections, before
+the refresh became one in-place pass per record.
 The kernels in `dnspn` must reproduce all of them bit for bit (see
 test_bit_identity.py).
 """
@@ -14,9 +17,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from dnspn.errors import ShapeError
+from dnspn.errors import ParameterError, ShapeError
 from dnspn.forest import CLASSIFICATION, RoutingProbs
 from dnspn.numeric import softmax_rows
+from dnspn.pruning import LayerStats
 
 
 def sigmoid_select(x):
@@ -141,3 +145,54 @@ def forest_backward(head, routing, activation, upstream):
     g_proj_b = g_z.sum(axis=0)
     g_act = g_z @ head.proj_w
     return g_proj_w, g_proj_b, g_routing_w, g_routing_b, g_leaf, g_act
+
+
+def layer_stats(w):
+    """mu = mean |w|, std = population standard deviation of w's entries."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.size == 0:
+        raise ParameterError("layer_stats of an empty matrix")
+    return LayerStats(mu=float(np.mean(np.abs(w))), std=float(np.std(w)))
+
+
+def dsp_pass(w, stats, cfg):
+    """The soft mask and its multiplier d(w * T(w))/dw with mu constant."""
+    w = np.asarray(w, dtype=np.float64)
+    if stats.mu == 0.0:
+        ones = np.ones_like(w)
+        return ones, ones
+    ratio = np.abs(w) / (cfg.gamma * stats.mu)
+    log_r = np.log(np.maximum(cfg.epsilon, ratio))
+    grow = cfg.beta * log_r
+    t_tilde = np.minimum(cfg.r, grow)
+    scaled = (cfg.alpha / cfg.beta) * t_tilde
+    mask = np.maximum(scaled, t_tilde)
+    constant = (ratio <= cfg.epsilon) | (grow >= cfg.r)
+    coeff = np.where(scaled > t_tilde, cfg.alpha, cfg.beta)
+    return mask, np.where(constant, mask, coeff * (log_r + 1.0))
+
+
+def surgery_mask(w, prev_mask, stats, cfg):
+    """Hard three-band mask around omega = mu + surgery_eta * std."""
+    w = np.asarray(w, dtype=np.float64)
+    prev_mask = np.asarray(prev_mask, dtype=np.float64)
+    if prev_mask.shape != w.shape:
+        raise ShapeError(
+            f"prev_mask shape {prev_mask.shape} != weight shape {w.shape}"
+        )
+    omega = stats.mu + cfg.surgery_eta * stats.std
+    aw = np.abs(w)
+    return np.where(aw < 0.9 * omega, 0.0,
+                    np.where(aw < 1.1 * omega, prev_mask, 1.0))
+
+
+def refresh_mask(layer, cfg):
+    """The mask refresh of one record, from the kernels above."""
+    stats = layer_stats(layer.shadow)
+    if cfg.mode == "dsp":
+        layer.mask, layer.multiplier = dsp_pass(layer.shadow, stats, cfg)
+    elif cfg.mode == "surgery":
+        layer.mask = surgery_mask(layer.shadow, layer.mask, stats, cfg)
+    else:
+        layer.mask = np.ones_like(layer.shadow)
+        layer.effective = layer.shadow

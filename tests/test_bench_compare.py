@@ -19,12 +19,13 @@ ENV = {"numpy": "2.0", "blas": "openblas 0.3", "cpu_count": 2,
 
 
 def write_run(results, workload, seed, scale, env=ENV, value=None,
-              trace=0, drop=()):
+              trace=0, drop=(), methods=()):
     """One result file whose every metric is `value`, or seed * scale when
     no value is given. A traced run (`trace=1`) reports the per-layer
     metrics, but for the `fcnn.` ones, which read 0 as in a workload
     without that method, and its traced end-to-end figures read 1000.
-    Metrics named in `drop` are left out."""
+    Metrics named in `drop` are left out. The i-th of `methods` (from 1)
+    gets `train.<method>` samples whose median is i * value."""
     value = seed * scale if value is None else value
     results.mkdir(parents=True, exist_ok=True)
     names = LAYER_METRICS if trace else METRICS
@@ -35,20 +36,27 @@ def write_run(results, workload, seed, scale, env=ENV, value=None,
                          "metrics": {name: {"value": 0.0 if name.startswith(
                              "fcnn.") else value, "unit": "x"}
                                      for name in names if name not in drop}}}
+    if methods:
+        record["scaled_samples"] = {
+            f"train.{m}": [i * value + 5.0, i * value - 1.0, i * value]
+            for i, m in enumerate(methods, 1)}
     if trace:
         record["traced_end_to_end"] = {name: 1000.0 for name in METRICS}
     (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(
         json.dumps(record))
 
 
+TRAINED = ("dnspn", "fcnn")
+
+
 @pytest.fixture
 def sides(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed in (1, 2, 3, 4):
-        write_run(parent, "deep-forest-train", seed, 1.0)
+        write_run(parent, "deep-forest-train", seed, 1.0, methods=TRAINED)
         # the change is 10% higher on three seeds and 10% lower on one
         write_run(change, "deep-forest-train", seed,
-                  0.9 if seed == 2 else 1.1)
+                  0.9 if seed == 2 else 1.1, methods=TRAINED)
         write_run(parent, "cli-serve", seed, 2.0)
         write_run(change, "cli-serve", seed, 2.0)
     # traced runs on other seeds: per-layer figures only, the change's
@@ -71,6 +79,8 @@ def test_same_inputs_same_bytes(sides, tmp_path, capsys):
         assert outs[0] == outs[1]
         assert outs[0][1].startswith("| workload (pairs, seeds) | metric |")
         assert "\nPer-layer metrics, from the traced runs:\n" in outs[0][1]
+        assert ("\nEach method's training rate, from the untraced runs:\n"
+                in outs[0][1])
 
 
 def test_medians_quartiles_and_wins(sides, tmp_path, capsys):
@@ -206,4 +216,41 @@ def test_unpaired_traced_runs_rejected(sides, tmp_path, capsys):
                                str(tmp_path / "x.json")]) == 2
     assert "traced runs have different workloads or seeds" in \
         capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_per_method_rates(sides, tmp_path, capsys):
+    parent, change = sides
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(parent), str(change), str(out)]) == 0
+    summary = json.loads(out.read_text())
+    # cli-serve trains no method, and traced runs are not read
+    assert sorted(summary["per_method"]) == ["deep-forest-train"]
+    deep = summary["per_method"]["deep-forest-train"]
+    assert deep["seeds"] == [1, 2, 3, 4] and deep["runs"] == 4
+    assert sorted(deep["metrics"]) == ["train_sps.dnspn", "train_sps.fcnn"]
+    dnspn = deep["metrics"]["train_sps.dnspn"]
+    # each run's rate is the median of its samples: seed * scale
+    assert dnspn["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert dnspn["wins"] == 3 and dnspn["better"] == "higher"
+    assert dnspn["unit"] == "1/s"
+    assert "gain_rule_met" not in dnspn
+    fcnn = deep["metrics"]["train_sps.fcnn"]
+    assert fcnn["parent"] == {"median": 5.0, "q1": 3.5, "q3": 6.5}
+    table = capsys.readouterr().out
+    rates = table.split("\nEach method's training rate, from the untraced "
+                        "runs:\n")[1].split("\nPer-layer metrics")[0]
+    assert ("| `deep-forest-train` (4, 1-4) | `train_sps.dnspn` | 2.5 "
+            "[1.75, 3.25] |") in rates
+    assert "|  | `train_sps.fcnn` | 5 [3.5, 6.5] |" in rates
+
+
+def test_one_sided_method_rate_refused(sides, tmp_path, capsys):
+    parent, change = sides
+    write_run(change, "deep-forest-train", 3, 1.1, methods=("dnspn",))
+    assert bench_compare.main([str(parent), str(change),
+                               str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: training rate train.fcnn of deep-forest-train is missing "
+        "from runs of the change side\n")
     assert not (tmp_path / "x.json").exists()

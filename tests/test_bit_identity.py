@@ -1,19 +1,22 @@
-"""The routing kernels reproduce their reference forms bit for bit.
+"""The routing and mask kernels reproduce their reference forms bit for bit.
 
 The references in reference_kernels.py are the sign-select sigmoid, the
 routing loop that built each level from temporaries over the whole batch,
-the head output and eval forward over such routings, and a copy of the
-forest backward, all in tree-major node order. The kernels work in
-level-major order, so their decisions are mapped back before they are
-compared. Every comparison is on the raw float64 bits, so signs of zero and
-NaN payloads count too.
+the head output and eval forward over such routings, a copy of the forest
+backward, all in tree-major node order, and the mask refresh as it was
+computed with a temporary a step and `np.where` selections. The kernels
+work in level-major order, so their decisions are mapped back before they
+are compared. Every comparison is on the raw float64 bits, so signs of zero
+and NaN payloads count too.
 """
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
-from dnspn.data import Task
+import dnspn.training
+from dnspn.cli import main
+from dnspn.data import SyntheticSpec, Task, gen_linear_k, write_csv
 import dnspn.forest
 from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
                           _decisions, _leaf_probs, _level_order,
@@ -21,7 +24,9 @@ from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
                           predict_regress, route)
 from dnspn.model_io import load_model, save_model
 from dnspn.numeric import RngState, sigmoid
-from dnspn.pruning import MODE_DSP, PruneConfig
+from dnspn.pruning import (MODE_DSP, MODE_SURGERY, PruneConfig, apply_mask,
+                           dsp_mask, dsp_mask_grad, layer_stats,
+                           new_pruned_layer, refresh_mask, surgery_mask)
 from dnspn.training import (AdamState, TrainConfig, build_forest_model,
                             gradients, predict, refresh_masks, train_step)
 
@@ -388,3 +393,177 @@ def test_memoized_leaf_softmax_is_read_only(monkeypatch):
     for name, a, b in zip(GRADS, g, w, strict=True):
         assert_same_bits(a, b, name)
     assert _leaf_probs(head) is probs and len(leaves) == 1
+
+
+# ---------------------------------------------------------------------------
+# The mask refresh
+# ---------------------------------------------------------------------------
+
+def _random_matrices():
+    """40 random matrices of assorted shapes and scales, a tenth of their
+    entries exact zeros of either sign."""
+    rng = np.random.default_rng(31)
+    out = []
+    for i in range(40):
+        shape = tuple(int(n) for n in rng.integers(1, 120, size=2))
+        w = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        zeros = rng.random(shape) < 0.1
+        w[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+        out.append(w)
+    return out
+
+
+def _special_matrices():
+    """name -> a matrix at an edge of the refresh."""
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=(60, 40))
+    signed_zeros = w.copy()
+    signed_zeros[::3] = 0.0
+    signed_zeros[1::3] = -0.0
+    return {"scaled 1e-8": w * 1e-8, "scaled 1e-14": w * 1e-14,
+            "scaled 1e300": w * 1e300, "signed zeros": signed_zeros,
+            "all +0": np.zeros((5, 7)), "all -0": np.full((5, 7), -0.0),
+            "one entry": np.array([[-0.3]]), "one zero": np.array([[0.0]]),
+            "equal magnitudes": np.array([[0.5, -0.5], [-0.5, 0.5]]),
+            "one huge entry": np.where(np.eye(9) > 0, 1e300, 1e-300)}
+
+
+MATRICES = {**{f"random {i}": w for i, w in enumerate(_random_matrices())},
+            **_special_matrices()}
+
+DSP_CONFIGS = {
+    "default": PruneConfig(mode=MODE_DSP),
+    "alpha -0": PruneConfig(mode=MODE_DSP, alpha=-0.0),
+    "beta 2.5": PruneConfig(mode=MODE_DSP, beta=2.5),
+    "alpha > beta": PruneConfig(mode=MODE_DSP, alpha=3.0, beta=0.5),
+    "gamma r epsilon": PruneConfig(mode=MODE_DSP, alpha=0.01, gamma=0.6,
+                                   r=1.7, epsilon=1e-3),
+}
+
+
+def _record(w, mask=None):
+    return new_pruned_layer(np.array(w, dtype=np.float64), mask)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(DSP_CONFIGS))
+def test_dsp_refresh_matches_reference(cfg_name):
+    cfg = DSP_CONFIGS[cfg_name]
+    for name, w in MATRICES.items():
+        with np.errstate(all="ignore"):
+            stats = ref.layer_stats(w)
+            want_mask, want_mult = ref.dsp_pass(w, stats, cfg)
+            got = _record(w)
+            refresh_mask(got, cfg)
+            mine = layer_stats(w)
+            assert_same_bits(got.mask, want_mask, f"{name}: refresh mask")
+            assert_same_bits(got.multiplier, want_mult,
+                             f"{name}: refresh multiplier")
+            assert_same_bits(dsp_mask(w, stats, cfg), want_mask,
+                             f"{name}: dsp_mask")
+            assert_same_bits(dsp_mask_grad(w, stats, cfg), want_mult,
+                             f"{name}: dsp_mask_grad")
+        assert_same_bits(mine.mu, stats.mu, f"{name}: mu")
+        assert_same_bits(mine.std, stats.std, f"{name}: std")
+
+
+def _prev_masks(shape):
+    """name -> a previous surgery mask of `shape`."""
+    rng = np.random.default_rng(33)
+    return {"zeros": np.zeros(shape), "ones": np.ones(shape),
+            "arbitrary": rng.normal(size=shape) * 3.0,
+            "mixed": rng.choice([0.0, -0.0, 1.0, 0.25], size=shape)}
+
+
+SURGERY_CONFIGS = {"default": PruneConfig(mode=MODE_SURGERY),
+                   "eta 1.5": PruneConfig(mode=MODE_SURGERY, surgery_eta=1.5),
+                   "eta -40": PruneConfig(mode=MODE_SURGERY,
+                                          surgery_eta=-40.0)}
+
+
+@pytest.mark.parametrize("cfg_name", sorted(SURGERY_CONFIGS))
+def test_surgery_refresh_matches_reference(cfg_name):
+    cfg = SURGERY_CONFIGS[cfg_name]
+    for name, w in MATRICES.items():
+        for prev_name, prev in _prev_masks(w.shape).items():
+            what = f"{name}, prev {prev_name}"
+            with np.errstate(all="ignore"):
+                stats = ref.layer_stats(w)
+                want = ref.surgery_mask(w, prev, stats, cfg)
+                got = _record(w, prev.copy())
+                refresh_mask(got, cfg)
+                assert_same_bits(got.mask, want, f"{what}: refresh")
+                assert_same_bits(surgery_mask(w, prev, stats, cfg), want,
+                                 f"{what}: surgery_mask")
+
+
+def test_surgery_with_nan_entries_matches_reference():
+    rng = np.random.default_rng(34)
+    w = rng.normal(size=(30, 20))
+    w[rng.random(w.shape) < 0.1] = np.nan
+    for prev_name, prev in _prev_masks(w.shape).items():
+        for stats in (ref.layer_stats(np.nan_to_num(w)), ref.layer_stats(w)):
+            want = ref.surgery_mask(w, prev, stats, SURGERY_CONFIGS["default"])
+            got = surgery_mask(w, prev, stats, SURGERY_CONFIGS["default"])
+            assert_same_bits(got, want, f"prev {prev_name}, mu {stats.mu}")
+    got = _record(w, np.zeros(w.shape))
+    refresh_mask(got, SURGERY_CONFIGS["default"])
+    assert_same_bits(got.mask, ref.surgery_mask(
+        w, np.zeros(w.shape), ref.layer_stats(w), SURGERY_CONFIGS["default"]),
+        "refresh")
+
+
+@pytest.mark.parametrize("mode", ["none", MODE_DSP, MODE_SURGERY])
+def test_refresh_leaves_no_shared_arrays(mode):
+    # a new record's mask and multiplier are one array; after a refresh no
+    # two of mask, multiplier, effective and shadow share memory, but for
+    # mode "none", whose effective weights are the shadow itself
+    cfg = PruneConfig(mode=mode, alpha=0.5)
+    for w in (np.random.default_rng(35).normal(size=(20, 30)),
+              np.zeros((4, 4))):
+        pl = new_pruned_layer(w)
+        assert pl.mask is pl.multiplier
+        old, old_bits = pl.mask, pl.mask.copy()
+        refresh_mask(pl, cfg)
+        if mode != "none":
+            apply_mask(pl)
+        arrays = {"mask": pl.mask, "multiplier": pl.multiplier,
+                  "effective": pl.effective, "shadow": pl.shadow}
+        for a in arrays:
+            for b in arrays:
+                if a < b and not (mode == "none" and {a, b} == {
+                        "effective", "shadow"}):
+                    assert not np.shares_memory(arrays[a], arrays[b]), \
+                        (mode, a, b)
+        if mode == "none":
+            assert pl.effective is pl.shadow
+        # the refresh wrote fresh arrays, not the record's old ones
+        assert_same_bits(old, old_bits, (mode, "old mask"))
+
+
+def _fit_outputs(tmp_path, method, regress=False):
+    """history.csv and model.json of a 2-epoch `train` run on 100 features."""
+    data = tmp_path / "linear.csv"
+    if not data.exists():
+        write_csv(data, gen_linear_k(SyntheticSpec(
+            kind="linear", k=3, sigma=0.5, n_train=300, n_test=0, seed=5)))
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    argv = ["train", "--data", str(data), "--method", method, "--epochs",
+            "2", "--trees", "3", "--depth", "3", "--embed", "2",
+            "--seed", "6", "--out", str(out)]
+    if regress:
+        argv += ["--task", "regress"]
+    assert main(argv) == 0
+    (run,) = [p for p in out.iterdir() if p.is_dir()]
+    return {name: (run / name).read_bytes()
+            for name in ("history.csv", "model.json")}
+
+
+@pytest.mark.parametrize("method,regress", [("dnspn", False),
+                                            ("surgery", False),
+                                            ("dnspn", True)])
+def test_fit_matches_reference_refresh(method, regress, tmp_path,
+                                       monkeypatch):
+    got = _fit_outputs(tmp_path, method, regress)
+    monkeypatch.setattr(dnspn.training, "refresh_mask", ref.refresh_mask)
+    want = _fit_outputs(tmp_path, method, regress)
+    assert got == want

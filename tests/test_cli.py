@@ -689,6 +689,23 @@ class TestLoadModelValidation:
         assert capsys.readouterr().err.startswith(
             f"data error: model file {path} has an inconsistent task: ")
 
+    @pytest.mark.parametrize("name,message", [
+        ("head kind", "head 0 does not fit the task"),
+        ("activation", "layer 0 activation is not relu/identity"),
+        ("layer bias short", "layer 0 bias has shape (3,), expected (4,)"),
+    ])
+    def test_model_error_names_the_file(self, name, message, small_model,
+                                        tmp_path, capsys):
+        doc, data = small_model
+        doc = json.loads(json.dumps(doc))
+        MODEL_MUTATIONS[name](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 3
+        assert capsys.readouterr().err == (
+            f"data error: model file {path}: {message}\n")
+
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_corruption_is_a_data_error(self, name, small_model, tmp_path,
                                         capsys):

@@ -23,6 +23,13 @@ operations and load average, the environment the runs report (BLAS and
 its threads, numpy, the CPU count) and, when `--tier1-s` gives them, each
 side's Tier-1 wall time in seconds.
 
+A workload that trains several methods pools them into one `train_sps`.
+So each method's own rate, the median of a run's `train.<method>` samples
+in `scaled_samples`, is summarized over the untraced pairs under a
+separate `per_method` key: each side's median and quartiles, the change in
+the median and the wins, with no flags. A method that only one side's runs
+report is refused.
+
 The traced pairs (`*-trace1.json`), when there are any, are summarized the
 same way under a separate `per_layer` key: for each per-layer metric of
 BENCHMARK.json, each side's median and quartiles, the change in the
@@ -135,6 +142,31 @@ def _end_to_end(seeds: list, sides: dict, spec: dict) -> dict:
     }
 
 
+RATE = {"unit": "1/s", "better": "higher"}
+TRAIN_OP = "train."
+
+
+def _per_method(name: str, seeds: list, sides: dict) -> dict:
+    """Each method's training rate over one workload's untraced pairs;
+    raises ValueError for a method that some runs do not report."""
+    methods = sorted({op[len(TRAIN_OP):] for recs in sides.values()
+                      for r in recs for op in r.get("scaled_samples", {})
+                      if op.startswith(TRAIN_OP)})
+    metrics = {}
+    for method in methods:
+        op = TRAIN_OP + method
+        missing = [side for side, recs in sides.items()
+                   if any(op not in r.get("scaled_samples", {})
+                          for r in recs)]
+        if missing:
+            raise ValueError(f"training rate {op} of {name} is missing "
+                             f"from runs of the {', '.join(missing)} side")
+        metrics[f"train_sps.{method}"] = _metric(RATE, {
+            side: [median(r["scaled_samples"][op]) for r in recs]
+            for side, recs in sides.items()})
+    return {"seeds": seeds, "runs": len(seeds), "metrics": metrics}
+
+
 def _per_layer(name: str, seeds: list, sides: dict, spec: dict) -> dict:
     """The per-layer summary of one workload's traced pairs; raises
     ValueError for a metric that only one side's runs all report."""
@@ -159,18 +191,24 @@ def _per_layer(name: str, seeds: list, sides: dict, spec: dict) -> dict:
 def compare(parent: dict, change: dict, spec: dict,
             parent_traced: dict | None = None,
             change_traced: dict | None = None) -> dict:
-    """The summary of paired runs, with a `per_layer` part when there are
-    traced runs; raises ValueError when the two sides do not pair up, the
-    runs report more than one environment, or only one side reports a
-    per-layer metric."""
+    """The summary of paired runs, with a `per_method` part when a
+    workload trains methods, and a `per_layer` part when there are traced
+    runs; raises ValueError when the two sides do not pair up, the runs
+    report more than one environment, or only one side reports a
+    per-layer metric or a method's rate."""
     if not parent:
         raise ValueError("no *-trace0.json results to compare")
     traced = (parent_traced or {}, change_traced or {})
+    pairs = list(_pairs(parent, change, "untraced"))
     summary = {
         "environment": _environment(parent, change, *traced),
-        "workloads": {name: _end_to_end(seeds, sides, spec) for
-                      name, seeds, sides in _pairs(parent, change,
-                                                   "untraced")}}
+        "workloads": {name: _end_to_end(seeds, sides, spec)
+                      for name, seeds, sides in pairs}}
+    methods = {name: _per_method(name, seeds, sides)
+               for name, seeds, sides in pairs}
+    methods = {name: m for name, m in methods.items() if m["metrics"]}
+    if methods:
+        summary["per_method"] = methods
     if any(traced):
         summary["per_layer"] = {
             name: _per_layer(name, seeds, sides, spec)
@@ -209,9 +247,14 @@ def _rows(workloads: dict, flagged: bool) -> list[str]:
 
 def table(summary: dict) -> str:
     """The summary as the markdown tables CHANGES.md quotes: end-to-end,
-    then per-layer when there are traced runs."""
+    then per-method when a workload trains methods, then per-layer when
+    there are traced runs."""
     lines = [HEADER + " flags |", "|---|---|---|---|---|---|---|",
              *_rows(summary["workloads"], True)]
+    if "per_method" in summary:
+        lines += ["\nEach method's training rate, from the untraced "
+                  "runs:\n", HEADER, "|---|---|---|---|---|---|",
+                  *_rows(summary["per_method"], False)]
     if "per_layer" in summary:
         lines += ["\nPer-layer metrics, from the traced runs:\n", HEADER,
                   "|---|---|---|---|---|---|",
