@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (CLASSIFICATION, Dataset, SyntheticSpec, generate,
-                   load_csv, split, standardize, train_test, write_csv)
+from .data import (CLASSIFICATION, Dataset, SyntheticSpec, float_lines,
+                   generate, load_csv, split, standardize, train_test,
+                   write_csv)
 from .errors import (DataError, DnspnError, MetricError, NumericError,
                      ParameterError, ShapeError, UsageError, reading)
 from .forest import check_shape
@@ -277,6 +278,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = run_dir(args.out, "evaluate", {}, args.force,
+                  {"model": str(args.model), "data": str(args.data)})
     model = load_model(args.model)
     task_kind = model.task.kind
     ds = load_csv(args.data, args.label_col, task_kind)
@@ -298,8 +301,6 @@ def cmd_evaluate(args) -> int:
     doc = report.to_dict()
     doc["sparsity"] = backbone_sparsity(model)
     doc["model"] = str(args.model)
-    out = run_dir(args.out, "evaluate", {}, args.force,
-                  {"model": str(args.model), "data": str(args.data)})
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", doc)
     print(json.dumps(doc, sort_keys=True))
@@ -371,10 +372,8 @@ def cmd_mask_curve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for mode, table in tables.items():
         with open(out / f"curve_{mode}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["w", "mask", "effective"])
-            for row in table:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(["w", "mask", "effective"])
+            fh.writelines(float_lines(table))
     print(f"wrote {out}/curve_dsp.csv, curve_surgery.csv")
     return 0
 

@@ -12,7 +12,9 @@ signal stays recoverable.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,10 @@ BASE_DIM = 100
 # Most rows (n_train + n_test) a synthetic dataset may have: 87x the
 # paper's 12,000, and 800 MiB of features.
 MAX_ROWS = 2 ** 20
+
+# Rows a CSV writer turns into Python floats at once: enough to amortize
+# the call, few enough that a 10^6-row table is never held as floats whole.
+ROW_BLOCK = 1024
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -249,6 +255,19 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Scaler
     return tr, te, scaler
 
 
+def _bad_cell(rownum: int, row: list, header: list, feat_idx: list) -> str:
+    """The error for the first feature cell of `row` that is not a finite
+    float, naming its row and column."""
+    for i in feat_idx:
+        try:
+            finite = math.isfinite(float(row[i]))
+        except ValueError:
+            return (f"row {rownum}: column {header[i]!r} value {row[i]!r} "
+                    "is not numeric")
+        if not finite:
+            return f"row {rownum}: column {header[i]!r} is non-finite"
+
+
 def load_csv(path, label_column, task_kind: str) -> Dataset:
     """Load a headered numeric CSV, mapping labels to dense indices.
 
@@ -258,6 +277,11 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     rows, and a feature column whose mean or variance overflows float64 is
     rejected here, where the error can name the file. Classification labels
     are mapped to indices by sorted order of their distinct string values.
+
+    Each cell is read by Python's `float`, so `1_000`, ` 2.5 ` and `+3`
+    load. A row's feature cells are parsed in one `map(float, ...)` and
+    checked in one pass; only a row that fails is walked cell by cell, to
+    name the first bad column.
     """
     if task_kind not in (CLASSIFICATION, REGRESSION):
         raise ParameterError(f"unknown task kind {task_kind!r}")
@@ -302,20 +326,12 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                 bad.append(f"row {rownum}: expected {len(header)} cells, "
                            f"got {len(row)}")
                 continue
-            feats = []
-            for i in feat_idx:
-                try:
-                    v = float(row[i])
-                except ValueError:
-                    bad.append(f"row {rownum}: column {header[i]!r} value "
-                               f"{row[i]!r} is not numeric")
-                    break
-                if not math.isfinite(v):
-                    bad.append(f"row {rownum}: column {header[i]!r} is "
-                               "non-finite")
-                    break
-                feats.append(v)
-            if len(feats) < len(feat_idx):
+            try:
+                feats = list(map(float, row[:label_idx] + row[label_idx + 1:]))
+            except ValueError:
+                feats = None
+            if feats is None or not all(map(math.isfinite, feats)):
+                bad.append(_bad_cell(rownum, row, header, feat_idx))
                 continue
             label_cell = row[label_idx].strip()
             if not label_cell:
@@ -357,18 +373,51 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                              labels=names))
 
 
+def float_lines(X: np.ndarray, last: Iterable[str] | None = None
+                ) -> Iterator[str]:
+    """The CSV lines of the rows of the float matrix `X`, each ended by the
+    matching cell of `last` (already rendered as CSV) when it is given.
+
+    Each float is written by `float.__repr__` and the line ends in `\\r\\n`:
+    the bytes `csv.writer` writes for a row of `repr(float(v))` cells, as
+    no float's repr holds a comma, a quote or a line break. The rows are
+    turned into Python floats `ROW_BLOCK` at a time and the lines yielded
+    one by one, so a long table is written as it is formatted.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    cells = None if last is None else iter(last)
+    for start in range(0, len(X), ROW_BLOCK):
+        for row in X[start:start + ROW_BLOCK].tolist():
+            line = ",".join(map(float.__repr__, row))
+            yield (line + "\r\n" if cells is None
+                   else f"{line},{next(cells)}\r\n")
+
+
+def _label_cells(ds: Dataset) -> Iterator[str]:
+    """Each row's label as a CSV cell: a regression target by
+    `float.__repr__`; a class by its name, quoted as `csv.writer` quotes
+    it in a row of several cells, rendered once for each class present."""
+    if ds.task.kind != CLASSIFICATION:
+        return map(float.__repr__,
+                   np.asarray(ds.y, dtype=np.float64).tolist())
+    ys = ds.y.tolist()
+    cells = {}
+    for c in set(ys):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(
+            ["", ds.task.labels[c] if ds.task.labels else str(int(c))])
+        cells[c] = buf.getvalue()[1:-2]     # less the lead "," and "\r\n"
+    return map(cells.__getitem__, ys)
+
+
 def write_csv(path, ds: Dataset) -> None:
-    """Write features f0..f{d-1} plus a final `label` column."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.d)] + ["label"])
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.X[i]]
-            if ds.task.kind == CLASSIFICATION:
-                name = (ds.task.labels[ds.y[i]] if ds.task.labels
-                        else str(int(ds.y[i])))
-                row.append(name)
-            else:
-                row.append(repr(float(ds.y[i])))
-            writer.writerow(row)
+    """Write features f0..f{d-1} plus a final `label` column.
+
+    The bytes are those of `csv.writer` (`\\r\\n` line ends) over rows of
+    `repr(float(v))` features and the label: a float by `float.__repr__`,
+    so it reads back bit for bit, and a class name quoted where the csv
+    module quotes it. The file is written a row at a time.
+    """
+    with open(Path(path), "w", newline="") as fh:
+        csv.writer(fh).writerow([f"f{i}" for i in range(ds.d)] + ["label"])
+        fh.writelines(float_lines(ds.X, _label_cells(ds)))

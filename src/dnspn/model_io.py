@@ -3,13 +3,21 @@
 The document holds the architecture, every layer's shadow weights and bias,
 all forest-head parameters, the current pruning masks (so effective weights
 reconstruct exactly), the task description, and the feature scaler fitted
-at training time. Floats are serialized through repr, so a save/load round
-trip is bit-exact.
+at training time.
+
+Every JSON file the package writes goes through `write_json`: the bytes of
+`json.dump(doc, sort_keys=True, indent=1)` and a newline, one float a line,
+each by `float.__repr__`, so a save/load round trip is bit-exact. It writes
+a list of finite floats (a weight row, a bias) as one joined string and the
+file an array at a time; `tests/reference_kernels.py` keeps the `json.dump`
+form that the tests hold it to.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +46,69 @@ def _floats(value, what: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _key(key) -> str:
+    """A dict key as `json` writes it: a str as is, and an int, float,
+    bool or None key by its JSON form, quoted."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _chunks(value, indent: str) -> Iterator[str]:
+    """The text of `value` at nesting `indent`, as
+    `json.dump(sort_keys=True, indent=1)` writes it, a chunk at a time.
+
+    A nonempty list of finite floats (a weight row, a bias, a mask row) is
+    one chunk, its floats by `float.__repr__` joined at the inner indent.
+    Any other list, and every dict, is walked item by item; each scalar is
+    written by `json.dumps`, whose C encoder writes it as `json.dump` does.
+    """
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        sep = "{\n"
+        for key, item in sorted(value.items()):
+            yield f"{sep}{inner}{_key(key)}: "
+            yield from _chunks(item, inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        try:
+            floats = f",\n{inner}".join(map(float.__repr__, value))
+        except TypeError:                   # an item that is not a float
+            floats = None
+        if floats is not None and all(map(math.isfinite, value)):
+            yield f"[\n{inner}{floats}\n{indent}]"
+            return
+        sep = "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _chunks(item, inner)
+            sep = ",\n"
+        yield f"\n{indent}]"
+    else:
+        yield json.dumps(value)
+
+
 def write_json(path, doc: dict) -> None:
-    """Every JSON file the package writes: sorted keys, indent 1, newline."""
+    """Every JSON file the package writes: sorted keys, indent 1, newline.
+
+    The bytes are those of `json.dump(doc, fh, sort_keys=True, indent=1)`
+    and a newline: one float a line at its nesting indent, each by
+    `float.__repr__`, so a float reads back bit for bit. The document is
+    written an array at a time, each list of finite floats as one joined
+    string, not through `json`'s pure-Python indenting encoder.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.writelines(_chunks(doc, ""))
         fh.write("\n")
 
 

@@ -11,13 +11,24 @@ computed with a temporary for every step and `np.where` selections, before
 the refresh became one in-place pass per record.
 The kernels in `dnspn` must reproduce all of them bit for bit (see
 test_bit_identity.py).
+
+`write_json`, `write_csv`, `write_curve` and `load_csv` are the text files
+as they were written and read a cell at a time, through `json.dump`,
+`csv.writer.writerow` and one `float` per feature cell: the files the
+CLI writes must keep their bytes, and a malformed CSV its message.
 """
 
+import csv
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from dnspn.errors import ParameterError, ShapeError
+from dnspn.data import (CLASSIFICATION, REGRESSION, Dataset, Task,
+                        _column_stats)
+from dnspn.errors import DataError, ParameterError, ShapeError, reading
 from dnspn.forest import CLASSIFICATION, RoutingProbs
 from dnspn.numeric import softmax_rows
 from dnspn.pruning import LayerStats
@@ -196,3 +207,136 @@ def refresh_mask(layer, cfg):
     else:
         layer.mask = np.ones_like(layer.shadow)
         layer.effective = layer.shadow
+
+
+def write_json(path, doc):
+    """A JSON file: sorted keys, indent 1, newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def write_csv(path, ds):
+    """Write features f0..f{d-1} plus a final `label` column."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(ds.d)] + ["label"])
+        for i in range(ds.n):
+            row = [repr(float(v)) for v in ds.X[i]]
+            if ds.task.kind == CLASSIFICATION:
+                name = (ds.task.labels[ds.y[i]] if ds.task.labels
+                        else str(int(ds.y[i])))
+                row.append(name)
+            else:
+                row.append(repr(float(ds.y[i])))
+            writer.writerow(row)
+
+
+def write_curve(path, table):
+    """A `mask-curve` CSV of the (w, mask, effective) rows of `table`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["w", "mask", "effective"])
+        for row in table:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def load_csv(path, label_column, task_kind):
+    """Load a headered numeric CSV, mapping labels to dense indices."""
+    if task_kind not in (CLASSIFICATION, REGRESSION):
+        raise ParameterError(f"unknown task kind {task_kind!r}")
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"dataset file not found: {path}")
+    with reading(path, "dataset file"), open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"empty dataset file: {path}") from None
+        header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header)
+                         if h in header[:i]), None)
+        if repeated is not None:
+            raise DataError(f"dataset file {path} repeats the column name "
+                            f"{repeated!r} in its header")
+        if isinstance(label_column, int) or (
+                isinstance(label_column, str) and label_column.lstrip("-").isdigit()
+                and label_column not in header):
+            idx = int(label_column)
+            if not -len(header) <= idx < len(header):
+                raise DataError(f"label column index {idx} out of range "
+                                f"for the {len(header)} columns of {path}")
+            label_idx = idx % len(header)
+        else:
+            if label_column not in header:
+                raise DataError(f"label column {label_column!r} not in the "
+                                f"header of {path}")
+            label_idx = header.index(label_column)
+
+        feat_idx = [i for i in range(len(header)) if i != label_idx]
+        if not feat_idx:
+            raise DataError(f"dataset file {path} has no feature column, "
+                            f"only the label column {header[label_idx]!r}")
+        rows, labels, bad = [], [], []
+        for rownum, row in enumerate(reader, start=2):   # 1-based incl. header
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                bad.append(f"row {rownum}: expected {len(header)} cells, "
+                           f"got {len(row)}")
+                continue
+            feats = []
+            for i in feat_idx:
+                try:
+                    v = float(row[i])
+                except ValueError:
+                    bad.append(f"row {rownum}: column {header[i]!r} value "
+                               f"{row[i]!r} is not numeric")
+                    break
+                if not math.isfinite(v):
+                    bad.append(f"row {rownum}: column {header[i]!r} is "
+                               "non-finite")
+                    break
+                feats.append(v)
+            if len(feats) < len(feat_idx):
+                continue
+            label_cell = row[label_idx].strip()
+            if not label_cell:
+                bad.append(f"row {rownum}: label is empty")
+                continue
+            if task_kind == REGRESSION:
+                try:
+                    target = float(label_cell)
+                except ValueError:
+                    bad.append(f"row {rownum}: label {label_cell!r} is not "
+                               "numeric")
+                    continue
+                if not math.isfinite(target):
+                    bad.append(f"row {rownum}: label is non-finite")
+                    continue
+                labels.append(target)
+            else:
+                labels.append(label_cell)
+            rows.append(feats)
+    if bad:
+        raise DataError("malformed rows in " + str(path) + ": "
+                        + "; ".join(bad[:10]))
+    if not rows:
+        raise DataError(f"dataset has no data rows: {path}")
+
+    X = np.asarray(rows, dtype=np.float64)
+    _column_stats(X, str(path))
+    if task_kind == REGRESSION:
+        y = np.asarray(labels, dtype=np.float64)
+        return Dataset(X=X, y=y, task=Task(kind=REGRESSION))
+    names = sorted(set(labels))
+    if len(names) < 2:
+        raise DataError(f"classification dataset {path} has fewer than 2 "
+                        "classes")
+    mapping = {name: i for i, name in enumerate(names)}
+    y = np.asarray([mapping[v] for v in labels], dtype=np.int64)
+    return Dataset(X=X, y=y,
+                   task=Task(kind=CLASSIFICATION, n_classes=len(names),
+                             labels=names))

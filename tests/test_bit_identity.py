@@ -8,27 +8,41 @@ computed with a temporary a step and `np.where` selections. The kernels
 work in level-major order, so their decisions are mapped back before they
 are compared. Every comparison is on the raw float64 bits, so signs of zero
 and NaN payloads count too.
+
+The text files are held to their bytes: every JSON file the CLI writes
+against `json.dump`, the dataset and mask-curve CSVs against
+`csv.writer`, and `load_csv`'s values and messages against the loader that
+parsed one cell at a time.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
+import dnspn.cli
+import dnspn.model_io
 import dnspn.training
 from dnspn.cli import main
-from dnspn.data import SyntheticSpec, Task, gen_linear_k, write_csv
+from dnspn.data import (Dataset, SyntheticSpec, Task, gen_linear_k, gen_xor,
+                        load_csv, write_csv)
+from dnspn.errors import DataError
 import dnspn.forest
 from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
                           _decisions, _leaf_probs, _level_order,
                           forest_backward, init_head, predict_class,
                           predict_regress, route)
-from dnspn.model_io import load_model, save_model
+from dnspn.model_io import load_model, save_model, write_json
 from dnspn.numeric import RngState, sigmoid
-from dnspn.pruning import (MODE_DSP, MODE_SURGERY, PruneConfig, apply_mask,
-                           dsp_mask, dsp_mask_grad, layer_stats,
-                           new_pruned_layer, refresh_mask, surgery_mask)
-from dnspn.training import (AdamState, TrainConfig, build_forest_model,
-                            gradients, predict, refresh_masks, train_step)
+from dnspn.pruning import (MODE_DSP, MODE_SURGERY, LayerStats, PruneConfig,
+                           apply_mask, dsp_mask, dsp_mask_grad, layer_stats,
+                           mask_curve, new_pruned_layer, refresh_mask,
+                           surgery_mask)
+from dnspn.training import (METHODS, AdamState, TrainConfig,
+                            build_forest_model, gradients, predict,
+                            refresh_masks, train_step)
+from test_cli import CSV_MUTATIONS
 
 # a DSP refresh at a large alpha, so masks move well away from all ones
 DSP = PruneConfig(alpha=0.5, mode=MODE_DSP)
@@ -567,3 +581,208 @@ def test_fit_matches_reference_refresh(method, regress, tmp_path,
     monkeypatch.setattr(dnspn.training, "refresh_mask", ref.refresh_mask)
     want = _fit_outputs(tmp_path, method, regress)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Text files: the row and array writers against json.dump and csv.writer
+# ---------------------------------------------------------------------------
+
+def _written(tmp_path, write, obj):
+    """The bytes `write(path, obj)` puts in a new file under `tmp_path`."""
+    path = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    write(path, obj)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def json_docs(monkeypatch):
+    """(file name, document) of every JSON file the CLI writes from here
+    on, through `dnspn.cli` and `dnspn.model_io`."""
+    docs = []
+
+    def recording(path, doc):
+        docs.append((Path(path).name, doc))
+        write_json(path, doc)
+
+    monkeypatch.setattr(dnspn.cli, "write_json", recording)
+    monkeypatch.setattr(dnspn.model_io, "write_json", recording)
+    return docs
+
+
+def test_cli_json_matches_reference(json_docs, tmp_path):
+    out = tmp_path / "runs"
+    for kind in ("linear", "quadratic"):
+        assert main(["generate", "--kind", kind, "--k", "4", "--ntrain",
+                     "120", "--ntest", "40", "--seed", "3", "--out",
+                     str(out / kind)]) == 0
+    data = next((out / "quadratic").iterdir())
+    shape = ["--trees", "2", "--depth", "3", "--embed", "3"]
+    runs = [(method, [], shape) for method in METHODS]
+    runs += [("dnspn", ["--task", "regress"], shape),
+             ("dnspn", [], ["--trees", "2", "--depth", "1", "--embed", "3"])]
+    for i, (method, task, flags) in enumerate(runs):
+        assert main(["train", "--data", str(data / "train.csv"),
+                     "--eval-data", str(data / "test.csv"), "--method",
+                     method, *task, *flags, "--epochs", "1", "--seed", "4",
+                     "--out", str(out / f"train{i}")]) == 0
+        model = next((out / f"train{i}").iterdir()) / "model.json"
+        assert main(["evaluate", "--model", str(model), "--data",
+                     str(data / "test.csv"), "--out",
+                     str(out / f"eval{i}")]) == 0
+    names = [name for name, _ in json_docs]
+    assert names == ["meta.json"] * 2 + ["model.json", "report.json",
+                                         "report.json"] * len(runs)
+    models = [doc for name, doc in json_docs if name == "model.json"]
+    assert models[4]["task"]["kind"] == "regression"
+    # a depth-1 head has no routing nodes
+    assert models[5]["heads"][0]["routing_w"] == []
+    for name, doc in json_docs:
+        assert (_written(tmp_path, write_json, doc)
+                == _written(tmp_path, ref.write_json, doc)), name
+
+
+HANDMADE_DOCS = {
+    "empty": {},
+    "empty containers": {"a": [], "b": {}, "c": [[], {}], "d": [[[]]],
+                         "e": {"f": {}}, "g": ()},
+    "non-finite floats": {"x": [1.0, float("nan"), 2.0],
+                          "y": [float("inf"), -float("inf")],
+                          "z": float("nan"), "w": [[0.5, float("inf")]]},
+    "float forms": {"x": [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4,
+                          1.7976931348623157e308, 0.1, 123456789.0],
+                    "scalars": [1e16, -0.0]},
+    "numpy floats": {"x": [np.float64(1.5), np.float64(-0.0)],
+                     "y": np.float64(2.5), "z": [1.0, np.float64(1e-7)]},
+    "mixed lists": {"a": [1.0, 2, 3.0], "b": [True, 1.0], "c": [1.0, None],
+                    "d": [1, 2, 3], "e": [1.0, "1.0"], "f": [[1.0], 2.0]},
+    "scalars": {"t": True, "f": False, "n": None, "i": -7, "big": 10 ** 30,
+                "s": "text"},
+    "tuples": {"t": (1.0, 2.0), "u": (1, (2.0, 3.0)), "v": [(0.5,)]},
+    "strings": {"é": "naïve ☃", "quote": 'say "hi"', "nl": "a\nb\r\tc",
+                "back": "a\\b", "ctrl": "\x00\x1f", "": ""},
+    "int keys": {"class_counts": {2: 5, 0: 7, 10: 1}, "k": {-1: [1.0]}},
+    "float keys": {1.5: "f", -0.0: "z", float("inf"): "i", 1e16: "e"},
+    "bool keys": {True: "t", False: "f"},
+    "None key": {None: [None]},
+    "nesting": {"a": {"b": {"c": [[1.0, 2.0], [3.0, 4.0]]}},
+                "l": [{"x": [0.25]}, {"y": []}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDMADE_DOCS))
+def test_handmade_json_matches_reference(name, tmp_path):
+    doc = HANDMADE_DOCS[name]
+    assert (_written(tmp_path, write_json, doc)
+            == _written(tmp_path, ref.write_json, doc))
+
+
+def test_json_key_errors_match_reference(tmp_path):
+    for doc in ({(1, 2): 1.0}, {"a": 1, 2: 3}, {None: 1, True: 2}):
+        with pytest.raises(TypeError):
+            _written(tmp_path, ref.write_json, doc)
+        with pytest.raises(TypeError):
+            _written(tmp_path, write_json, doc)
+
+
+EXTREME = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5,
+           1e-4, 0.1, 1e16, 1e15, 123456789.123, 1.7976931348623157e308,
+           -1.7976931348623157e308, float("inf"), -float("inf"),
+           float("nan")]
+
+
+@pytest.mark.parametrize("labels", [
+    None, ["0", "1"], ["a,b", 'say "x"'], ["line\r\nbreak", " lead"],
+    ["", "x"], ["cr\r", "lf\n", "tab\t", "é"]])
+def test_write_csv_matches_reference(labels, tmp_path):
+    rng = np.random.default_rng(7)
+    n_classes = 2 if labels is None else len(labels)
+    X = rng.normal(size=(2500, 3)) * 10.0 ** rng.integers(-20, 20, (2500, 1))
+    X[:len(EXTREME), 0] = EXTREME
+    y = rng.integers(0, n_classes, 2500)
+    ds = Dataset(X, y, Task("classification", n_classes, labels))
+    got = _written(tmp_path, write_csv, ds)
+    assert got == _written(tmp_path, ref.write_csv, ds)
+    assert got.count(b"\r\n") >= 2501
+
+
+def test_write_csv_regression_matches_reference(tmp_path):
+    rng = np.random.default_rng(8)
+    y = np.concatenate([EXTREME, rng.normal(size=30)])
+    X = rng.normal(size=(len(y), 2))
+    ds = Dataset(X, y, Task("regression"))
+    assert (_written(tmp_path, write_csv, ds)
+            == _written(tmp_path, ref.write_csv, ds))
+
+
+@pytest.mark.parametrize("mu,std,wmin,wmax,samples", [
+    (1.0, 1.0, -4.0, 4.0, 401), (1.0, 0.0, 0.85, 0.95, 1001),
+    (1e-300, 1e-300, -1e-300, 1e-300, 11), (1e5, 3.0, -1e6, 1e6, 2)])
+def test_mask_curve_matches_reference(mu, std, wmin, wmax, samples,
+                                      tmp_path):
+    out = tmp_path / "curve"
+    assert main(["mask-curve", f"--mu={mu!r}", f"--std={std!r}",
+                 f"--wmin={wmin!r}", f"--wmax={wmax!r}", "--samples",
+                 str(samples), "--out", str(out)]) == 0
+    run = next(out.iterdir())
+    w = np.linspace(wmin, wmax, samples)
+    for mode in (MODE_DSP, MODE_SURGERY):
+        table = mask_curve(PruneConfig(mode=mode), LayerStats(mu, std), w)
+        assert ((run / f"curve_{mode}.csv").read_bytes()
+                == _written(tmp_path, ref.write_curve, table)), mode
+
+
+def test_load_csv_forms(tmp_path):
+    # each feature cell is read by Python's float, as the reference does
+    cells = ["1_000", " 2.5 ", "+3", "-0.0", ".5", "5.", "1E-2", " -7 ",
+             "1e-300", "\t4\t", "١٢"]
+    path = tmp_path / "forms.csv"
+    path.write_text("a,label\n" + "".join(f'"{c}",{i % 2}\n'
+                                          for i, c in enumerate(cells)))
+    got = load_csv(path, "label", "classification")
+    want = ref.load_csv(path, "label", "classification")
+    assert_same_bits(got.X[:, 0], [float(c) for c in cells], "forms")
+    assert_same_bits(got.X, want.X, "reference")
+    assert np.array_equal(got.y, want.y)
+
+
+def _mutated_csv(tmp_path, name, lines):
+    path = tmp_path / f"{len(list(tmp_path.iterdir()))}.csv"
+    path.write_text("".join(line + "\n"
+                            for line in CSV_MUTATIONS[name](lines)))
+    return path
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_csv_mutation_messages_match_reference(task, tmp_path):
+    base = tmp_path / "base.csv"
+    write_csv(base, gen_xor(120, 0.25, RngState(0)))
+    lines = base.read_text().splitlines()
+    for name in sorted(CSV_MUTATIONS):
+        path = _mutated_csv(tmp_path, name, lines)
+        outcomes = []
+        for load in (load_csv, ref.load_csv):
+            try:
+                ds = load(path, "label", task)
+            except DataError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((ds.X.tobytes(), ds.y.tobytes(),
+                                 ds.task))
+        assert outcomes[0] == outcomes[1], name
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("x1", "column 'f1' value 'x1' is not numeric"),
+    ("nan", "column 'f1' is non-finite"),
+    ("-inf", "column 'f1' is non-finite"),
+    ("1e999", "column 'f1' is non-finite")])
+def test_bad_cell_named_after_good_ones(cell, message, tmp_path):
+    # the row's first bad column is named, after cells that parse
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,f2,label\n1,2,3,0\n4,{cell},nan,1\n7,8,9,1\n")
+    with pytest.raises(DataError) as got:
+        load_csv(path, "label", "classification")
+    with pytest.raises(DataError) as want:
+        ref.load_csv(path, "label", "classification")
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"malformed rows in {path}: row 3: {message}"

@@ -466,6 +466,28 @@ class TestEvaluate:
                    "--out", str(tmp_path / "eval"))
         assert code == 3
 
+    def test_rerun_checks_its_run_directory_first(self, small_model,
+                                                  tmp_path, capsys):
+        # the rerun is refused before it reads its inputs, so a CSV gone
+        # since the first run does not change the answer
+        doc, data = small_model
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        csv_path = tmp_path / "eval.csv"
+        csv_path.write_bytes(data.read_bytes())
+        args = ("evaluate", "--model", str(model), "--data", str(csv_path),
+                "--out", str(tmp_path / "eval"))
+        assert run(*args) == 0
+        out = only_run_dir(tmp_path / "eval")
+        report = (out / "report.json").read_bytes()
+        csv_path.unlink()
+        capsys.readouterr()
+        assert run(*args) == 2
+        assert capsys.readouterr().err == (
+            f"error: run directory {out} already has outputs; pass --force "
+            "to overwrite\n")
+        assert (out / "report.json").read_bytes() == report
+
 
 def narrow_copy(path, root) -> Path:
     """A copy of the CSV at `path` with 3 feature columns and the label."""
