@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -405,8 +406,23 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _add_flags(p, TRAIN_FLAGS)
 
 
+# argparse's own negative-number pattern has no exponent, so it would take
+# `--wmin -1e-3` for an option and `--wmin` for a flag missing its value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subcommands' parsers, that
+    reads a negative number in exponent form (`-1e-3`, `-.5e-1`) as a
+    value, as argparse reads `-0.001`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnspn",
         description="Forest-headed networks with dynamic soft pruning")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -347,10 +347,11 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
         pi = _leaf_probs(head)
         g_pi = routing.p.T @ upstream / m
         g_leaf = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
-        g_p = upstream @ pi.T / m
+        g_p = upstream @ pi.T
     else:
         g_leaf = routing.p.T @ upstream / m
-        g_p = upstream @ head.leaf.T / m
+        g_p = upstream @ head.leaf.T
+    g_p /= m
 
     _, inverse = _level_order(m, head.depth)
     g_pre = np.take(_routing_backward(head, routing, g_p), inverse, axis=1)

@@ -4,15 +4,24 @@ A model is a pruned fully-connected backbone with either a decision-forest
 head after every layer (the default) or a plain softmax readout on the last
 layer (the `fcnn` baseline used in comparisons). One training step runs:
 
-  1. forward with the model's layers and heads, whose weights are their
-     mask records' effective (masked) arrays, collecting per-head outputs
-     and their fused mean;
-  2. the training loss: the unweighted mean of per-head losses (cross
-     entropy or MSE);
-  3. exact backprop into leaf logits, routing units, projections, and the
-     backbone's shadow weights, where the soft-prune mode chains through
-     the mask derivative stored at the last refresh and the surgery mode
-     through the frozen mask values (steps 1-3 are :func:`gradients`);
+  1. one backbone forward with the model's layers, whose weights are their
+     mask records' effective (masked) arrays, with dropout;
+  2. each forest head in turn: its route, output, loss (cross entropy or
+     MSE) and exact backprop into leaf logits, routing units and
+     projection, adding its activation gradient into its layer's
+     upstream before the next head routes. A head's routing factors (its
+     decisions, complements and level products, about 2 MB for 32
+     depth-6 trees at batch 64) are dropped before the next route, so
+     the backward reads them while they are still in L2 and the step
+     holds one head's factors at a time. Heads share no arithmetic, and
+     the per-head losses and upstream sums keep their head order, so
+     the bits are those of routing every head first;
+  3. the training loss, the unweighted mean of per-head losses, then
+     backprop through the backbone's shadow weights, where the
+     soft-prune mode chains through the mask derivative stored at the
+     last refresh and the surgery mode through the frozen mask values
+     (steps 1-3 are :func:`gradients`; the softmax model has no heads,
+     and its loss is taken on the last layer's output);
   4. one Adam update over every array of :func:`model_params`, whose
      shadow weights the mask records own, with moments matched by position;
   5. a mask/statistics refresh from the updated shadow weights that writes
@@ -36,8 +45,8 @@ from .data import CLASSIFICATION, REGRESSION, Dataset, Scaler, Task
 from .ensemble import fuse
 from .errors import (DataError, MetricError, NumericError, ParameterError,
                      ShapeError, UsageError)
-from .forest import (HEAD_PARAMS, ForestHead, forest_backward, init_head,
-                     predict_class, predict_regress, route)
+from .forest import (HEAD_PARAMS, ForestHead, RoutingProbs, forest_backward,
+                     init_head, predict_class, predict_regress, route)
 from .metrics import EvalReport, accuracy, auc_macro_ovr, mse_metric, \
     roc_auc_binary
 from .network import DenseLayer
@@ -260,28 +269,28 @@ def model_params(model: Model) -> list[tuple[np.ndarray, PrunedLayer | None]]:
 
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
              rng: RngState | None):
-    """Forward pass with the model's layers and heads: (backbone
-    trace, per-head routings, per-head outputs, fused output). Routings,
-    with the factors the backward needs, are kept only in training; an eval
-    forward returns an empty list and drops each head's leaf reach once its
-    output is taken, so it holds one head's `p` at a time and no
-    full-height decisions."""
+    """Forward pass with the model's layers and heads: (backbone trace,
+    per-head outputs, fused output). It keeps no routing: each head's leaf
+    reach is dropped once its output is taken, so it holds one head's `p`
+    at a time and no full-height decisions. It serves :func:`predict` and
+    the softmax model's training step; a forest model's training step
+    routes each head inside :func:`gradients`."""
     trace = network.forward(model.layers, X, dropout, training, rng)
-    routings, outs = [], []
     if model.kind == SOFTMAX:
         logits = trace.dropped[-1]
-        outs.append(softmax_rows(logits) if model.task.kind == CLASSIFICATION
-                    else logits)
-        return trace, routings, outs, outs[0]
-    for head, j in zip(model.heads, model.head_layers):
-        r = route(head, trace.dropped[j], keep_factors=training)
-        outs.append(predict_class(head, r)
-                    if model.task.kind == CLASSIFICATION
-                    else predict_regress(head, r))
-        if training:
-            routings.append(r)
-        del r
-    return trace, routings, outs, fuse(outs)
+        out = (softmax_rows(logits) if model.task.kind == CLASSIFICATION
+               else logits)
+        return trace, [out], out
+    outs = [_head_output(model, head,
+                         route(head, trace.dropped[j], keep_factors=False))
+            for head, j in zip(model.heads, model.head_layers)]
+    return trace, outs, fuse(outs)
+
+
+def _head_output(model: Model, head: ForestHead,
+                 r: RoutingProbs) -> np.ndarray:
+    return (predict_class(head, r) if model.task.kind == CLASSIFICATION
+            else predict_regress(head, r))
 
 
 def refresh_masks(model: Model, prune: PruneConfig) -> None:
@@ -298,27 +307,35 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
     """The batch training loss and its gradients, in :func:`model_params`
     order, from a training-mode forward with `cfg.dropout`.
 
-    Masks and effective weights are assumed consistent with the current
-    shadow weights (as left by the last refresh). A masked array's gradient
-    chains through its record's :func:`mask_grad`; in prune mode "none" the
-    masks are all ones, so they are not chained through.
+    The backbone runs forward once; then each head routes, predicts, takes
+    its loss and runs its backward before the next head routes, so only
+    one head's routing factors are alive at a time (see the module
+    docstring). Masks and effective weights are assumed consistent with
+    the current shadow weights (as left by the last refresh). A masked
+    array's gradient chains through its record's :func:`mask_grad`; in
+    prune mode "none" the masks are all ones, so they are not chained
+    through.
     """
-    trace, routings, outs, fused = _forward(model, xb, cfg.dropout, True, rng)
-    loss_fn = loss_ce if model.task.kind == CLASSIFICATION else loss_mse
-
     head_grads: list[np.ndarray] = []
     upstream: list[np.ndarray | None] = [None] * len(model.layers)
 
     if model.kind == FOREST:
-        per_head = [loss_fn(out, yb) for out in outs]
-        loss = float(np.mean([l_i for l_i, _ in per_head]))
-        for head, j, r, (_, g_i) in zip(model.heads, model.head_layers,
-                                        routings, per_head):
-            *g_head, g_act = forest_backward(head, r, trace.dropped[j],
-                                             g_i / len(outs))
+        loss_fn = loss_ce if model.task.kind == CLASSIFICATION else loss_mse
+        trace = network.forward(model.layers, xb, cfg.dropout, True, rng)
+        losses = []
+        for head, j in zip(model.heads, model.head_layers):
+            act = trace.dropped[j]
+            r = route(head, act)
+            l_i, g_i = loss_fn(_head_output(model, head, r), yb)
+            *g_head, g_act = forest_backward(head, r, act,
+                                             g_i / len(model.heads))
+            del r    # its factors go before the next head routes
+            losses.append(l_i)
             head_grads += g_head
             upstream[j] = g_act if upstream[j] is None else upstream[j] + g_act
+        loss = float(np.mean(losses))
     else:
+        trace, _, fused = _forward(model, xb, cfg.dropout, True, rng)
         if model.task.kind == CLASSIFICATION:
             loss, g_probs = loss_ce(fused, yb)
             upstream[-1] = _softmax_backward(fused, g_probs)

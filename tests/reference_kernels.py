@@ -6,6 +6,9 @@ batch at once: the forms the branch-free, row-blocked kernels replaced.
 `head_predict` and `predict` are the head output and the eval forward of a
 model over whole-batch routings. `routing_backward` and `forest_backward`
 copy the backward pass, so a later rewrite of it is held to the same bits.
+`gradients` is a model's batch loss and gradients as they were taken with
+these kernels: every head routed and predicted first, then every head's
+backward, the order before a train step took one head at a time.
 `layer_stats`, `dsp_pass` and `surgery_mask` are the mask refresh as it was
 computed with a temporary for every step and `np.where` selections, before
 the refresh became one in-place pass per record.
@@ -26,12 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
+from dnspn import network
 from dnspn.data import (CLASSIFICATION, REGRESSION, Dataset, Task,
                         _column_stats)
-from dnspn.errors import DataError, ParameterError, ShapeError, reading
+from dnspn.errors import (DataError, NumericError, ParameterError,
+                          ShapeError, reading)
 from dnspn.forest import CLASSIFICATION, RoutingProbs
 from dnspn.numeric import softmax_rows
-from dnspn.pruning import LayerStats
+from dnspn.pruning import MODE_NONE, LayerStats, mask_grad
+from dnspn.training import (FOREST, _softmax_backward, loss_ce, loss_mse,
+                            model_params)
 
 
 def sigmoid_select(x):
@@ -156,6 +163,49 @@ def forest_backward(head, routing, activation, upstream):
     g_proj_b = g_z.sum(axis=0)
     g_act = g_z @ head.proj_w
     return g_proj_w, g_proj_b, g_routing_w, g_routing_b, g_leaf, g_act
+
+
+def gradients(model, xb, yb, cfg, rng):
+    """The batch training loss and its gradients in `model_params` order:
+    the backbone forward, every head's route and output, every head's loss,
+    then every head's backward in head order, the backbone backward and
+    the mask chain."""
+    trace = network.forward(model.layers, xb, cfg.dropout, True, rng)
+    classify = model.task.kind == CLASSIFICATION
+    head_grads = []
+    upstream = [None] * len(model.layers)
+    if model.kind == FOREST:
+        routings = [route(head, trace.dropped[j])
+                    for head, j in zip(model.heads, model.head_layers)]
+        outs = [head_predict(head, r) for head, r in zip(model.heads,
+                                                          routings)]
+        loss_fn = loss_ce if classify else loss_mse
+        per_head = [loss_fn(out, yb) for out in outs]
+        loss = float(np.mean([l_i for l_i, _ in per_head]))
+        for head, j, r, (_, g_i) in zip(model.heads, model.head_layers,
+                                        routings, per_head):
+            *g_head, g_act = forest_backward(head, r, trace.dropped[j],
+                                             g_i / len(outs))
+            head_grads += g_head
+            upstream[j] = g_act if upstream[j] is None else upstream[j] + g_act
+    elif classify:
+        fused = softmax_rows(trace.dropped[-1])
+        loss, g_probs = loss_ce(fused, yb)
+        upstream[-1] = _softmax_backward(fused, g_probs)
+    else:
+        loss, upstream[-1] = loss_mse(trace.dropped[-1], yb)
+    if not np.isfinite(loss):
+        raise NumericError(
+            f"non-finite training loss {loss!r} (batch size {len(xb)}); "
+            "check the data scale and learning rate"
+        )
+    dW, db, _ = network.backward(model.layers, trace, upstream)
+    grads = [g for pair in zip(dW, db) for g in pair] + head_grads
+    if cfg.prune.mode == MODE_NONE:
+        return loss, grads
+    return loss, [g if pl is None else g * mask_grad(pl, cfg.prune)
+                  for g, (_, pl) in zip(grads, model_params(model),
+                                        strict=True)]
 
 
 def layer_stats(w):

@@ -23,11 +23,12 @@ import pytest
 import reference_kernels as ref
 import dnspn.cli
 import dnspn.model_io
+import dnspn.network
 import dnspn.training
 from dnspn.cli import main
 from dnspn.data import (Dataset, SyntheticSpec, Task, gen_linear_k, gen_xor,
                         load_csv, write_csv)
-from dnspn.errors import DataError
+from dnspn.errors import DataError, NumericError
 import dnspn.forest
 from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
                           _decisions, _leaf_probs, _level_order,
@@ -39,9 +40,12 @@ from dnspn.pruning import (MODE_DSP, MODE_SURGERY, LayerStats, PruneConfig,
                            apply_mask, dsp_mask, dsp_mask_grad, layer_stats,
                            mask_curve, new_pruned_layer, refresh_mask,
                            surgery_mask)
-from dnspn.training import (METHODS, AdamState, TrainConfig,
-                            build_forest_model, gradients, predict,
-                            refresh_masks, train_step)
+from dnspn.network import build_network
+from dnspn.training import (FOREST, METHODS, AdamState, Model, TrainConfig,
+                            build_forest_model, build_softmax_model,
+                            gradients, model_params, predict, refresh_masks,
+                            train_step)
+from conftest import param_names
 from test_cli import CSV_MUTATIONS
 
 # a DSP refresh at a large alpha, so masks move well away from all ones
@@ -581,6 +585,116 @@ def test_fit_matches_reference_refresh(method, regress, tmp_path,
     monkeypatch.setattr(dnspn.training, "refresh_mask", ref.refresh_mask)
     want = _fit_outputs(tmp_path, method, regress)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Gradients: one head at a time against every forward, then every backward
+# ---------------------------------------------------------------------------
+
+def _shared_layer_model(task, rng, head_layers=(1, 1, 2)):
+    """Depth-4 heads on a 3 -> 6 -> 6 -> 4 backbone, at `head_layers`."""
+    layers = build_network(3, 4, rng)
+    heads = [init_head(layers[j].weights.shape[0],
+                       task.n_classes if task.kind == "classification"
+                       else 1, 4, 4, 3, task.kind, rng)
+             for j in head_layers]
+    return Model(layers=layers, heads=heads, head_layers=list(head_layers),
+                 task=task, kind=FOREST, input_dim=3)
+
+
+CLASSES3 = Task("classification", n_classes=3)
+REGRESS = Task("regression")
+
+
+def _forest(task, trees=5, depth=4):
+    return lambda rng: build_forest_model(3, task, rng, trees=trees,
+                                          depth=depth, embed_dim=3)
+
+
+# name -> (model builder on a seeded stream, TrainConfig settings)
+GRADIENT_CASES = {
+    "class3-none": (_forest(CLASSES3), {}),
+    "regress-none": (_forest(REGRESS), {}),
+    "class3-dsp": (_forest(CLASSES3), {"prune": DSP}),
+    "regress-dsp": (_forest(REGRESS), {"prune": DSP}),
+    "class3-surgery": (_forest(CLASSES3), {"prune": PruneConfig(
+        mode=MODE_SURGERY, surgery_eta=0.5)}),
+    "class3-dropout": (_forest(CLASSES3), {"dropout": 0.3, "prune": DSP}),
+    "regress-dropout": (_forest(REGRESS), {"dropout": 0.3}),
+    "shared-layer": (lambda rng: _shared_layer_model(CLASSES3, rng),
+                     {"dropout": 0.3, "prune": DSP}),
+    "shared-layer-regress": (lambda rng: _shared_layer_model(REGRESS, rng),
+                             {}),
+    # three activation gradients summed into one layer: their order shows
+    "three-on-one-layer": (lambda rng: _shared_layer_model(
+        CLASSES3, rng, (1, 1, 1, 2)), {"prune": DSP}),
+    "depth1": (_forest(CLASSES3, trees=3, depth=1), {"prune": DSP}),
+    "deep-forest": (lambda rng: build_forest_model(
+        2, Task("classification", n_classes=2), rng, trees=32, depth=6,
+        embed_dim=8), {"prune": DSP}),
+    "softmax": (lambda rng: build_softmax_model(3, CLASSES3, rng),
+                {"dropout": 0.3, "prune": DSP}),
+    "softmax-regress": (lambda rng: build_softmax_model(3, REGRESS, rng),
+                        {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_gradients_match_reference(case):
+    build, settings = GRADIENT_CASES[case]
+    model = build(RngState(21))
+    cfg = TrainConfig(**settings)
+    rng = RngState(22)
+    adam = AdamState()
+    for step in range(3):
+        X = rng.normal(64, model.input_dim)
+        y = (rng.normal(64, 1).ravel() if model.task.kind == "regression"
+             else np.arange(64) % model.task.n_classes)
+        if step == 0:
+            refresh_masks(model, cfg.prune)
+        # the same dropout draws on both sides
+        loss, grads = gradients(model, X, y, cfg, RngState(30 + step))
+        want_loss, want = ref.gradients(model, X, y, cfg, RngState(30 + step))
+        assert_same_bits(loss, want_loss, (case, step, "loss"))
+        assert len(grads) == len(want)
+        for name, g, w in zip(param_names(model), grads, want, strict=True):
+            assert_same_bits(g, w, (case, step, name))
+        train_step(model, X, y, cfg, adam, RngState(30 + step))
+
+
+@pytest.mark.parametrize("method,regress", [("dndn", False), ("dnspn", False),
+                                            ("surgery", False), ("fcnn", False),
+                                            ("dnspn", True)])
+def test_fit_matches_reference_gradients(method, regress, tmp_path,
+                                         monkeypatch):
+    got = _fit_outputs(tmp_path, method, regress)
+    monkeypatch.setattr(dnspn.training, "gradients", ref.gradients)
+    want = _fit_outputs(tmp_path, method, regress)
+    assert got == want
+
+
+def test_non_finite_loss_raises_before_backbone_backward(monkeypatch):
+    # a NaN target makes the batch loss NaN: the step stops with the same
+    # message before the backbone backward and before any update
+    model = _shared_layer_model(REGRESS, RngState(23))
+    before = [p.copy() for p, _ in model_params(model)]
+    rng = RngState(24)
+    X, y = rng.normal(8, 3), rng.normal(8, 1).ravel()
+    y[5] = np.nan
+    backward_calls = []
+    monkeypatch.setattr(dnspn.network, "backward",
+                        lambda *a: backward_calls.append(a))
+    message = ("non-finite training loss nan (batch size 8); check the data "
+               "scale and learning rate")
+    for grads in (gradients, ref.gradients):
+        with pytest.raises(NumericError) as err:
+            grads(model, X, y, TrainConfig(dropout=0.0), None)
+        assert str(err.value) == message
+    with pytest.raises(NumericError, match="non-finite training loss nan"):
+        train_step(model, X, y, TrainConfig(dropout=0.0), AdamState(), None)
+    assert backward_calls == []
+    for (p, _), b in zip(model_params(model), before, strict=True):
+        assert_same_bits(p, b, "untouched")
 
 
 # ---------------------------------------------------------------------------

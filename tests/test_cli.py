@@ -1024,6 +1024,52 @@ class TestMaskCurve:
         assert code == 2
 
 
+# every float flag of each subcommand, and the arguments it requires
+_FLOAT_FLAGS = {
+    "generate": ((), ("sigma",)),
+    "train": (("--data", "d.csv"), ("lr", "dropout", "holdout", *_PRUNE)),
+    "compare": (("--data", "d.csv"), ("lr", "dropout", "holdout", *_PRUNE)),
+    "mask-curve": ((), ("mu", "std", "wmin", "wmax", *_PRUNE)),
+}
+_EXPONENT_FORMS = ("-1e-3", "-1E+2", "-.5e-1")
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("value", _EXPONENT_FORMS)
+    @pytest.mark.parametrize("command", sorted(_FLOAT_FLAGS))
+    def test_every_float_flag_reads_it_as_a_value(self, command, value):
+        required, flags = _FLOAT_FLAGS[command]
+        parser = build_parser()
+        for flag in flags:
+            spaced = parser.parse_args([command, *required, f"--{flag}",
+                                        value])
+            joined = parser.parse_args([command, *required,
+                                        f"--{flag}={value}"])
+            assert vars(spaced) == vars(joined)
+            assert getattr(spaced, flag) == float(value)
+
+    @pytest.mark.parametrize("value", _EXPONENT_FORMS)
+    def test_mask_curve_gives_the_same_bytes(self, value, tmp_path):
+        outputs = []
+        for name, flag in (("spaced", ["--wmin", value]),
+                           ("joined", [f"--wmin={value}"])):
+            assert run("mask-curve", *flag, "--wmax", "1", "--samples", "21",
+                       "--out", str(tmp_path / name)) == 0
+            rd = only_run_dir(tmp_path / name)
+            outputs.append({p.relative_to(tmp_path / name): p.read_bytes()
+                            for p in sorted(rd.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_an_option_after_a_flag_is_still_an_option(self, tmp_path,
+                                                        capsys):
+        code = run("mask-curve", "--wmin", "--wmax", "1",
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert "argument --wmin: expected one argument" in \
+            capsys.readouterr().err
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 class TestModelRoundTrip:
     def test_save_load_predict_identical(self, small_dataset, tmp_path):
         from dnspn.data import load_csv

@@ -279,15 +279,17 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_eval_forward_keeps_no_routing(self):
-        # routings are kept for the backward, so only in training
+        # the backward's routings are kept inside `gradients`, one head at
+        # a time, so neither forward mode returns any
         ds = separable_2d(32, 8)
         model = build_forest_model(2, CLS, RngState(5), trees=2, depth=3,
                                    embed_dim=2)
-        kept = _forward(model, ds.X, 0.0, True, None)
-        dropped = _forward(model, ds.X, 0.0, False, None)
-        assert len(kept[1]) == len(model.heads) and dropped[1] == []
-        assert np.array_equal(kept[3], dropped[3])
-        assert np.array_equal(predict(model, ds.X), dropped[3])
+        train = _forward(model, ds.X, 0.0, True, None)
+        evals = _forward(model, ds.X, 0.0, False, None)
+        for _trace, outs, _fused in (train, evals):
+            assert len(outs) == len(model.heads)
+        assert np.array_equal(train[2], evals[2])
+        assert np.array_equal(predict(model, ds.X), evals[2])
 
     def test_eval_forward_holds_no_full_height_routing(self):
         # a 2000-row predict may hold one head's leaf-reach array, not the
@@ -303,6 +305,28 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * p_bytes
+
+    def test_train_step_holds_one_head_of_factors(self):
+        # three 32-tree depth-6 heads at batch 64 (dsp): each head's
+        # decisions, complements and level products are dropped before the
+        # next head routes, so a step holds under 10x one head's `p`
+        # (routing every head first held 15.5x)
+        model = build_forest_model(2, CLS, RngState(3), trees=32, depth=6,
+                                   embed_dim=8)
+        cfg = TrainConfig(batch_size=64, dropout=0.0,
+                          prune=PruneConfig(mode="dsp"))
+        refresh_masks(model, cfg.prune)
+        rng, adam = RngState(4), AdamState()
+        X, y = rng.normal(64, 2), np.arange(64) % 2
+        train_step(model, X, y, cfg, adam, rng)   # Adam's moments exist
+        p_bytes = 64 * 32 * 2 ** 5 * 8
+        tracemalloc.start()
+        try:
+            train_step(model, X, y, cfg, adam, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * p_bytes
 
     def test_softmax_model_prediction(self):
         ds = separable_2d(16, 7)
