@@ -49,10 +49,33 @@ on the row count, and per-block results could differ in the last bit. The
 routing matmul, whose inner dimension is the small embedding, gave the
 same bits at every block size from 2 to 2000 rows tried, and with either
 operand permuted; the bit-identity tests hold it to that.
+
+Who runs which rows: an eval route of two or more blocks hands its
+blocks, in row order, to the calling thread and to worker threads of one
+pool, one for each further CPU the process may run on (its affinity
+set), at most one thread a block. Each thread takes the next block left
+until none is, so a worker that starts late or is slowed by a busy core
+takes fewer blocks, and the caller waits at most for the blocks that
+workers have already begun. numpy's kernels release the GIL, so the
+blocks run on separate cores. The blocks are those of a serial route, no
+block reads another's rows or writes outside its own rows of `p`, so `p`
+has the same bits at any worker count; the full-height projection and
+leaf contraction stay on the caller. A training route and a one-block
+eval route (every one-row predict) run on the caller alone, so training
+stays single-threaded. Each worker task runs in a copy of the caller's
+context, where numpy 2 keeps its `errstate`: an overflow in a worker's
+block raises under `np.errstate(over="raise")` as it would on the
+caller. The caller returns or raises only after every block begun has
+ended. The pool is keyed on the process id: a forked child inherits the
+pool object but not its threads, so it starts its own.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -239,11 +262,16 @@ def route(head: ForestHead, activation: np.ndarray,
           keep_factors: bool = True) -> RoutingProbs:
     """Compute every leaf's reach probability for a batch of activations.
 
-    One loop runs the row blocks. With `keep_factors` (the training
-    forward) the whole batch is one block, and the result also holds its
-    decisions, their complements and the level products the backward
-    needs. Without it the batch runs in :func:`_block_count` blocks, and
-    only `p` and `embedding` are kept.
+    With `keep_factors` (the training forward) the whole batch is one
+    block, and the result also holds its decisions, their complements and
+    the level products the backward needs. Without it the batch runs in
+    :func:`_block_count` blocks, and only `p` and `embedding` are kept.
+
+    An eval route of two or more blocks runs them on the calling thread
+    and on the workers of :func:`_pool` at once, each thread taking the
+    next block left (see "Who runs which rows" above), under the caller's
+    numpy `errstate`. The caller returns or raises only after every block
+    begun has ended: its own error first, else the first worker's.
     """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.ndim != 2 or activation.shape[1] != head.proj_w.shape[1]:
@@ -263,11 +291,68 @@ def route(head: ForestHead, activation: np.ndarray,
                       np.take(head.routing_b, order), None)
     routing = RoutingProbs(np.empty((batch, m * n_leaves)), z)
     n = 1 if keep_factors else _block_count(batch, 8 * m * head.nodes_per_tree)
-    for i in range(n):
-        lo, hi = batch * i // n, batch * (i + 1) // n
-        _descend(_decisions(w, b, z[lo:hi], cols), routing.p[lo:hi], m,
+    if n == 1:
+        _descend(_decisions(w, b, z, cols), routing.p, m,
                  routing if keep_factors else None)
+        return routing
+    blocks = deque((batch * i // n, batch * (i + 1) // n) for i in range(n))
+    args = (blocks, w, b, cols, z, routing.p, m)
+    workers = min(n, _cpu_count()) - 1
+    futures = [_pool(workers).submit(contextvars.copy_context().run,
+                                     _route_blocks, *args)
+               for _ in range(workers)]
+    try:
+        _route_blocks(*args)
+    finally:
+        running = [future for future in futures if not future.cancel()]
+        wait(running)
+    for future in running:
+        future.result()
     return routing
+
+
+def _route_blocks(blocks: deque, w: np.ndarray, b: np.ndarray,
+                  cols: np.ndarray | None, z: np.ndarray, p: np.ndarray,
+                  trees: int) -> None:
+    """Take (lo, hi) row blocks from the front of `blocks` until none is
+    left, routing each one's embedding rows z[lo:hi] into p[lo:hi]. An
+    error empties `blocks`, so that no thread starts another."""
+    try:
+        while True:
+            try:
+                lo, hi = blocks.popleft()
+            except IndexError:
+                return
+            _descend(_decisions(w, b, z[lo:hi], cols), p[lo:hi], trees)
+    except BaseException:
+        blocks.clear()
+        raise
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (process id, worker count, pool) of :func:`_pool`
+_POOL: tuple[int, int, ThreadPoolExecutor] | None = None
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` eval-route threads, started on first
+    use. It is keyed on the process id, as a forked child inherits the
+    pool but not its threads, and on the count, which follows the CPU set;
+    a pool no longer kept ends its threads once dropped. Two callers that
+    find no pool at once may each start one, and both work: no lock
+    guards this, as a lock held at a fork would stay held in the child."""
+    global _POOL
+    key = (os.getpid(), workers)
+    if _POOL is None or _POOL[:2] != key:
+        _POOL = (*key, ThreadPoolExecutor(workers, "dnspn-route"))
+    return _POOL[2]
 
 
 def _leaf_probs(head: ForestHead) -> np.ndarray:

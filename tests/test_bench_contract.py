@@ -12,11 +12,13 @@ nothing there.
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnspn.forest
 import dnspn.training as training
 from dnspn.data import Dataset, Task
 from dnspn.numeric import RngState
@@ -94,6 +96,38 @@ def test_traced_fit_and_predict():
     assert counts["pruning.refresh"] == 3 * entries
     assert counts["pruning.apply_mask"] == 3 * entries
     assert training.fit is fit
+
+
+def test_traced_split_predict_stays_on_the_main_thread(monkeypatch):
+    # a 2000-row predict of a deep forest splits each head's route over
+    # two threads; the tracer is single-threaded, so every span must still
+    # open on the calling thread and nest
+    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 2)
+    model = training.build_forest_model(2, CLS, RngState(5), trees=32,
+                                        depth=6, embed_dim=8)
+    X = RngState(6).normal(2000, 2)
+    want = training.predict(model, X)
+    tracer = spans.Tracer()
+    opened = []
+    open_span = tracer._open
+
+    def record_thread(name):
+        opened.append(threading.get_ident())
+        return open_span(name)
+
+    tracer._open = record_thread
+    tracer.install({module: importlib.import_module(module)
+                    for module, _ in PATCHED})
+    try:
+        got = training.predict(model, X)
+    finally:
+        tracer.uninstall()
+    summary = spans.Summary(tracer.spans)
+    assert summary.nesting_error() == 0.0
+    assert summary.calls("forest.route") == len(model.heads) == 3
+    assert summary.calls("training.predict") == 1
+    assert opened and set(opened) == {threading.get_ident()}
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("method", training.METHODS)

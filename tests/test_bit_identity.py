@@ -250,7 +250,8 @@ BLOCKED_CASES = [(kind, trees, depth, width, which)
 
 
 @pytest.mark.parametrize("kind,trees,depth,width,which", BLOCKED_CASES)
-def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which):
+def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which,
+                                           monkeypatch):
     batch = BATCHES[which](_block_rows(trees, depth))
     n_out = 3 if kind == "classification" else 1
     rng = RngState(7 * trees + depth)
@@ -260,12 +261,15 @@ def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which):
     want = ref.route(head, act)
     head_out = predict_class if kind == "classification" else predict_regress
 
-    blocked = route(head, act, keep_factors=False)
-    assert blocked.decisions is None and blocked.level_mus == []
-    assert_same_bits(blocked.p, want.p, "p")
-    assert_same_bits(blocked.embedding, want.embedding, "embedding")
-    assert_same_bits(head_out(head, blocked), ref.head_predict(head, want),
-                     "head output")
+    # 0 to 3 worker threads beside the caller, as many as the blocks allow
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: cpus)
+        blocked = route(head, act, keep_factors=False)
+        assert blocked.decisions is None and blocked.level_mus == []
+        assert_same_bits(blocked.p, want.p, f"p at {cpus} CPUs")
+        assert_same_bits(blocked.embedding, want.embedding, "embedding")
+        assert_same_bits(head_out(head, blocked),
+                         ref.head_predict(head, want), "head output")
 
     kept = route(head, act)
     assert_same_bits(kept.p, want.p, "kept p")
