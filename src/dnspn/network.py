@@ -7,6 +7,43 @@ a :class:`ForwardTrace` exposing every layer's post-activation output, which
 is where downstream consumers (decision-forest heads) attach.
 
 Weight matrices are stored as (out x in); a batch flows as (batch x features).
+
+Who runs which rows: an eval forward (`training=False`) runs its leading
+wide layers, those whose output width is a multiple of 8 and at least
+WIDE, in contiguous row blocks of about ROUTE_BLOCK_BYTES of the widest
+of them, with at least WIDE rows a block. Each block takes its rows
+through all of those layers and writes them into each layer's
+full-height `post` array; the blocks run through
+:func:`dnspn.numeric.run_blocks`, on the calling thread and on the route
+pool's workers, each thread taking the next block left. Every layer from
+the first other one on runs on the caller over the whole batch, as does
+every training forward, so training stays single-threaded, and so does
+an eval forward whose blocks would not give each of two or more threads
+two blocks (every one-row and 128-row predict of the paper model).
+
+Why the width rule and the row floor: OpenBLAS picks its kernel and
+its sum order by the shape of a product, so a row block of `x @ W.T`
+need not have the bits of the same rows of the full-height product.
+On OpenBLAS 0.3.31 (Haswell kernel), blocks of 64 to 1000 rows at any
+offset tried matched for every output width that is a multiple of 8,
+from 64 to 1024, over inner widths 50 to 1000 (odd ones too), at 1 and
+2 BLAS threads. Other widths did not: at 1 BLAS thread, 196, 204, 252,
+300 and 1028 differed at most block sizes (55 of 2000 rows of a
+102 -> 204 layer), and narrow outputs up to about rows x width = 1200
+(200 -> 2 up to 600 rows, 200 -> 8 up to 150, 200 -> 1, a
+matrix-vector product, up to 999); at 2 BLAS threads, 66 to 102 and
+1024 -> 100 differed too. A forward that also split fcnn's 200 -> 2
+readout changed the bits of an fcnn predict. So only such layers run
+in blocks, and the bit-identity tests are the guard for another BLAS.
+
+Errors: the serial forward raises at the first bad layer, either numpy's
+`FloatingPointError` under an `errstate` that raises, or NumericError
+for a non-finite activation. Blocks run layers out of order, so a block
+could meet a deeper layer's error first. So the blocks run under an
+`errstate` that raises where the caller's does not ignore, and a block
+that raises or sees a non-finite activation sends the caller back, once
+every block begun has ended, to the serial forward over the whole batch,
+which raises (or warns) exactly as it always did.
 """
 
 from __future__ import annotations
@@ -16,10 +53,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .numeric import RngState
+from .numeric import RngState, _block_count, block_threads, run_blocks
 
 RELU = "relu"
 IDENTITY = "identity"
+
+# Narrowest output, and fewest rows a block, with which an eval forward
+# runs a layer in row blocks; the output width must also be a multiple
+# of 8 (see "Why the width rule and the row floor" above)
+WIDE = 64
 
 
 @dataclass
@@ -69,6 +111,12 @@ def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
     Dropout is applied to hidden post-activations only, and only when
     `training` is true with a positive rate. In eval mode the trace's
     `dropped` entries alias `post` exactly.
+
+    An eval forward of enough rows runs its leading wide layers in row
+    blocks on the caller and the route pool's workers (see "Who runs
+    which rows" above), with the bits of the serial forward; the rest of
+    the stack, and every training forward, runs on the caller. Errors are
+    those of the serial forward: it is what runs when any block fails.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layers[0].weights.shape[1]:
@@ -83,8 +131,11 @@ def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
         raise ParameterError("training-mode dropout requires an RngState")
 
     trace = ForwardTrace(x=x)
-    h = x
-    for i, layer in enumerate(layers):
+    if not training:
+        _wide_forward(layers, trace)
+    h = trace.dropped[-1] if trace.dropped else x
+    for i in range(len(trace.post), len(layers)):
+        layer = layers[i]
         z = h @ layer.weights.T + layer.bias
         a = np.maximum(z, 0.0) if layer.activation == RELU else z
         if not np.all(np.isfinite(a)):
@@ -100,6 +151,53 @@ def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
         trace.drop_masks.append(mask)
         h = dropped
     return trace
+
+
+def _wide_forward(layers: list[DenseLayer], trace: ForwardTrace) -> None:
+    """Record the outputs of the leading layers whose width is a multiple
+    of 8 and at least WIDE, run in row blocks over threads, when the batch
+    gives each of two or more threads two blocks of at least WIDE rows.
+    Record nothing otherwise, or when a block raises or meets a non-finite
+    activation: the serial loop then runs from the first layer."""
+    x = trace.x
+    wide = []
+    for layer in layers:
+        width = layer.weights.shape[0]
+        if width < WIDE or width % 8:
+            break
+        wide.append(layer)
+    if not wide:
+        return
+    rows = x.shape[0]
+    n = _block_count(rows, 8 * max(layer.weights.shape[0] for layer in wide),
+                     WIDE)
+    threads = block_threads(n, 2)
+    if threads < 2:
+        return
+    post = [np.empty((rows, layer.weights.shape[0])) for layer in wide]
+
+    def forward_block(lo: int, hi: int) -> None:
+        h = x[lo:hi]
+        for layer, out in zip(wide, post):
+            a = out[lo:hi]
+            np.matmul(h, layer.weights.T, out=a)
+            a += layer.bias
+            if layer.activation == RELU:
+                np.maximum(a, 0.0, out=a)
+            if not np.isfinite(a).all():
+                raise NumericError("non-finite activation")
+            h = a
+
+    strict = {kind: "ignore" if mode == "ignore" else "raise"
+              for kind, mode in np.geterr().items()}
+    try:
+        with np.errstate(**strict):
+            run_blocks(rows, n, forward_block, threads)
+    except (FloatingPointError, NumericError):
+        return
+    trace.post += post
+    trace.dropped += post
+    trace.drop_masks += [None] * len(post)
 
 
 def backward(layers: list[DenseLayer], trace: ForwardTrace,

@@ -4,7 +4,8 @@
 `route` builds each level from temporaries with that sigmoid, over the whole
 batch at once: the forms the branch-free, row-blocked kernels replaced.
 `head_predict` and `predict` are the head output and the eval forward of a
-model over whole-batch routings. `routing_backward` and `forest_backward`
+model over whole-batch routings, and `eval_forward` is the backbone's eval
+forward with every layer over the whole batch. `routing_backward` and `forest_backward`
 copy the backward pass, so a later rewrite of it is held to the same bits.
 `gradients` is a model's batch loss and gradients as they were taken with
 these kernels: every head routed and predicted first, then every head's
@@ -91,6 +92,17 @@ def head_predict(head, routing):
     leaf = (softmax_rows(head.leaf) if head.kind == CLASSIFICATION
             else head.leaf)
     return routing.p @ leaf / head.trees
+
+
+def eval_forward(layers, X):
+    """Each layer's eval-mode output, every layer over the whole batch."""
+    posts = []
+    h = np.asarray(X, dtype=np.float64)
+    for layer in layers:
+        z = h @ layer.weights.T + layer.bias
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        posts.append(h)
+    return posts
 
 
 def predict(model, X):

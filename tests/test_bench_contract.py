@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dnspn.forest
+import dnspn.network
+import dnspn.numeric
 import dnspn.training as training
 from dnspn.data import Dataset, Task
 from dnspn.numeric import RngState
@@ -98,15 +99,9 @@ def test_traced_fit_and_predict():
     assert training.fit is fit
 
 
-def test_traced_split_predict_stays_on_the_main_thread(monkeypatch):
-    # a 2000-row predict of a deep forest splits each head's route over
-    # two threads; the tracer is single-threaded, so every span must still
-    # open on the calling thread and nest
-    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 2)
-    model = training.build_forest_model(2, CLS, RngState(5), trees=32,
-                                        depth=6, embed_dim=8)
-    X = RngState(6).normal(2000, 2)
-    want = training.predict(model, X)
+def _traced_predict(model, X):
+    """(span summary, threads that opened a span, output) of a traced
+    predict."""
     tracer = spans.Tracer()
     opened = []
     open_span = tracer._open
@@ -122,12 +117,50 @@ def test_traced_split_predict_stays_on_the_main_thread(monkeypatch):
         got = training.predict(model, X)
     finally:
         tracer.uninstall()
-    summary = spans.Summary(tracer.spans)
+    return spans.Summary(tracer.spans), opened, got
+
+
+def test_traced_split_predict_stays_on_the_main_thread(monkeypatch):
+    # a 2000-row predict of a deep forest splits each head's route over
+    # two threads; the tracer is single-threaded, so every span must still
+    # open on the calling thread and nest
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+    model = training.build_forest_model(2, CLS, RngState(5), trees=32,
+                                        depth=6, embed_dim=8)
+    X = RngState(6).normal(2000, 2)
+    want = training.predict(model, X)
+    summary, opened, got = _traced_predict(model, X)
     assert summary.nesting_error() == 0.0
     assert summary.calls("forest.route") == len(model.heads) == 3
     assert summary.calls("training.predict") == 1
     assert opened and set(opened) == {threading.get_ident()}
     assert np.array_equal(got, want)
+
+
+def test_traced_split_forward_is_one_span_on_the_caller(monkeypatch):
+    # a 2000-row predict of the paper-sized model (100 -> 200 -> 200 ->
+    # 200) splits its backbone forward over two threads: the forward is
+    # still one span, opened on the calling thread
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+    model = training.build_forest_model(100, CLS, RngState(7), trees=10,
+                                        depth=4, embed_dim=8)
+    X = RngState(8).normal(2000, 100)
+    want = training.predict(model, X)
+    split = []
+    run_blocks = dnspn.network.run_blocks
+
+    def recorded(rows, n, work, threads):
+        split.append(n)
+        return run_blocks(rows, n, work, threads)
+
+    monkeypatch.setattr(dnspn.network, "run_blocks", recorded)
+    summary, opened, got = _traced_predict(model, X)
+    assert split == [7]                  # the forward's row blocks
+    assert summary.nesting_error() == 0.0
+    assert summary.calls("network.forward") == 1
+    assert summary.calls("forest.route") == len(model.heads) == 3
+    assert opened and set(opened) == {threading.get_ident()}
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("method", training.METHODS)

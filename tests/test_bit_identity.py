@@ -15,6 +15,7 @@ against `json.dump`, the dataset and mask-curve CSVs against
 parsed one cell at a time.
 """
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import reference_kernels as ref
 import dnspn.cli
 import dnspn.model_io
 import dnspn.network
+import dnspn.numeric
 import dnspn.training
 from dnspn.cli import main
 from dnspn.data import (Dataset, SyntheticSpec, Task, gen_linear_k, gen_xor,
@@ -263,7 +265,7 @@ def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which,
 
     # 0 to 3 worker threads beside the caller, as many as the blocks allow
     for cpus in (1, 2, 3, 4):
-        monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
         blocked = route(head, act, keep_factors=False)
         assert blocked.decisions is None and blocked.level_mus == []
         assert_same_bits(blocked.p, want.p, f"p at {cpus} CPUs")
@@ -305,6 +307,148 @@ def test_predict_matches_whole_batch_forward(kind):
     for batch in (1, 2, 67, 2000):
         assert_same_bits(predict(model, X[:batch]), ref.predict(model,
                          X[:batch]), f"predict of {batch} rows")
+
+
+# Models whose eval forward is held to the whole-batch bits: the paper
+# dnspn (100 -> 200 -> 200 -> 200), whose three layers run in row blocks;
+# fcnn, whose 200 -> 2 or 200 -> 1 readout runs on the caller after two
+# blocked layers; and dnspn backbones of d = 10, too narrow to split,
+# d = 50, 100 wide, and d = 102, whose 204-wide layers (not a multiple
+# of 8) would change bits in blocks
+FORWARD_MODELS = {
+    "paper": lambda: build_forest_model(100, Task("classification",
+                                                  n_classes=2),
+                                        RngState(31), 10, 4, 8),
+    "fcnn": lambda: build_softmax_model(100, Task("classification",
+                                                  n_classes=2),
+                                        RngState(32)),
+    "fcnn-regress": lambda: build_softmax_model(100, Task("regression"),
+                                                RngState(33)),
+    "dnspn-d10": lambda: build_forest_model(10, Task("classification",
+                                                     n_classes=3),
+                                            RngState(34), 10, 4, 8),
+    "dnspn-d50": lambda: build_forest_model(50, Task("regression"),
+                                            RngState(35), 10, 4, 8),
+    "dnspn-d102": lambda: build_forest_model(102, Task("classification",
+                                                       n_classes=2),
+                                             RngState(39), 10, 4, 8)}
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 300, 2000, 2001])
+@pytest.mark.parametrize("name", sorted(FORWARD_MODELS))
+def test_blocked_forward_matches_whole_batch(name, rows, monkeypatch):
+    model = FORWARD_MODELS[name]()
+    refresh_masks(model, DSP)
+    X = RngState(rows).normal(rows, model.input_dim)
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 1)
+    want = dnspn.network.forward(model.layers, X)
+    want_out = predict(model, X)
+    for i, post in enumerate(ref.eval_forward(model.layers, X)):
+        assert_same_bits(want.post[i], post, f"post[{i}] at 1 CPU")
+    # 0 to 3 worker threads beside the caller, on a row-major input and
+    # on a column-major copy, whose row blocks are strided
+    for cpus in (2, 3, 4):
+        monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
+        for x in (X, np.asfortranarray(X)):
+            got = dnspn.network.forward(model.layers, x)
+            assert len(got.post) == len(model.layers)
+            for i, (a, b) in enumerate(zip(got.post, want.post)):
+                assert_same_bits(a, b, f"post[{i}] at {cpus} CPUs")
+                assert got.dropped[i] is a and got.drop_masks[i] is None
+            assert_same_bits(predict(model, x), want_out,
+                             f"predict at {cpus} CPUs")
+
+
+def _record_blocks(monkeypatch, in_block=None):
+    """(lo, hi) of each row block that a later forward runs, and the
+    thread count it asks for, in a list, one entry a forward. While a
+    block runs, `in_block.on` is true on its thread."""
+    calls = []
+    run = dnspn.network.run_blocks
+
+    def recorded(rows, n, work, threads):
+        blocks = []
+        calls.append((blocks, threads))
+
+        def block(lo, hi):
+            blocks.append((lo, hi))
+            if in_block is not None:
+                in_block.on = True
+            try:
+                return work(lo, hi)
+            finally:
+                if in_block is not None:
+                    in_block.on = False
+
+        return run(rows, n, block, threads)
+
+    monkeypatch.setattr(dnspn.network, "run_blocks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("rows,blocks", [(255, 0), (256, 4), (257, 4),
+                                         (300, 4), (639, 9)])
+def test_forward_blocks_keep_the_row_floor(rows, blocks, monkeypatch):
+    # 1024-wide layers fill ROUTE_BLOCK_BYTES at 64 rows, so the row floor
+    # sets the block count: rows // 64 blocks, split only at 4 or more,
+    # two a thread
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 4)
+    layers = build_network(512, 2, RngState(36))
+    X = RngState(37).normal(rows, 512)
+    calls = _record_blocks(monkeypatch)
+    got = dnspn.network.forward(layers, X)
+    if blocks:
+        (ran, threads), = calls
+        assert sorted(ran) == [(rows * i // blocks, rows * (i + 1) // blocks)
+                               for i in range(blocks)]
+        assert min(hi - lo for lo, hi in ran) >= dnspn.network.WIDE
+        assert threads == min(4, blocks // 2)
+    else:
+        assert calls == []
+    for i, post in enumerate(ref.eval_forward(layers, X)):
+        assert_same_bits(got.post[i], post, f"post[{i}]")
+
+
+@pytest.mark.parametrize("widths,blocked", [
+    ((200, 200, 2), 2), ((200, 63, 200), 1), ((63, 200, 200), 0),
+    ((64, 64, 64), 3), ((200, 200, 1), 2), ((200, 204, 200), 1),
+    ((204, 200, 200), 0), ((56, 200, 200), 0)])
+def test_narrow_layers_run_on_the_caller(widths, blocked, monkeypatch):
+    # only the leading layers at least WIDE wide, in a multiple of 8, run
+    # in row blocks; every layer from the first other one on runs once,
+    # over the whole batch
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+    rng = RngState(38)
+    fan_in = [100, *widths[:-1]]
+    layers = [dnspn.network.DenseLayer(rng.normal(out, n_in), rng.normal(1,
+              out)[0], "relu") for n_in, out in zip(fan_in, widths)]
+    X = rng.normal(4096, 100)
+    read, in_block = [], threading.local()
+
+    class Watched(np.ndarray):
+        """Weights that record each product they take part in: their
+        layer's index, and whether a row block took it."""
+
+        @property
+        def T(self):
+            read.append((self.index, getattr(in_block, "on", False)))
+            return np.asarray(self).T
+
+    for i, layer in enumerate(layers):
+        layer.weights = layer.weights.view(Watched)
+        layer.weights.index = i
+    calls = _record_blocks(monkeypatch, in_block)
+    got = dnspn.network.forward(layers, X)
+    for layer in layers:
+        layer.weights = np.asarray(layer.weights)
+    # a blocked layer is read once a block, every other once, on the caller
+    assert len(calls) == (1 if blocked else 0)
+    blocks = sum(len(ran) for ran, _ in calls)
+    assert sorted(read) == sorted(
+        [(i, True) for i in range(blocked) for _ in range(blocks)]
+        + [(i, False) for i in range(blocked, len(layers))])
+    for i, post in enumerate(ref.eval_forward(layers, X)):
+        assert_same_bits(got.post[i], post, f"post[{i}]")
 
 
 def _memo_model():

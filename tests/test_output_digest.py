@@ -17,7 +17,7 @@ FILES = {"generate": 3, "train": 3, "evaluate": 1, "compare": 1,
 def test_two_runs_print_the_same_bytes():
     # at 1 and 2 BLAS threads, and pinned to one CPU, side by side: the
     # outputs depend neither on the BLAS thread count nor on whether an
-    # eval route's rows are split over worker threads
+    # eval forward's or route's rows are split over worker threads
     runs = [subprocess.Popen([sys.executable, str(TOOL), *flags],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
             for flags in (["--threads", "1"], ["--threads", "2"],
@@ -27,9 +27,11 @@ def test_two_runs_print_the_same_bytes():
         assert proc.returncode == 0, err.decode()
     assert outs[0][0] == outs[1][0] == outs[2][0]
     lines = outs[0][0].decode().splitlines()
-    # six models: fcnn, dndn, dnspn, surgery, regression and deep-forest
-    assert len(lines) == (2 * FILES["generate"] + 6 * FILES["train"]
-                          + 6 * FILES["evaluate"] + FILES["compare"]
+    # six models: fcnn, dndn, dnspn, surgery, regression and deep-forest,
+    # each evaluated once, and fcnn and dnspn again on a third, 1200-row
+    # generated split
+    assert len(lines) == (3 * FILES["generate"] + 6 * FILES["train"]
+                          + 8 * FILES["evaluate"] + FILES["compare"]
                           + FILES["mask-curve"])
     paths = [line.split("  ", 1)[1] for line in lines]
     assert paths == sorted(paths)

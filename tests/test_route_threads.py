@@ -1,10 +1,11 @@
-"""An eval route's row blocks on worker threads: who runs what, float
-errors, exceptions, fork and shared use.
+"""An eval route's and an eval forward's row blocks on worker threads:
+who runs what, float errors, exceptions, fork and shared use.
 
-`route` hands an eval route's blocks to the calling thread and to one
-worker for each further CPU (`dnspn.forest._cpu_count`, patched here so
-that every machine splits), each thread taking the next block left. The bits
-are held to the whole-batch reference in test_bit_identity.py; these tests
+`route` and `network.forward` hand their blocks, through
+`dnspn.numeric.run_blocks`, to the calling thread and to one worker for
+each further CPU (`dnspn.numeric._cpu_count`, patched here so that every
+machine splits), each thread taking the next block left. The bits are
+held to the whole-batch reference in test_bit_identity.py; these tests
 hold the threading itself. Where a test needs a given thread to run a
 given block, it holds one thread back on an event until the other has.
 """
@@ -14,12 +15,15 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
 
 import dnspn.forest
+import dnspn.network
+import dnspn.numeric
 from dnspn.data import Task
 from dnspn.forest import init_head, route
 from dnspn.numeric import RngState
@@ -31,8 +35,7 @@ WAIT_S = 30.0
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 2,
-                        raising=False)
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
 
 
 def deep_head(seed=0):
@@ -89,8 +92,7 @@ def test_split_route_descends_on_two_threads(two_cpus, monkeypatch):
 
 
 def test_one_cpu_routes_on_the_caller_only(monkeypatch):
-    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 1,
-                        raising=False)
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 1)
     calls = _record_descend(monkeypatch)
     route(deep_head(), RngState(1).normal(2000, 4), keep_factors=False)
     assert {thread for thread, _ in calls} == {threading.get_ident()}
@@ -139,7 +141,7 @@ def test_worker_overflow_raises_under_callers_errstate(two_cpus,
         finally:
             worker_done.set()
 
-    monkeypatch.setattr(dnspn.forest, "deque", CallerFirst)
+    monkeypatch.setattr(dnspn.numeric, "deque", CallerFirst)
     monkeypatch.setattr(dnspn.forest, "_decisions", held)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -153,8 +155,7 @@ def test_worker_overflow_raises_under_callers_errstate(two_cpus,
 
 
 def test_serial_overflow_raises_too(monkeypatch):
-    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 1,
-                        raising=False)
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 1)
     head, act = _overflowing_rows()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         route(head, act, keep_factors=False)
@@ -194,36 +195,171 @@ def test_error_reaches_caller_after_every_block(failing, two_cpus,
     assert sum(ran.values()) == 1
 
 
+def _paper_model():
+    """The paper-sized forest model: 100 -> 200 -> 200 -> 200, with 10
+    trees of depth 4 on 8-wide embeddings after each layer. Its 2000-row
+    forward runs in 7 row blocks, and each head's route in 3."""
+    return build_forest_model(100, CLS, RngState(13), trees=10, depth=4,
+                              embed_dim=8)
+
+
+class WorkerSecond(deque):
+    """A block queue whose first block the caller takes and whose second
+    the (one) worker takes, before the caller begins the first; `taken`
+    records (on the caller, block) of each block taken."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.taken = []
+        self.caller_took, self.worker_took = (threading.Event(),
+                                              threading.Event())
+
+    def popleft(self):
+        if not _on_caller():
+            assert self.caller_took.wait(WAIT_S)
+        item = super().popleft()
+        self.taken.append((_on_caller(), item))
+        if not _on_caller():
+            self.worker_took.set()
+        elif not self.caller_took.is_set():
+            self.caller_took.set()
+            assert self.worker_took.wait(WAIT_S)
+        return item
+
+
+def _bad_rows(model, case):
+    """2000 rows on which the paper model's forward fails: a NaN in a row
+    of the second block (rows 285-570), at layer 0, and/or an overflow at
+    layer 1 in a row of the first block. Every other row is all zero, and
+    so are the biases, so it stays zero."""
+    X = np.zeros((2000, 100))
+    for layer in model.layers:
+        layer.bias[:] = 0.0
+    if "nan" in case:
+        X[300, 7] = np.nan
+    if "overflow" in case:
+        X[10] = 10.0
+        model.layers[1].weights[:] = 1e308
+    return X
+
+
+def _outcome(call):
+    """(exception type, message, warning messages) of `call()`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except Exception as exc:        # noqa: BLE001 - compared below
+            return type(exc), str(exc), [str(w.message) for w in caught]
+    pytest.fail("the forward did not raise")
+
+
+@pytest.mark.parametrize("errstate", ["default", "raise"])
+@pytest.mark.parametrize("case", ["nan", "overflow", "nan+overflow"])
+def test_forward_errors_match_the_serial_forward(case, errstate,
+                                                 monkeypatch):
+    # the worker's block meets a NaN at layer 0 and/or the caller's an
+    # overflow at layer 1: the error, and any warning, is that of the
+    # serial forward, which raises at the first bad layer
+    model = _paper_model()
+    X = _bad_rows(model, case)
+    state = ({} if errstate == "default"
+             else {"over": "raise", "invalid": "raise"})
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 1)
+    with np.errstate(**state):
+        want = _outcome(lambda: dnspn.network.forward(model.layers, X))
+    queues = []
+
+    def queue(*args):
+        queues.append(WorkerSecond(*args))
+        return queues[-1]
+
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dnspn.numeric, "deque", queue)
+    with np.errstate(**state):
+        got = _outcome(lambda: dnspn.network.forward(model.layers, X))
+    assert got == want
+    # the forward's blocks ran first, the worker's being rows 285-570
+    (blocks,) = queues
+    assert (True, (0, 285)) in blocks.taken
+    assert (False, (285, 571)) in blocks.taken
+
+
+def test_one_and_128_row_predicts_leave_the_pool_alone(monkeypatch):
+    # a 1-row or 128-row predict, and a 2000-row training forward, run on
+    # the caller alone; a 2000-row predict's forward and routes use the
+    # pool
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 4)
+    pools = []
+    pool = dnspn.numeric._pool
+
+    def recorded(workers):
+        pools.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(dnspn.numeric, "_pool", recorded)
+    model = _paper_model()
+    X = RngState(14).normal(2000, 100)
+    for rows in (1, 128):
+        predict(model, X[:rows])
+    dnspn.network.forward(model.layers, X, 0.5, True, RngState(15))
+    dnspn.network.forward(model.layers, X, 0.0, True)
+    assert pools == []
+    predict(model, X)
+    # the forward's 7 blocks on 3 threads, then 3 blocks a head's route
+    assert pools == [2] + [2] * len(model.heads)
+
+
 def _deep_model():
     return build_forest_model(2, CLS, RngState(11), trees=32, depth=6,
                               embed_dim=8)
 
 
+def _held_blocks():
+    """Make the calling thread wait, for up to 5 s, before its first block
+    of each kind (forward or route) until a worker has begun one, and
+    return the set of (on the caller, kind) of the blocks run."""
+    ran, worker_began = set(), {}
+    take = dnspn.numeric._take_blocks
+
+    def held(blocks, work):
+        kind = work.__name__
+        began = worker_began.setdefault(kind, threading.Event())
+
+        def run(lo, hi):
+            ran.add((_on_caller(), kind))
+            if _on_caller():
+                began.wait(5.0)
+            else:
+                began.set()
+            return work(lo, hi)
+
+        return take(blocks, run)
+
+    dnspn.numeric._take_blocks = held
+    return ran
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_predicts(two_cpus):
-    model = _deep_model()
-    X = RngState(12).normal(2000, 2)
-    want = predict(model, X)             # starts the parent's worker
+    # a deep forest, whose routes split, and the paper-sized model, whose
+    # forward splits too, each at 2000 rows
+    cases = [(_deep_model(), RngState(12).normal(2000, 2), {"route_block"}),
+             (_paper_model(), RngState(16).normal(2000, 100),
+              {"route_block", "forward_block"})]
+    want = [predict(model, X) for model, X, _ in cases]  # starts the worker
     pid = os.fork()
     if pid == 0:                          # the child: never back into pytest
         code = 1
         try:
-            # the child's own worker routes a block: the caller holds its
-            # first block of each head until one has, or for 5 s
-            worker_ran, threads = threading.Event(), set()
-            descend = dnspn.forest._descend
-
-            def held(*args):
-                threads.add(threading.get_ident())
-                if _on_caller():
-                    worker_ran.wait(5.0)
-                else:
-                    worker_ran.set()
-                return descend(*args)
-
-            dnspn.forest._descend = held
-            same = np.array_equal(predict(model, X), want)
-            code = 0 if same and len(threads) == 2 else 3
+            # the child's own worker runs blocks of each kind
+            ran = _held_blocks()
+            code = 0
+            for (model, X, kinds), one in zip(cases, want):
+                ran.clear()
+                same = np.array_equal(predict(model, X), one)
+                worker = {kind for caller, kind in ran if not caller}
+                code = code or (0 if same and worker == kinds else 3)
         finally:
             os._exit(code)
     deadline = time.monotonic() + 2 * WAIT_S
@@ -239,19 +375,24 @@ def test_forked_child_predicts(two_cpus):
 
 
 def test_user_threads_share_one_model(monkeypatch):
-    # three callers at once, each splitting its routes over three workers,
-    # on a short switch interval: every output keeps the serial bits
-    monkeypatch.setattr(dnspn.forest, "_cpu_count", lambda: 4)
-    model = _deep_model()
-    inputs = [RngState(seed).normal(2000, 2) for seed in (21, 22, 23)]
-    want = [predict(model, X) for X in inputs]
+    # six callers at once, each splitting its blocks over three workers,
+    # on a short switch interval: every output keeps the serial bits.
+    # Three share a deep forest, whose routes split, and three the
+    # paper-sized model, whose forward splits too, all at 2000 rows
+    deep, paper = _deep_model(), _paper_model()
+    models = [deep] * 3 + [paper] * 3
+    inputs = [RngState(seed).normal(2000, model.input_dim)
+              for seed, model in zip(range(21, 27), models)]
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 1)
+    want = [predict(model, X) for model, X in zip(models, inputs)]
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 4)
     got = [[] for _ in inputs]
     start = threading.Barrier(len(inputs))
 
     def serve(i):
         start.wait()
         for _ in range(3):
-            got[i].append(predict(model, inputs[i]))
+            got[i].append(predict(models[i], inputs[i]))
 
     users = [threading.Thread(target=serve, args=(i,))
              for i in range(len(inputs))]

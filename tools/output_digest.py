@@ -12,6 +12,10 @@ one child process with OPENBLAS_NUM_THREADS=N (default 1), which calls
   in two row blocks, so a predict splits them over the CPUs), on the
   quadratic data;
 - `evaluate` of each model on the quadratic test split;
+- `generate` of a 1200-row quadratic test split, and `evaluate` of the
+  fcnn and dnspn models on it: their 100 -> 200 -> 200 layers run in four
+  row blocks, so a predict splits them over the CPUs, and fcnn's narrow
+  readout then runs on the caller;
 - `compare` of fcnn and dnspn over two seeds, and `mask-curve`.
 
 It prints `sha256  path` for each file written, in path order. `--src`
@@ -45,6 +49,9 @@ GEN = ["--k", "5", "--sigma", "0.5", "--ntrain", "240", "--ntest", "80",
        "--seed", "3"]
 FIT = ["--epochs", "2", "--trees", "2", "--depth", "3", "--embed", "3",
        "--seed", "4"]
+# A test split that an eval forward of the 100-feature models runs in
+# four row blocks of 200-wide activations (see dnspn.network)
+SERVE = ["--ntest", "1200"]
 # (output directory, training method, extra train flags)
 MODELS = [("fcnn", "fcnn", []), ("dndn", "dndn", []), ("dnspn", "dnspn", []),
           ("surgery", "surgery", []),
@@ -78,6 +85,12 @@ def run_script(cpus: int = 0) -> None:
             "--out", f"train-{out}")
         cli("evaluate", "--model", f"{only_run('train-' + out)}/model.json",
             "--data", f"{data}/test.csv", "--out", f"eval-{out}")
+    cli("generate", "--kind", "quadratic", *GEN, *SERVE, "--out", "serve")
+    for out in ("fcnn", "dnspn"):
+        cli("evaluate", "--model",
+            f"{only_run('train-' + out)}/model.json",
+            "--data", f"{only_run('serve')}/test.csv",
+            "--out", f"serve-{out}")
     cli("compare", *split, "--methods", "fcnn,dnspn", "--seeds", "0,1",
         *FIT[:-2], "--out", "compare")
     cli("mask-curve", "--samples", "201", "--out", "curve")
