@@ -316,9 +316,16 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError("--seeds must be comma-separated integers, got "
+                         f"{args.seeds!r}") from None
     if not seeds:
         raise UsageError("compare needs at least one seed")
+    for flag, items in (("methods", methods), ("seeds", seeds)):
+        if len(set(items)) < len(items):
+            raise UsageError(f"--{flag} repeats an entry: {items}")
     tcfgs = {method: [_train_config({**cfg, "seed": seed}, explicit, method)
                       for seed in seeds] for method in methods}
     _check_forest_shape(cfg, methods)
@@ -361,6 +368,10 @@ def cmd_mask_curve(args) -> int:
         raise ParameterError(f"samples must be in [2, {MAX_CURVE_SAMPLES}], "
                              f"got {args.samples}")
     require_finite(mu=args.mu, std=args.std, wmin=args.wmin, wmax=args.wmax)
+    for name in ("mu", "std"):      # a mean |w| and a standard deviation
+        if getattr(args, name) < 0:
+            raise ParameterError(
+                f"{name} must be >= 0, got {getattr(args, name)}")
     if not args.wmin < args.wmax:
         raise UsageError("empty weight range: wmin must be < wmax")
     stats = LayerStats(mu=args.mu, std=args.std)

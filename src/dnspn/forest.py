@@ -51,15 +51,12 @@ same bits at every block size from 2 to 2000 rows tried, and with either
 operand permuted; the bit-identity tests hold it to that.
 
 Who runs which rows: an eval route of two or more blocks hands its
-blocks, in row order, to :func:`dnspn.numeric.run_blocks`, which runs
-them on the calling thread and on one worker for each further CPU, each
-thread taking the next block left. The blocks are those of a serial
-route, no block reads another's rows or writes outside its own rows of
-`p`, so `p` has the same bits at any worker count; the full-height
-projection and leaf contraction stay on the caller. A training route and
-a one-block eval route (every one-row predict) run on the caller alone,
-so training stays single-threaded. An overflow in a worker's block
-raises under `np.errstate(over="raise")` as it would on the caller.
+blocks, in row order, to :func:`dnspn.numeric.run_blocks`. The blocks are
+those of a serial route, no block reads another's rows or writes outside
+its own rows of `p`, so `p` has the same bits at any worker count; the
+full-height projection and leaf contraction stay on the caller. A
+training route and a one-block eval route (every one-row predict) run on
+the caller alone, so training stays single-threaded.
 """
 
 from __future__ import annotations
@@ -245,10 +242,7 @@ def route(head: ForestHead, activation: np.ndarray,
     :func:`_block_count` blocks, and only `p` and `embedding` are kept.
 
     An eval route of two or more blocks runs them through
-    :func:`dnspn.numeric.run_blocks` (see "Who runs which rows" above),
-    under the caller's numpy `errstate`. The caller returns or raises only
-    after every block begun has ended: its own error first, else the
-    first worker's.
+    :func:`dnspn.numeric.run_blocks` (see "Who runs which rows" above).
     """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.ndim != 2 or activation.shape[1] != head.proj_w.shape[1]:

@@ -231,8 +231,7 @@ def load_model(path) -> Model:
                                       (doc["input_dim"],))
                               for key in ("mean", "std")))
         return Model(layers=layers, heads=heads, head_layers=head_layers,
-                     task=task, kind=kind, input_dim=doc["input_dim"],
-                     scaler=scaler, masks=masks)
+                     task=task, scaler=scaler, masks=masks)
     except DataError as exc:
         if str(path) in str(exc):    # the task check names the file itself
             raise

@@ -13,13 +13,12 @@ wide layers, those whose output width is a multiple of 8 and at least
 WIDE, in contiguous row blocks of about ROUTE_BLOCK_BYTES of the widest
 of them, with at least WIDE rows a block. Each block takes its rows
 through all of those layers and writes them into each layer's
-full-height `post` array; the blocks run through
-:func:`dnspn.numeric.run_blocks`, on the calling thread and on the route
-pool's workers, each thread taking the next block left. Every layer from
-the first other one on runs on the caller over the whole batch, as does
-every training forward, so training stays single-threaded, and so does
-an eval forward whose blocks would not give each of two or more threads
-two blocks (every one-row and 128-row predict of the paper model).
+full-height `post` array; :func:`dnspn.numeric.run_blocks` runs the
+blocks. Every layer from the first other one on runs on the caller over
+the whole batch, as does every training forward, so training stays
+single-threaded, and so does an eval forward whose blocks would not give
+each of two or more threads two blocks (every one-row and 128-row
+predict of the paper model).
 
 Why the width rule and the row floor: OpenBLAS picks its kernel and
 its sum order by the shape of a product, so a row block of `x @ W.T`
@@ -113,8 +112,8 @@ def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
     `dropped` entries alias `post` exactly.
 
     An eval forward of enough rows runs its leading wide layers in row
-    blocks on the caller and the route pool's workers (see "Who runs
-    which rows" above), with the bits of the serial forward; the rest of
+    blocks over threads (see "Who runs which rows" above), with the bits
+    of the serial forward; the rest of
     the stack, and every training forward, runs on the caller. Errors are
     those of the serial forward: it is what runs when any block fails.
     """

@@ -10,17 +10,7 @@ can be derived for parallel or per-component use.
 
 Row blocks: an eval forward's wide layers and an eval route work in
 contiguous row blocks of about ROUTE_BLOCK_BYTES (:func:`_block_count`),
-and :func:`run_blocks` runs them on the calling thread and on the workers
-of one process-wide pool (:func:`_pool`), one worker for each further CPU
-the process may run on (:func:`_cpu_count`). Each thread takes the next
-block left until none is, so a worker that starts late or is slowed by a
-busy core takes fewer blocks, and the caller waits at most for the blocks
-that workers have already begun. numpy's kernels release the GIL, so the
-blocks run on separate cores. Each worker task runs in a copy of the
-caller's context, where numpy 2 keeps its `errstate`, so a float error in
-a worker's block is handled as it would be on the caller. The pool is
-keyed on the process id: a forked child inherits the pool object but not
-its threads, so it starts its own.
+which :func:`run_blocks` runs over threads.
 """
 
 from __future__ import annotations
@@ -106,14 +96,23 @@ def run_blocks(rows: int, n: int, work: Callable[[int, int], None],
                threads: int) -> None:
     """Run `work(lo, hi)` once for each of `n` near-equal contiguous row
     blocks [lo, hi) of `rows` rows, taken in row order, on the calling
-    thread and on `threads` - 1 workers of :func:`_pool`, each thread
-    taking the next block left.
+    thread and on `threads` - 1 workers of the process-wide pool
+    (:func:`_pool`; :func:`block_threads` gives one thread for each CPU
+    the process may run on).
 
+    Each thread takes the next block left until none is, so a worker that
+    starts late or is slowed by a busy core takes fewer blocks, and the
+    caller waits at most for the blocks that workers have already begun.
+    numpy's kernels release the GIL, so the blocks run on separate cores.
     `work` must touch only its own rows, so that the results do not
-    depend on which thread ran which block. The caller returns or raises
-    only after every block begun has ended: its own error first, else the
-    first worker's. An error in any thread empties the queue, so no
-    thread starts another block.
+    depend on which thread ran which block.
+
+    Each worker runs in a copy of the caller's context, where numpy 2
+    keeps its `errstate`, so a float error in a worker's block is handled
+    as it would be on the caller. The caller returns or raises only after
+    every block begun has ended: its own error first, else the first
+    worker's. An error in any thread empties the queue, so no thread
+    starts another block.
     """
     blocks = deque((rows * i // n, rows * (i + 1) // n) for i in range(n))
     workers = threads - 1

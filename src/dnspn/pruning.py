@@ -3,8 +3,9 @@
 Both methods keep the stored "shadow" weights W intact and compute with
 effective weights W * T, where T is a mask recomputed from the layer's
 current statistics (mu = mean |W|, std = standard deviation of W) at every
-training iteration. Only surgery reads std. A layer's record keeps W * T;
-see :func:`apply_mask`.
+training iteration. Only surgery reads std. A layer's record keeps W * T
+in one array for its whole life, the array the layer computes with; see
+:func:`apply_mask`.
 
 The refresh (:func:`refresh_mask`) is one pass over each record: it takes
 |W| once, mu from it, std only in surgery mode, and writes each step in
@@ -80,8 +81,14 @@ class PrunedLayer:
     """Shadow weights, their mask, the backprop multiplier
     d(shadow * mask)/d(shadow): the one the last DSP refresh computed, or
     before any refresh the mask itself (the multiplier of a fixed mask),
-    and the effective weights shadow * mask. While the mask is all ones (a
-    new record, mode "none") those are the shadow array itself."""
+    and the effective weights shadow * mask.
+
+    `effective` is one array for the record's whole life: the array it was
+    made over, which the layer or head holds and computes with. While the
+    mask is all ones (a new record, mode "none") the shadow is that array
+    too. The first masked :func:`apply_mask` gives the shadow an array of
+    its own, once, and a mode-"none" refresh copies it back and aliases the
+    two again; so a reader of the shadow array reads it after a refresh."""
     shadow: np.ndarray
     mask: np.ndarray
     multiplier: np.ndarray
@@ -105,11 +112,15 @@ def layer_stats(w: np.ndarray) -> LayerStats:
 
 def new_pruned_layer(shadow: np.ndarray,
                      mask: np.ndarray | None = None) -> PrunedLayer:
-    """A mask record over `shadow`, all ones unless `mask` is given."""
+    """A mask record over `shadow`, all ones unless `mask` is given. The
+    array passed in is the record's effective array: with a mask, the
+    record keeps a copy as its shadow and writes shadow * mask into it."""
     if mask is None:
         ones = np.ones_like(shadow)
         return PrunedLayer(shadow, ones, multiplier=ones, effective=shadow)
-    return PrunedLayer(shadow, mask, multiplier=mask, effective=shadow * mask)
+    pl = PrunedLayer(shadow, mask, multiplier=mask, effective=shadow)
+    apply_mask(pl)
+    return pl
 
 
 def _dsp_pass(aw: np.ndarray, mu: float,
@@ -183,13 +194,6 @@ def dsp_mask(w: np.ndarray, stats: LayerStats, cfg: PruneConfig) -> np.ndarray:
                      cfg)[0]
 
 
-def dsp_mask_grad(w: np.ndarray, stats: LayerStats,
-                  cfg: PruneConfig) -> np.ndarray:
-    """Elementwise d(w * T(w)) / dw with mu treated as a constant."""
-    return _dsp_pass(np.abs(np.asarray(w, dtype=np.float64)), stats.mu,
-                     cfg)[1]
-
-
 def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
                  cfg: PruneConfig) -> np.ndarray:
     """Hard three-band mask around omega = mu + surgery_eta * std."""
@@ -204,16 +208,18 @@ def surgery_mask(w: np.ndarray, prev_mask: np.ndarray, stats: LayerStats,
 
 
 def apply_mask(layer: PrunedLayer) -> np.ndarray:
-    """Write the effective weights shadow * mask (in place, unless they
-    were the shadow itself) and return them, after each change of the mask
-    or the shadow; inference only reads them. The shadow is never written."""
+    """Write the effective weights shadow * mask in place and return them,
+    after each change of the mask or the shadow; inference only reads them.
+    While the two are one array, the shadow first moves to a copy of its
+    own, so the effective array stays the one the layer holds. The shadow's
+    values are never written."""
     if layer.mask.shape != layer.shadow.shape:
         raise ShapeError(
             f"mask shape {layer.mask.shape} != shadow shape {layer.shadow.shape}"
         )
-    out = None if layer.effective is layer.shadow else layer.effective
-    layer.effective = np.multiply(layer.shadow, layer.mask, out=out)
-    return layer.effective
+    if layer.effective is layer.shadow:
+        layer.shadow = layer.shadow.copy()
+    return np.multiply(layer.shadow, layer.mask, out=layer.effective)
 
 
 def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
@@ -226,14 +232,17 @@ def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
     """Recompute the mask (and in DSP mode its multiplier) from the
     current shadow weights in one pass over the record; then
     :func:`apply_mask` writes the effective weights, but for mode "none",
-    where they are the shadow.
+    where the shadow's values move back into the effective array and the
+    two are one array again.
 
     The pass takes |w| once, mu from it, and the std only in surgery mode,
     the one mode that reads it. It writes fresh arrays, never the record's
     old ones: a new record's mask and multiplier are one array."""
     if cfg.mode == MODE_NONE:
         layer.mask = np.ones_like(layer.shadow)
-        layer.effective = layer.shadow
+        if layer.effective is not layer.shadow:
+            np.copyto(layer.effective, layer.shadow)
+            layer.shadow = layer.effective
         return
     aw, mu = _abs_and_mu(layer.shadow)
     if cfg.mode == MODE_DSP:

@@ -35,6 +35,7 @@ come only from the forests.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
@@ -42,7 +43,6 @@ import numpy as np
 
 from . import network
 from .data import CLASSIFICATION, REGRESSION, Dataset, Scaler, Task
-from .ensemble import fuse
 from .errors import (DataError, MetricError, NumericError, ParameterError,
                      ShapeError, UsageError)
 from .forest import (HEAD_PARAMS, ForestHead, RoutingProbs, forest_backward,
@@ -107,16 +107,17 @@ class Model:
     """A backbone, its heads, and one mask record per layer and head
     projection; `masks` gives theirs, layers first (default all ones).
     A record owns its shadow weights; a layer's `weights` or a head's
-    `proj_w` is its record's effective array, which forwards and the
-    backward compute with (the shadow itself while the mask is all ones).
-    The trainable arrays are walked by :func:`model_params`, which reads
-    these fields on each call and keeps no list of its own."""
+    `proj_w` is its record's effective array for the model's whole life,
+    which forwards and the backward compute with (the shadow itself while
+    the mask is all ones). The trainable arrays are walked by
+    :func:`model_params`, which reads the records on each call and keeps no
+    list of its own: a record's shadow array is replaced once, at its first
+    masked refresh, so read them after a refresh. The kind and the input
+    width follow from the heads and the first layer."""
     layers: list[DenseLayer]
     heads: list[ForestHead]
     head_layers: list[int]            # attachment layer index per head
     task: Task
-    kind: str                         # "forest" | "softmax"
-    input_dim: int
     scaler: Scaler | None = None      # feature scaler used at training time
     masks: InitVar[list[np.ndarray] | None] = None
     layer_prunes: list[PrunedLayer] = field(init=False)  # per layers[i]
@@ -129,13 +130,16 @@ class Model:
                   zip(shadows, masks or [None] * len(shadows), strict=True)]
         self.layer_prunes = pruned[:len(self.layers)]
         self.proj_prunes = pruned[len(self.layers):]
-        self._point_effective()
 
-    def _point_effective(self) -> None:
-        for layer, pl in zip(self.layers, self.layer_prunes):
-            layer.weights = pl.effective
-        for head, pp in zip(self.heads, self.proj_prunes):
-            head.proj_w = pp.effective
+    @property
+    def kind(self) -> str:
+        """FOREST if the model has heads, else SOFTMAX."""
+        return FOREST if self.heads else SOFTMAX
+
+    @property
+    def input_dim(self) -> int:
+        """The first layer's input width."""
+        return self.layers[0].weights.shape[1]
 
 
 def _n_outputs(task: Task) -> int:
@@ -152,15 +156,13 @@ def build_forest_model(input_dim: int, task: Task, rng: RngState,
     heads = [init_head(layer.weights.shape[0], _n_outputs(task), trees, depth,
                        embed_dim, task.kind, rng) for layer in layers]
     return Model(layers=layers, heads=heads,
-                 head_layers=list(range(len(layers))), task=task, kind=FOREST,
-                 input_dim=input_dim)
+                 head_layers=list(range(len(layers))), task=task)
 
 
 def build_softmax_model(input_dim: int, task: Task, rng: RngState) -> Model:
     """Plain backbone whose last layer emits class scores (or one value)."""
     layers = network.build_network(input_dim, _n_outputs(task), rng)
-    return Model(layers=layers, heads=[], head_layers=[], task=task,
-                 kind=SOFTMAX, input_dim=input_dim)
+    return Model(layers=layers, heads=[], head_layers=[], task=task)
 
 
 def method_model(method: str, input_dim: int, task: Task, rng: RngState,
@@ -267,6 +269,25 @@ def model_params(model: Model) -> list[tuple[np.ndarray, PrunedLayer | None]]:
 # Forward / backward over the whole model
 # ---------------------------------------------------------------------------
 
+def fuse(outputs: Sequence[np.ndarray]) -> np.ndarray:
+    """Arithmetic mean of the head outputs (shape-checked): the minimizer
+    of the summed KL divergences from each head's output to the fused
+    distribution (heads on the left of the divergence). Regression outputs
+    fuse by the same mean."""
+    if len(outputs) == 0:
+        raise ParameterError("fuse requires at least one head output")
+    first = np.asarray(outputs[0], dtype=np.float64)
+    total = first.copy()
+    for out in outputs[1:]:
+        arr = np.asarray(out, dtype=np.float64)
+        if arr.shape != first.shape:
+            raise ShapeError(
+                f"head output shapes differ: {arr.shape} vs {first.shape}"
+            )
+        total += arr
+    return total / len(outputs)
+
+
 def _forward(model: Model, X: np.ndarray, dropout: float, training: bool,
              rng: RngState | None):
     """Forward pass with the model's layers and heads: (backbone trace,
@@ -299,7 +320,6 @@ def refresh_masks(model: Model, prune: PruneConfig) -> None:
         refresh_mask(pl, prune)
         if prune.mode != MODE_NONE:
             apply_mask(pl)
-    model._point_effective()
 
 
 def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,

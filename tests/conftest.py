@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+from dnspn.errors import ParameterError
 from dnspn.forest import HEAD_PARAMS
-from dnspn.numeric import RngState
+from dnspn.numeric import RngState, _cpu_count
+from dnspn.pruning import LayerStats, PruneConfig, _dsp_pass
 
 # The acceptance criteria that train many models, about 95% of the suite's
 # time, marked here so test_acceptance.py itself stays as specified.
@@ -11,6 +15,22 @@ SLOW_TESTS = {
     "tests/test_acceptance.py::test_criterion_10_linear50_noiseless_sanity",
     "tests/test_acceptance.py::test_criterion_12_dsp_no_harm",
 }
+
+
+def pytest_report_header(config):
+    """The BLAS thread count and the CPU count the bit-identity checks of
+    this run hold at: the blocked and whole-batch forms are compared at
+    whatever these are, not at every value."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS",
+                             "unset (OpenBLAS default)")
+    return (f"OPENBLAS_NUM_THREADS={threads}; CPUs in the process's set: "
+            f"{_cpu_count()}")
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q leaves the header out; the log still says what the run held at
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def pytest_collection_modifyitems(items):
@@ -62,3 +82,34 @@ def param_names(model) -> list[str]:
              for part in "wb"]
             + [f"head{i}.{name}" for i in range(len(model.heads))
                for name in HEAD_PARAMS])
+
+
+def dsp_mask_grad(w: np.ndarray, stats: LayerStats,
+                  cfg: PruneConfig) -> np.ndarray:
+    """Elementwise d(w * T(w)) / dw with mu treated as a constant: the
+    multiplier of the refresh's own DSP pass."""
+    return _dsp_pass(np.abs(np.asarray(w, dtype=np.float64)), stats.mu,
+                     cfg)[1]
+
+
+def kl_objective(outputs, q: np.ndarray) -> float:
+    """Sum over heads of KL(head || q), with 0 * log(0/q) taken as 0: the
+    objective whose minimizer `training.fuse` computes.
+
+    `q` must be strictly positive wherever any head puts mass; heads and q
+    are flattened rows of probability values (any common shape works).
+    """
+    if len(outputs) == 0:
+        raise ParameterError("kl_objective requires at least one head output")
+    q = np.asarray(q, dtype=np.float64)
+    total = 0.0
+    for out in outputs:
+        r = np.asarray(out, dtype=np.float64)
+        qb = np.broadcast_to(q, r.shape)
+        support = r > 0.0
+        if np.any(qb[support] <= 0.0):
+            raise ParameterError(
+                "q must be strictly positive wherever a head has mass"
+            )
+        total += float(np.sum(r[support] * np.log(r[support] / qb[support])))
+    return total

@@ -13,17 +13,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import central_diff, max_rel_error, param_names
+from conftest import (central_diff, dsp_mask_grad, kl_objective,
+                      max_rel_error, param_names)
 from dnspn.cli import main as cli_main
 from dnspn.data import (SyntheticSpec, gen_linear_k, gen_quadratic_k,
                         gen_xor, standardize, train_test, write_csv)
-from dnspn.ensemble import fuse, kl_objective
 from dnspn.forest import init_head, predict_class, route
 from dnspn.metrics import roc_auc_binary
 from dnspn.numeric import RngState
-from dnspn.pruning import (LayerStats, PruneConfig, dsp_mask, dsp_mask_grad,
+from dnspn.pruning import (LayerStats, PruneConfig, dsp_mask,
                            new_pruned_layer, refresh_mask, surgery_mask)
-from dnspn.training import (TrainConfig, build_forest_model, fit,
+from dnspn.training import (TrainConfig, build_forest_model, fit, fuse,
                             loss_ce, method_model, model_params,
                             backbone_sparsity, _forward)
 

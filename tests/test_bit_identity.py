@@ -39,15 +39,14 @@ from dnspn.forest import (HEAD_PARAMS, ROUTE_BLOCK_BYTES, _block_count,
 from dnspn.model_io import load_model, save_model, write_json
 from dnspn.numeric import RngState, sigmoid
 from dnspn.pruning import (MODE_DSP, MODE_SURGERY, LayerStats, PruneConfig,
-                           apply_mask, dsp_mask, dsp_mask_grad, layer_stats,
-                           mask_curve, new_pruned_layer, refresh_mask,
-                           surgery_mask)
+                           apply_mask, dsp_mask, layer_stats, mask_curve,
+                           new_pruned_layer, refresh_mask, surgery_mask)
 from dnspn.network import build_network
-from dnspn.training import (FOREST, METHODS, AdamState, Model, TrainConfig,
+from dnspn.training import (METHODS, AdamState, Model, TrainConfig,
                             build_forest_model, build_softmax_model,
                             gradients, model_params, predict, refresh_masks,
                             train_step)
-from conftest import param_names
+from conftest import dsp_mask_grad, param_names
 from test_cli import CSV_MUTATIONS
 
 # a DSP refresh at a large alpha, so masks move well away from all ones
@@ -747,7 +746,7 @@ def _shared_layer_model(task, rng, head_layers=(1, 1, 2)):
                        else 1, 4, 4, 3, task.kind, rng)
              for j in head_layers]
     return Model(layers=layers, heads=heads, head_layers=list(head_layers),
-                 task=task, kind=FOREST, input_dim=3)
+                 task=task)
 
 
 CLASSES3 = Task("classification", n_classes=3)

@@ -238,6 +238,12 @@ REJECTED_SETTINGS = [
     ("mask-curve", "--beta", "0"),
     ("mask-curve", "--epsilon", "-1"),
     ("mask-curve", "--samples", str(10 ** 15)),
+    ("mask-curve", "--mu", "-1"),
+    ("mask-curve", "--std", "-1"),
+    ("compare", "--seeds", "1,a"),
+    ("compare", "--seeds", "1.5"),
+    ("compare", "--seeds", "2,0,2"),
+    ("compare", "--methods", "fcnn,fcnn"),
 ]
 
 
@@ -308,6 +314,15 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
     ("mask-curve", "--gamma", "0", "--gamma must be > 0"),
     ("mask-curve", "--mu", "nan", "--mu must be finite, got nan"),
     ("mask-curve", "--wmax", "inf", "--wmax must be finite, got inf"),
+    ("mask-curve", "--mu", "-1", "--mu must be >= 0, got -1.0"),
+    ("mask-curve", "--std", "-0.5", "--std must be >= 0, got -0.5"),
+    ("compare", "--seeds", "1,a",
+     "--seeds must be comma-separated integers, got '1,a'"),
+    ("compare", "--seeds", "1.5",
+     "--seeds must be comma-separated integers, got '1.5'"),
+    ("compare", "--seeds", "0,1, 0", "--seeds repeats an entry: [0, 1, 0]"),
+    ("compare", "--methods", "fcnn, dnspn,fcnn",
+     "--methods repeats an entry: ['fcnn', 'dnspn', 'fcnn']"),
 ])
 def test_rejected_setting_names_its_flag(command, flag, value, message,
                                          tmp_path, capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dnspn.ensemble import fuse, kl_objective
+from conftest import kl_objective
 from dnspn.errors import ParameterError, ShapeError
+from dnspn.training import fuse
 
 
 def random_simplex_rows(rng, n, k):

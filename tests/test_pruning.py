@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dsp_mask_grad
 from dnspn.errors import ParameterError, ShapeError
 from dnspn.pruning import (LayerStats, PruneConfig, apply_mask, dsp_mask,
-                           dsp_mask_grad, layer_stats, mask_curve, mask_grad,
+                           layer_stats, mask_curve, mask_grad,
                            new_pruned_layer, refresh_mask, surgery_mask)
 
 

@@ -13,7 +13,7 @@ from dnspn.network import DenseLayer
 from dnspn.numeric import RngState
 from dnspn.model_io import load_model, save_model
 from dnspn.pruning import PruneConfig, apply_mask, dsp_mask, layer_stats
-from dnspn.training import (METHODS, AdamState, TrainConfig, _forward,
+from dnspn.training import (METHODS, AdamState, Model, TrainConfig, _forward,
                             adam_update, build_forest_model,
                             build_softmax_model, evaluate_model, fit,
                             gradients, loss_ce, loss_mse, method_model,
@@ -570,6 +570,79 @@ class TestEffectiveWeights:
             monkeypatch.setattr(cls, "__init__", refuse)
             monkeypatch.setattr(cls, "__copy__", refuse, raising=False)
         assert np.array_equal(predict(model, ds.X), want)
+
+
+def _held_arrays(model):
+    return ([layer.weights for layer in model.layers]
+            + [head.proj_w for head in model.heads])
+
+
+def _assert_holds(model, held):
+    """The layers and heads hold the very arrays of `held`, and these are
+    their records' effective weights."""
+    assert all(a is b for a, b in zip(_held_arrays(model), held, strict=True))
+    _assert_records_on_weights(model)
+
+
+class TestOneEffectiveArray:
+    """A layer's weights and a head's proj_w are the arrays it was built
+    with for the model's whole life; only a record's shadow moves."""
+
+    @pytest.mark.parametrize("mode", ["none", "dsp", "surgery"])
+    def test_fit_keeps_the_arrays(self, mode):
+        ds = separable_2d(64, 12)
+        model = build_forest_model(2, CLS, RngState(12), trees=2, depth=3,
+                                   embed_dim=2)
+        held = _held_arrays(model)
+        fit(model, ds, None, TrainConfig(epochs=2, batch_size=32,
+                                         prune=PruneConfig(mode=mode)))
+        _assert_holds(model, held)
+        _assert_effective_current(model)
+
+    def test_load_and_refit_keep_the_arrays(self, tmp_path, monkeypatch):
+        import dnspn.model_io as model_io
+
+        ds = separable_2d(64, 13)
+        model = build_forest_model(2, CLS, RngState(13), trees=2, depth=3,
+                                   embed_dim=2)
+        fit(model, ds, None, TrainConfig(epochs=1, batch_size=32,
+                                         prune=PruneConfig(mode="dsp")))
+        save_model(model, tmp_path / "model.json")
+        held = []
+
+        def keep(cls, name):
+            def make(*args):
+                made = cls(*args)
+                held.append(getattr(made, name))
+                return made
+            return make
+
+        # load_model builds every layer, then every head
+        for cls, name in ((DenseLayer, "weights"), (ForestHead, "proj_w")):
+            monkeypatch.setattr(model_io, cls.__name__, keep(cls, name))
+        loaded = load_model(tmp_path / "model.json")
+        records = loaded.layer_prunes + loaded.proj_prunes
+        _assert_holds(loaded, held)
+        _assert_effective_current(loaded)
+        assert not any(pl.effective is pl.shadow for pl in records)
+        fit(loaded, ds, None, TrainConfig(epochs=1, batch_size=32))
+        _assert_holds(loaded, held)
+        assert all(pl.effective is pl.shadow and np.all(pl.mask == 1.0)
+                   for pl in records)
+
+    def test_kind_and_input_dim_follow_the_model(self):
+        forest = build_forest_model(3, CLS, RngState(14), trees=2, depth=2,
+                                    embed_dim=2)
+        assert (forest.kind, forest.input_dim) == ("forest", 3)
+        softmax = build_softmax_model(5, REG, RngState(14))
+        assert (softmax.kind, softmax.input_dim) == ("softmax", 5)
+        bare = Model(layers=forest.layers, heads=[], head_layers=[], task=CLS)
+        assert (bare.kind, bare.input_dim) == ("softmax", 3)
+        with pytest.raises(TypeError):
+            Model(layers=forest.layers, heads=[], head_layers=[], task=CLS,
+                  kind="forest")
+        with pytest.raises(AttributeError):
+            forest.input_dim = 4
 
 
 class TestModelParams:
