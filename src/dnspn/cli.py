@@ -310,6 +310,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, explicit = resolve_config(args)
+    if args.task != "class":
+        raise UsageError("--task must be class: compare is defined for "
+                         f"classification tasks, got {args.task!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least 2 methods")
@@ -333,8 +336,6 @@ def cmd_compare(args) -> int:
                   args.force, {"data": str(args.data), "methods": methods,
                                "seeds": seeds})
     train_ds, eval_ds = _load_train_eval(cfg, args)
-    if train_ds.task.kind != CLASSIFICATION:
-        raise UsageError("compare is defined for classification tasks")
 
     rows = []
     for method in methods:

@@ -33,6 +33,12 @@ MAX_ROWS = 2 ** 20
 # the call, few enough that a 10^6-row table is never held as floats whole.
 ROW_BLOCK = 1024
 
+# Characters that send a CSV body to the row walk: the line breaks of
+# `str.splitlines` other than "\r" and "\n", which the csv module keeps
+# inside a cell, and the separators \x1c-\x1f, which numpy's C reader
+# strips from around a number where Python's `float` refuses them
+WALK_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
@@ -268,6 +274,120 @@ def _bad_cell(rownum: int, row: list, header: list, feat_idx: list) -> str:
             return f"row {rownum}: column {header[i]!r} is non-finite"
 
 
+def _label(cell: str, task_kind: str):
+    """A stripped label cell as a class name or a regression target, or
+    the error that names what is wrong with it."""
+    cell = cell.strip()
+    if not cell:
+        return None, "label is empty"
+    if task_kind != REGRESSION:
+        return cell, None
+    try:
+        target = float(cell)
+    except ValueError:
+        return None, f"label {cell!r} is not numeric"
+    if not math.isfinite(target):
+        return None, "label is non-finite"
+    return target, None
+
+
+def _read_plain(body: str, header: list, label_idx: int,
+                task_kind: str) -> tuple[np.ndarray, list] | None:
+    """The features and labels of `body`, the lines after the header, with
+    every feature cell parsed by numpy's C reader in one call; None where
+    the row walk must read the file instead.
+
+    It declines a body with a quote or one of WALK_CHARS, with no line,
+    with a cell longer than the csv module's field limit, or with a line
+    that is not empty and has another width than the header; a label the
+    row walk refuses; and a feature cell numpy refuses or parses as
+    non-finite. What it accepts is lines of plain comma-separated cells,
+    which the csv module splits as `str.split(",")` does, and numbers that
+    numpy and Python's `float` both parse by `PyOS_string_to_double`, to
+    the same bits. numpy refuses the other cells `float` reads: those with
+    an underscore or a non-ASCII digit.
+    """
+    if '"' in body or any(c in body for c in WALK_CHARS):
+        return None
+    # the row walk skips the empty lines, as numpy does
+    lines = [line for line in body.splitlines() if line]
+    commas = len(header) - 1
+    limit = csv.field_size_limit()
+    if (not lines or any(line.count(",") != commas for line in lines)
+            or any(max(map(len, line.split(","))) > limit
+                   for line in lines if len(line) > limit)):
+        return None
+    if label_idx == commas:
+        cells = [line[line.rindex(",") + 1:] for line in lines]
+    else:
+        cells = [line.split(",", label_idx + 1)[label_idx] for line in lines]
+    labels = []
+    for cell in cells:
+        label, error = _label(cell, task_kind)
+        if error:
+            return None
+        labels.append(label)
+    try:
+        X = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                       usecols=[i for i in range(len(header))
+                                if i != label_idx], ndmin=2)
+    except ValueError:
+        return None
+    if len(X) != len(lines) or not np.isfinite(X).all():
+        return None
+    return X, labels
+
+
+def _records(fh):
+    """A csv reader over the open file `fh` from its start, past a UTF-8
+    byte-order mark (as Excel's "CSV UTF-8" writes one), so the mark is
+    not part of the first header cell, quoted or not."""
+    fh.seek(0)
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+    return csv.reader(fh)
+
+
+def _walk_rows(reader, header: list, label_idx: int, task_kind: str,
+               path: Path) -> tuple[np.ndarray, list]:
+    """The features and labels of the records `reader` yields after the
+    header, read a row at a time by the csv module and Python's `float`,
+    or a DataError that names up to 10 malformed rows.
+
+    A row's feature cells are parsed in one `map(float, ...)` and checked
+    in one pass; only a row that fails is walked cell by cell, to name the
+    first bad column.
+    """
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    rows, labels, bad = [], [], []
+    for rownum, row in enumerate(reader, start=2):   # 1-based incl. header
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            bad.append(f"row {rownum}: expected {len(header)} cells, "
+                       f"got {len(row)}")
+            continue
+        try:
+            feats = list(map(float, row[:label_idx] + row[label_idx + 1:]))
+        except ValueError:
+            feats = None
+        if feats is None or not all(map(math.isfinite, feats)):
+            bad.append(_bad_cell(rownum, row, header, feat_idx))
+            continue
+        label, error = _label(row[label_idx], task_kind)
+        if error:
+            bad.append(f"row {rownum}: {error}")
+            continue
+        labels.append(label)
+        rows.append(feats)
+    if bad:
+        raise DataError("malformed rows in " + str(path) + ": "
+                        + "; ".join(bad[:10]))
+    if not rows:
+        raise DataError(f"dataset has no data rows: {path}")
+    return np.asarray(rows, dtype=np.float64), labels
+
+
 def load_csv(path, label_column, task_kind: str) -> Dataset:
     """Load a headered numeric CSV, mapping labels to dense indices.
 
@@ -277,11 +397,18 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     rows, and a feature column whose mean or variance overflows float64 is
     rejected here, where the error can name the file. Classification labels
     are mapped to indices by sorted order of their distinct string values.
+    A UTF-8 byte-order mark at the start of the file is not part of the
+    first column's name.
 
-    Each cell is read by Python's `float`, so `1_000`, ` 2.5 ` and `+3`
-    load. A row's feature cells are parsed in one `map(float, ...)` and
-    checked in one pass; only a row that fails is walked cell by cell, to
-    name the first bad column.
+    The header is read by the csv module. A body of plain comma-separated
+    cells (no quote, the header's width on every line, finite ASCII
+    numbers), as `write_csv` writes it, has its feature cells parsed in
+    one call to numpy's C reader (`_read_plain`). Any other body, such as
+    one with a quoted label, is read again from the file by the row walk
+    (`_walk_rows`), the csv module and one Python `float` a cell: it
+    unquotes cells, reads the `1_000` and non-ASCII digits numpy refuses,
+    and names each malformed row. Both give the same arrays, labels and
+    errors.
     """
     if task_kind not in (CLASSIFICATION, REGRESSION):
         raise ParameterError(f"unknown task kind {task_kind!r}")
@@ -289,9 +416,8 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with reading(path, "dataset file"), open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(_records(fh))
         except StopIteration:
             raise DataError(f"empty dataset file: {path}") from None
         header = [h.strip() for h in header]
@@ -313,51 +439,15 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                 raise DataError(f"label column {label_column!r} not in the "
                                 f"header of {path}")
             label_idx = header.index(label_column)
-
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
+        if len(header) < 2:
             raise DataError(f"dataset file {path} has no feature column, "
                             f"only the label column {header[label_idx]!r}")
-        rows, labels, bad = [], [], []
-        for rownum, row in enumerate(reader, start=2):   # 1-based incl. header
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                bad.append(f"row {rownum}: expected {len(header)} cells, "
-                           f"got {len(row)}")
-                continue
-            try:
-                feats = list(map(float, row[:label_idx] + row[label_idx + 1:]))
-            except ValueError:
-                feats = None
-            if feats is None or not all(map(math.isfinite, feats)):
-                bad.append(_bad_cell(rownum, row, header, feat_idx))
-                continue
-            label_cell = row[label_idx].strip()
-            if not label_cell:
-                bad.append(f"row {rownum}: label is empty")
-                continue
-            if task_kind == REGRESSION:
-                try:
-                    target = float(label_cell)
-                except ValueError:
-                    bad.append(f"row {rownum}: label {label_cell!r} is not "
-                               "numeric")
-                    continue
-                if not math.isfinite(target):
-                    bad.append(f"row {rownum}: label is non-finite")
-                    continue
-                labels.append(target)
-            else:
-                labels.append(label_cell)
-            rows.append(feats)
-    if bad:
-        raise DataError("malformed rows in " + str(path) + ": "
-                        + "; ".join(bad[:10]))
-    if not rows:
-        raise DataError(f"dataset has no data rows: {path}")
-
-    X = np.asarray(rows, dtype=np.float64)
+        read = _read_plain(fh.read(), header, label_idx, task_kind)
+        if read is None:
+            reader = _records(fh)
+            next(reader)
+            read = _walk_rows(reader, header, label_idx, task_kind, path)
+    X, labels = read
     _column_stats(X, str(path))
     if task_kind == REGRESSION:
         y = np.asarray(labels, dtype=np.float64)

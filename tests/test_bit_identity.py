@@ -23,6 +23,7 @@ import pytest
 
 import reference_kernels as ref
 import dnspn.cli
+import dnspn.data
 import dnspn.model_io
 import dnspn.network
 import dnspn.numeric
@@ -992,7 +993,43 @@ def test_mask_curve_matches_reference(mu, std, wmin, wmax, samples,
                 == _written(tmp_path, ref.write_curve, table)), mode
 
 
-def test_load_csv_forms(tmp_path):
+# (file text, label column, task, whether the row walk reads it): valid
+# files on both sides of load_csv's choice between numpy's C reader and
+# the row walk
+CSV_FORMS = [
+    ("f0,f1,label\n1,2.5,a\n-3,4e-3,b\n", "label", "classification", False),
+    ("f0,f1,label\r\n1,2.5,a\r\n-3,4e-3,b\r\n", "label", "classification",
+     False),
+    ("f0,f1,label\r1,2.5,a\r-3,4e-3,b\r", "label", "classification", False),
+    ("f0,f1,label\n1,2.5,a\n-3,4e-3,b\n\n", "label", "classification",
+     False),
+    ("f0,f1,label\n1,2.5,a\n\r\n\n-3,4e-3,b", "label", "classification",
+     False),
+    ("f0,f1,label\n1,2.5,a\n   \n-3,4e-3,b\n", "label", "classification",
+     True),
+    ("f0,f1,label\n1,2.5,a\n,,\n-3,4e-3,b\n , ,\t\n", "label",
+     "classification", True),
+    ('"f0","f,1",label\n1,2.5,a\n-3,4e-3,b\n', "label", "classification",
+     False),
+    ("label,f0,f1\n a ,1,2.5\nb,-3,4e-3\n", "label", "classification", False),
+    ("f0,label,f1\n1, a,2.5\n-3,b ,4e-3\n", 1, "classification", False),
+    ("f0,f1,label\n1,2.5,a\n-3,4e-3,b\n", "-1", "classification", False),
+    ("label,f0,f1\na,1,2.5\nb,-3,4e-3\n", -3, "classification", False),
+    ("f0,label\n1.5,2.5\n", "label", "regression", False),
+    ("f0,y,f1\n1,0.5,2\n3, -1e-3 ,4\n5,1_0,6\n", "y", "regression", False),
+    ("f0,f1,y\n1,2,0.5\n3,4,\"-1e-3\"\n", "y", "regression", True),
+    ("f0,f1,label\n 2.5 ,\t+3\t,a\n\u20031e-300,-0.0,b\n", "label",
+     "classification", False),
+    ("f0,f1,label\n1_000,2,a\n3,4,b\n", "label", "classification", True),
+    ("f0,f1,label\n١٢,2,a\n3,4,b\n", "label", "classification", True),
+    # a line longer than the csv module's field limit, of short cells
+    (",".join(f"f{i}" for i in range(7000)) + ",label\n"
+     + "0.12345678901234567," * 7000 + "a\n" + "-1e-300," * 7000 + "b\n",
+     "label", "classification", False),
+]
+
+
+def test_load_csv_forms(tmp_path, monkeypatch):
     # each feature cell is read by Python's float, as the reference does
     cells = ["1_000", " 2.5 ", "+3", "-0.0", ".5", "5.", "1E-2", " -7 ",
              "1e-300", "\t4\t", "١٢"]
@@ -1004,6 +1041,41 @@ def test_load_csv_forms(tmp_path):
     assert_same_bits(got.X[:, 0], [float(c) for c in cells], "forms")
     assert_same_bits(got.X, want.X, "reference")
     assert np.array_equal(got.y, want.y)
+    walks = []
+    walk_rows = dnspn.data._walk_rows
+    monkeypatch.setattr(dnspn.data, "_walk_rows",
+                        lambda *a: walks.append(a) or walk_rows(*a))
+    for i, (text, label, task, walked) in enumerate(CSV_FORMS):
+        path.write_bytes(text.encode())
+        walks.clear()
+        got = load_csv(path, label, task)
+        want = ref.load_csv(path, label, task)
+        assert bool(walks) == walked, i
+        assert_same_bits(got.X, want.X, i)
+        assert got.X.flags.c_contiguous, i
+        assert (got.y.dtype, got.task) == (want.y.dtype, want.task), i
+        assert got.y.tobytes() == want.y.tobytes(), i
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_written_csv_skips_the_row_walk(task, tmp_path, monkeypatch):
+    # a file write_csv wrote is read by numpy's C reader alone
+    ds = gen_xor(300, 0.25, RngState(2))
+    if task == "regression":
+        ds = Dataset(ds.X, ds.X @ [0.5, -2.0] + 1e-3, Task(task))
+    path = tmp_path / "written.csv"
+    write_csv(path, ds)
+    want = ref.load_csv(path, "label", task)
+
+    def walk(*args):
+        raise AssertionError("the row walk read a written file")
+
+    monkeypatch.setattr(dnspn.data, "_walk_rows", walk)
+    got = load_csv(path, "label", task)
+    assert_same_bits(got.X, want.X, task)
+    assert_same_bits(got.X, ds.X, task)
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.task == want.task
 
 
 def _mutated_csv(tmp_path, name, lines):

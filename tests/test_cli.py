@@ -244,6 +244,7 @@ REJECTED_SETTINGS = [
     ("compare", "--seeds", "1.5"),
     ("compare", "--seeds", "2,0,2"),
     ("compare", "--methods", "fcnn,fcnn"),
+    ("compare", "--task", "regress"),
 ]
 
 
@@ -323,6 +324,8 @@ def test_setting_checked_before_data_is_read(command, flag, value, tmp_path,
     ("compare", "--seeds", "0,1, 0", "--seeds repeats an entry: [0, 1, 0]"),
     ("compare", "--methods", "fcnn, dnspn,fcnn",
      "--methods repeats an entry: ['fcnn', 'dnspn', 'fcnn']"),
+    ("compare", "--task", "regress", "--task must be class: compare is "
+     "defined for classification tasks, got 'regress'"),
 ])
 def test_rejected_setting_names_its_flag(command, flag, value, message,
                                          tmp_path, capsys):
@@ -801,6 +804,20 @@ CSV_MUTATIONS = {
     "blank label cell": _rows(lambda i, r: _cells(r, 2, "  ") if i == 4
                               else r),
     "one class": _rows(lambda i, r: _cells(r, 2, "1")),
+    # malformed on both sides of load_csv's choice of reader
+    "comment row": _rows(lambda i, r: "#" + r if i == 3 else r),
+    "blank feature cell": _rows(lambda i, r: _cells(r, 1, " ") if i == 3
+                                else r),
+    "underscored bad cell": _rows(lambda i, r: _cells(r, 0, "1__5") if i == 3
+                                  else r),
+    "unit separator cell": _rows(lambda i, r: _cells(r, 0, "1\x1f") if i == 3
+                                 else r),
+    "quoted inf cell": _rows(lambda i, r: _cells(r, 1, '"inf"') if i == 6
+                             else r),
+    "bare CR line ends, nan cell": lambda lines: [
+        "\r".join(CSV_MUTATIONS["nan cell"](lines))],
+    "CRLF line ends, ragged row": lambda lines: [
+        line + "\r" for line in CSV_MUTATIONS["ragged long row"](lines)],
     # valid alone, malformed beside a model or a training file
     "wrong width": lambda lines: [line + ",0.5" if i else line + ",f2"
                                   for i, line in enumerate(lines)],

@@ -89,6 +89,21 @@ class TestLoadCsv:
         assert str(info.value) == (f"malformed rows in {p}: row 2: label "
                                    "is empty; row 4: label is empty")
 
+    @pytest.mark.parametrize("label", ["label", 0])
+    @pytest.mark.parametrize("row", ["1,2.5,-3", '0,"1_0",4'])
+    @pytest.mark.parametrize("head", ["label,a,b", '"label",a,b'])
+    def test_byte_order_mark_is_not_in_the_header(self, tmp_path, label,
+                                                  row, head):
+        # as Excel's "CSV UTF-8" writes it; the quoted row takes the row walk
+        text = f"{head}\r\n0,0.5,2\r\n{row}\r\n1,1e-3,5\r\n"
+        plain = load_csv(self._write(tmp_path, text), label,
+                         "classification")
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(marked, label, "classification")
+        assert ds.X.tobytes() == plain.X.tobytes() and ds.X.shape == (3, 2)
+        assert np.array_equal(ds.y, plain.y) and ds.task == plain.task
+
     def test_regression_labels(self, tmp_path):
         p = self._write(tmp_path, "a,label\n1.0,0.5\n2.0,-1.5\n")
         ds = load_csv(p, "label", "regression")

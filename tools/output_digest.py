@@ -16,6 +16,9 @@ one child process with OPENBLAS_NUM_THREADS=N (default 1), which calls
   fcnn and dnspn models on it: their 100 -> 200 -> 200 layers run in four
   row blocks, so a predict splits them over the CPUs, and fcnn's narrow
   readout then runs on the caller;
+- `evaluate` of the dnspn model on `walk.csv`, eight rows the script
+  writes with a quoted cell and an underscored number, which `load_csv`
+  reads by its row walk, not by numpy's C reader;
 - `compare` of fcnn and dnspn over two seeds, and `mask-curve`.
 
 It prints `sha256  path` for each file written, in path order. `--src`
@@ -59,6 +62,17 @@ MODELS = [("fcnn", "fcnn", []), ("dndn", "dndn", []), ("dnspn", "dnspn", []),
           ("dnspn-deep", "dnspn", ["--trees", "32", "--depth", "6"])]
 
 
+def write_walk_csv(path: Path) -> None:
+    """Eight rows of 100 features and a 0/1 label, with a quoted cell and
+    an underscored number, so `load_csv` reads them by its row walk."""
+    header = [f"f{j}" for j in range(100)] + ["label"]
+    rows = [[repr((i * 37 + j * 11) % 17 / 4 - 2) for j in range(100)]
+            + [str(i % 2)] for i in range(8)]
+    rows[2][5] = '"0.75"'
+    rows[5][40] = "1_0.5"
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
 def run_script(cpus: int = 0) -> None:
     """Run the fixed CLI script in the current directory, pinned to the
     first `cpus` CPUs of the process's set when `cpus` is not 0. The child
@@ -91,6 +105,9 @@ def run_script(cpus: int = 0) -> None:
             f"{only_run('train-' + out)}/model.json",
             "--data", f"{only_run('serve')}/test.csv",
             "--out", f"serve-{out}")
+    write_walk_csv(Path("walk.csv"))
+    cli("evaluate", "--model", f"{only_run('train-dnspn')}/model.json",
+        "--data", "walk.csv", "--out", "eval-walk")
     cli("compare", *split, "--methods", "fcnn,dnspn", "--seeds", "0,1",
         *FIT[:-2], "--out", "compare")
     cli("mask-curve", "--samples", "201", "--out", "curve")
