@@ -338,14 +338,20 @@ def _read_plain(body: str, header: list, label_idx: int,
     return X, labels
 
 
-def _records(fh):
-    """A csv reader over the open file `fh` from its start, past a UTF-8
-    byte-order mark (as Excel's "CSV UTF-8" writes one), so the mark is
-    not part of the first header cell, quoted or not."""
+def _records(fh, path: Path) -> Iterator[list[str]]:
+    """The csv records of `fh`, the open file `path`, from its start, past
+    a UTF-8 byte-order mark (as Excel's "CSV UTF-8" writes one), so the
+    mark is not part of the first header cell, quoted or not. A record the
+    csv module refuses (a cell over its field limit) is a DataError."""
     fh.seek(0)
     if fh.read(1) != "\ufeff":
         fh.seek(0)
-    return csv.reader(fh)
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"dataset file {path} line {reader.line_num}: "
+                        f"{exc}") from None
 
 
 def _walk_rows(reader, header: list, label_idx: int, task_kind: str,
@@ -417,7 +423,7 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
         raise DataError(f"dataset file not found: {path}")
     with reading(path, "dataset file"), open(path, newline="") as fh:
         try:
-            header = next(_records(fh))
+            header = next(_records(fh, path))
         except StopIteration:
             raise DataError(f"empty dataset file: {path}") from None
         header = [h.strip() for h in header]
@@ -444,7 +450,7 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
                             f"only the label column {header[label_idx]!r}")
         read = _read_plain(fh.read(), header, label_idx, task_kind)
         if read is None:
-            reader = _records(fh)
+            reader = _records(fh, path)
             next(reader)
             read = _walk_rows(reader, header, label_idx, task_kind, path)
     X, labels = read

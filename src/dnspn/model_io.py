@@ -26,7 +26,7 @@ from .data import CLASSIFICATION, REGRESSION, Scaler, Task
 from .errors import DataError, ParameterError, reading
 from .forest import ForestHead, check_shape
 from .network import IDENTITY, RELU, DenseLayer
-from .training import FOREST, SOFTMAX, Model
+from .training import FOREST, SOFTMAX, Model, check_head_layers
 
 FORMAT = "dnspn-model-v1"
 
@@ -193,11 +193,8 @@ def load_model(path) -> Model:
                 rec["activation"]))
             masks.append(_floats(rec["mask"], f"layer {i} mask", w.shape))
         head_layers = doc["head_layers"]
-        if not layers or len(head_layers) != len(doc["heads"]) or not all(
-                isinstance(j, int) and 0 <= j < len(layers)
-                for j in head_layers):
-            raise DataError(f"{len(layers)} layers cannot carry heads at "
-                            f"{head_layers}, one per head")
+        check_head_layers(len(layers), head_layers, len(doc["heads"]),
+                          DataError)
         heads = []
         for i, (rec, j) in enumerate(zip(doc["heads"], head_layers)):
             trees, depth, e = rec["trees"], rec["depth"], rec["embed_dim"]

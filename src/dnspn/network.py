@@ -2,23 +2,23 @@
 
 The backbone follows a width rule of d -> 2d -> 2d -> o. Hidden layers use
 ReLU, the final layer is linear, and inverted dropout (train-time scaling by
-1/(1-rate)) is applied to hidden post-activations only. Forward passes return
-a :class:`ForwardTrace` exposing every layer's post-activation output, which
-is where downstream consumers (decision-forest heads) attach.
+1/(1-rate)) is applied to hidden activations only. Forward passes return
+a :class:`ForwardTrace` of every layer's output, which is where downstream
+consumers (decision-forest heads) attach.
 
 Weight matrices are stored as (out x in); a batch flows as (batch x features).
 
-Who runs which rows: an eval forward (`training=False`) runs its leading
-wide layers, those whose output width is a multiple of 8 and at least
-WIDE, in contiguous row blocks of about ROUTE_BLOCK_BYTES of the widest
-of them, with at least WIDE rows a block. Each block takes its rows
-through all of those layers and writes them into each layer's
-full-height `post` array; :func:`dnspn.numeric.run_blocks` runs the
-blocks. Every layer from the first other one on runs on the caller over
-the whole batch, as does every training forward, so training stays
-single-threaded, and so does an eval forward whose blocks would not give
-each of two or more threads two blocks (every one-row and 128-row
-predict of the paper model).
+Who runs which rows: one kernel, :func:`_dense`, computes a layer for
+any rows. An eval forward (`training=False`) runs its leading wide
+layers, those whose output width is a multiple of 8 and at least WIDE,
+in contiguous row blocks of about ROUTE_BLOCK_BYTES of the widest of
+them, with at least WIDE rows a block. Each block takes its rows through
+all of those layers into each layer's full-height `dropped` array;
+:func:`dnspn.numeric.run_blocks` runs the blocks. Every layer from the
+first other one on runs on the caller over the whole batch, as does
+every training forward, so training stays single-threaded, and so does
+an eval forward whose blocks would not give each of two or more threads
+two blocks (every one-row and 128-row predict of the paper model).
 
 Why the width rule and the row floor: OpenBLAS picks its kernel and
 its sum order by the shape of a product, so a row block of `x @ W.T`
@@ -91,31 +91,37 @@ def build_network(d: int, o: int, rng: RngState) -> list[DenseLayer]:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations of one forward pass.
-
-    `post[i]` is layer i's post-activation output; `dropped[i]` is the same
-    tensor after dropout (identical object when dropout was not applied).
-    `drop_masks[i]` holds the scaled inverted-dropout mask or None.
-    """
+    """One array a layer: `dropped[i]` is layer i's output, its activation
+    times `drop_masks[i]`, the scaled inverted-dropout mask, in place where
+    that is not None."""
     x: np.ndarray
-    post: list[np.ndarray] = field(default_factory=list)
     dropped: list[np.ndarray] = field(default_factory=list)
     drop_masks: list[np.ndarray | None] = field(default_factory=list)
 
 
+def _dense(layers: list[DenseLayer], i: int, h: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """Layer i's activation of the rows `h`, computed in `out`: `h @ W.T`,
+    then the bias and any ReLU in place; NumericError if not finite."""
+    layer = layers[i]
+    np.matmul(h, layer.weights.T, out=out)
+    out += layer.bias
+    if layer.activation == RELU:
+        np.maximum(out, 0.0, out=out)
+    if not np.isfinite(out).all():
+        raise NumericError(f"non-finite activation at layer {i}")
+    return out
+
+
 def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
             training: bool = False, rng: RngState | None = None) -> ForwardTrace:
-    """Run the stack on a batch, recording every layer's outputs.
+    """Run the stack on a batch, recording every layer's output.
 
-    Dropout is applied to hidden post-activations only, and only when
-    `training` is true with a positive rate. In eval mode the trace's
-    `dropped` entries alias `post` exactly.
-
-    An eval forward of enough rows runs its leading wide layers in row
-    blocks over threads (see "Who runs which rows" above), with the bits
-    of the serial forward; the rest of
-    the stack, and every training forward, runs on the caller. Errors are
-    those of the serial forward: it is what runs when any block fails.
+    Dropout is applied to hidden activations only, and only when
+    `training` is true with a positive rate. An eval forward of enough
+    rows runs its leading wide layers in row blocks over threads (see "Who
+    runs which rows" above), with the bits of the serial forward, whose
+    errors it raises: it is what runs when any block fails.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layers[0].weights.shape[1]:
@@ -132,23 +138,15 @@ def forward(layers: list[DenseLayer], x: np.ndarray, dropout_rate: float = 0.0,
     trace = ForwardTrace(x=x)
     if not training:
         _wide_forward(layers, trace)
-    h = trace.dropped[-1] if trace.dropped else x
-    for i in range(len(trace.post), len(layers)):
-        layer = layers[i]
-        z = h @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == RELU else z
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite activation at layer {i}")
+    for i in range(len(trace.dropped), len(layers)):
+        a = _dense(layers, i, trace.dropped[i - 1] if i else x,
+                   np.empty((len(x), layers[i].weights.shape[0])))
+        mask = None
         if use_dropout and i < len(layers) - 1:
             mask = (rng.random(a.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            dropped = a * mask
-        else:
-            mask = None
-            dropped = a
-        trace.post.append(a)
-        trace.dropped.append(dropped)
+            a *= mask
+        trace.dropped.append(a)
         trace.drop_masks.append(mask)
-        h = dropped
     return trace
 
 
@@ -158,34 +156,22 @@ def _wide_forward(layers: list[DenseLayer], trace: ForwardTrace) -> None:
     gives each of two or more threads two blocks of at least WIDE rows.
     Record nothing otherwise, or when a block raises or meets a non-finite
     activation: the serial loop then runs from the first layer."""
-    x = trace.x
-    wide = []
-    for layer in layers:
-        width = layer.weights.shape[0]
-        if width < WIDE or width % 8:
-            break
-        wide.append(layer)
+    widths = [layer.weights.shape[0] for layer in layers]
+    wide = next((i for i, w in enumerate(widths) if w < WIDE or w % 8),
+                len(widths))
     if not wide:
         return
-    rows = x.shape[0]
-    n = _block_count(rows, 8 * max(layer.weights.shape[0] for layer in wide),
-                     WIDE)
+    rows = trace.x.shape[0]
+    n = _block_count(rows, 8 * max(widths[:wide]), WIDE)
     threads = block_threads(n, 2)
     if threads < 2:
         return
-    post = [np.empty((rows, layer.weights.shape[0])) for layer in wide]
+    outs = [np.empty((rows, width)) for width in widths[:wide]]
 
     def forward_block(lo: int, hi: int) -> None:
-        h = x[lo:hi]
-        for layer, out in zip(wide, post):
-            a = out[lo:hi]
-            np.matmul(h, layer.weights.T, out=a)
-            a += layer.bias
-            if layer.activation == RELU:
-                np.maximum(a, 0.0, out=a)
-            if not np.isfinite(a).all():
-                raise NumericError("non-finite activation")
-            h = a
+        h = trace.x[lo:hi]
+        for i, out in enumerate(outs):
+            h = _dense(layers, i, h, out[lo:hi])
 
     strict = {kind: "ignore" if mode == "ignore" else "raise"
               for kind, mode in np.geterr().items()}
@@ -194,21 +180,21 @@ def _wide_forward(layers: list[DenseLayer], trace: ForwardTrace) -> None:
             run_blocks(rows, n, forward_block, threads)
     except (FloatingPointError, NumericError):
         return
-    trace.post += post
-    trace.dropped += post
-    trace.drop_masks += [None] * len(post)
+    trace.dropped += outs
+    trace.drop_masks += [None] * len(outs)
 
 
 def backward(layers: list[DenseLayer], trace: ForwardTrace,
              upstream: list[np.ndarray | None]):
-    """Exact reverse-mode gradients of the traced forward pass.
+    """Exact reverse-mode gradients of the traced forward pass: (weight
+    grads, bias grads); the input batch's gradient is not taken.
 
-    `upstream[i]` is dLoss/d(dropped activation of layer i); entries may be
-    None and several may be set at once (one consumer per attached head),
-    in which case contributions are summed by the chain rule. The ReLU
-    subgradient at 0 is taken as 0.
-
-    Returns (weight grads, bias grads, grad w.r.t. the input batch).
+    `upstream[i]` is dLoss/d(dropped[i]); entries may be None and several
+    may be set at once (one consumer per attached head), in which case
+    contributions are summed by the chain rule. The ReLU subgradient at 0
+    is taken as 0. The ReLU mask is `dropped[i] > 0`: where dropout zeroed
+    an output its gradient is already +-0, and elsewhere dropout's scale
+    is positive.
     """
     n_layers = len(layers)
     if len(upstream) != n_layers:
@@ -229,13 +215,12 @@ def backward(layers: list[DenseLayer], trace: ForwardTrace,
                 )
             g_h = g_h + u
         mask = trace.drop_masks[i]
-        g_a = g_h * mask if mask is not None else g_h
+        g_z = g_h if mask is None else g_h * mask
         if layers[i].activation == RELU:
-            g_z = g_a * (trace.post[i] > 0.0)
-        else:
-            g_z = g_a
+            g_z = g_z * (trace.dropped[i] > 0.0)
         x_in = trace.x if i == 0 else trace.dropped[i - 1]
         grads_w[i] = g_z.T @ x_in
         grads_b[i] = g_z.sum(axis=0)
-        g_h = g_z @ layers[i].weights
-    return grads_w, grads_b, g_h
+        if i:
+            g_h = g_z @ layers[i].weights
+    return grads_w, grads_b

@@ -124,6 +124,7 @@ class Model:
     proj_prunes: list[PrunedLayer] = field(init=False)   # per heads[i]
 
     def __post_init__(self, masks):
+        check_head_layers(len(self.layers), self.head_layers, len(self.heads))
         shadows = ([layer.weights for layer in self.layers]
                    + [head.proj_w for head in self.heads])
         pruned = [new_pruned_layer(w, m) for w, m in
@@ -140,6 +141,15 @@ class Model:
     def input_dim(self) -> int:
         """The first layer's input width."""
         return self.layers[0].weights.shape[1]
+
+
+def check_head_layers(n_layers: int, head_layers: list, n_heads: int,
+                      error: type[Exception] = ShapeError) -> None:
+    """Raise `error` unless `head_layers` holds one layer index a head."""
+    if not n_layers or len(head_layers) != n_heads or not all(
+            isinstance(j, int) and 0 <= j < n_layers for j in head_layers):
+        raise error(f"{n_layers} layers cannot carry heads at {head_layers}, "
+                    "one per head")
 
 
 def _n_outputs(task: Task) -> int:
@@ -368,7 +378,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
             "check the data scale and learning rate"
         )
 
-    dW, db, _ = network.backward(model.layers, trace, upstream)
+    dW, db = network.backward(model.layers, trace, upstream)
     grads = [g for pair in zip(dW, db) for g in pair] + head_grads
     if cfg.prune.mode == MODE_NONE:
         return loss, grads

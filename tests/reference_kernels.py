@@ -7,6 +7,9 @@ batch at once: the forms the branch-free, row-blocked kernels replaced.
 model over whole-batch routings, and `eval_forward` is the backbone's eval
 forward with every layer over the whole batch. `routing_backward` and `forest_backward`
 copy the backward pass, so a later rewrite of it is held to the same bits.
+`train_forward` and `backbone_backward` are the backbone's training forward
+and backward as they were, with a `post` array beside each `dropped` one
+and the input batch's gradient taken.
 `gradients` is a model's batch loss and gradients as they were taken with
 these kernels: every head routed and predicted first, then every head's
 backward, the order before a train step took one head at a time.
@@ -30,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from dnspn import network
 from dnspn.data import (CLASSIFICATION, REGRESSION, Dataset, Task,
                         _column_stats)
 from dnspn.errors import (DataError, NumericError, ParameterError,
@@ -103,6 +105,50 @@ def eval_forward(layers, X):
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         posts.append(h)
     return posts
+
+
+def train_forward(layers, X, dropout, rng):
+    """The training forward as it was: each layer's post-activation `post`
+    and, beside it, `dropped`, a new array of `post` times the scaled
+    inverted-dropout mask on hidden layers (the same object elsewhere).
+    Returns (posts, dropped, drop masks)."""
+    posts, dropped, masks = [], [], []
+    h = np.asarray(X, dtype=np.float64)
+    for i, layer in enumerate(layers):
+        z = h @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"non-finite activation at layer {i}")
+        mask = None
+        h = a
+        if dropout > 0.0 and i < len(layers) - 1:
+            mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
+            h = a * mask
+        posts.append(a)
+        dropped.append(h)
+        masks.append(mask)
+    return posts, dropped, masks
+
+
+def backbone_backward(layers, X, posts, dropped, masks, upstream):
+    """The backbone backward as it was: the ReLU mask taken from `post`,
+    and every layer's input gradient, layer 0's too. Returns (weight
+    grads, bias grads, gradient of the input batch)."""
+    grads_w, grads_b = [None] * len(layers), [None] * len(layers)
+    g_h = np.zeros_like(dropped[-1])
+    for i in range(len(layers) - 1, -1, -1):
+        if upstream[i] is not None:
+            g_h = g_h + np.asarray(upstream[i], dtype=np.float64)
+        g_a = g_h * masks[i] if masks[i] is not None else g_h
+        if layers[i].activation == "relu":
+            g_z = g_a * (posts[i] > 0.0)
+        else:
+            g_z = g_a
+        x_in = np.asarray(X, dtype=np.float64) if i == 0 else dropped[i - 1]
+        grads_w[i] = g_z.T @ x_in
+        grads_b[i] = g_z.sum(axis=0)
+        g_h = g_z @ layers[i].weights
+    return grads_w, grads_b, g_h
 
 
 def predict(model, X):
@@ -182,12 +228,12 @@ def gradients(model, xb, yb, cfg, rng):
     the backbone forward, every head's route and output, every head's loss,
     then every head's backward in head order, the backbone backward and
     the mask chain."""
-    trace = network.forward(model.layers, xb, cfg.dropout, True, rng)
+    posts, dropped, masks = train_forward(model.layers, xb, cfg.dropout, rng)
     classify = model.task.kind == CLASSIFICATION
     head_grads = []
     upstream = [None] * len(model.layers)
     if model.kind == FOREST:
-        routings = [route(head, trace.dropped[j])
+        routings = [route(head, dropped[j])
                     for head, j in zip(model.heads, model.head_layers)]
         outs = [head_predict(head, r) for head, r in zip(model.heads,
                                                           routings)]
@@ -196,22 +242,23 @@ def gradients(model, xb, yb, cfg, rng):
         loss = float(np.mean([l_i for l_i, _ in per_head]))
         for head, j, r, (_, g_i) in zip(model.heads, model.head_layers,
                                         routings, per_head):
-            *g_head, g_act = forest_backward(head, r, trace.dropped[j],
+            *g_head, g_act = forest_backward(head, r, dropped[j],
                                              g_i / len(outs))
             head_grads += g_head
             upstream[j] = g_act if upstream[j] is None else upstream[j] + g_act
     elif classify:
-        fused = softmax_rows(trace.dropped[-1])
+        fused = softmax_rows(dropped[-1])
         loss, g_probs = loss_ce(fused, yb)
         upstream[-1] = _softmax_backward(fused, g_probs)
     else:
-        loss, upstream[-1] = loss_mse(trace.dropped[-1], yb)
+        loss, upstream[-1] = loss_mse(dropped[-1], yb)
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite training loss {loss!r} (batch size {len(xb)}); "
             "check the data scale and learning rate"
         )
-    dW, db, _ = network.backward(model.layers, trace, upstream)
+    dW, db, _ = backbone_backward(model.layers, xb, posts, dropped, masks,
+                                  upstream)
     grads = [g for pair in zip(dW, db) for g in pair] + head_grads
     if cfg.prune.mode == MODE_NONE:
         return loss, grads

@@ -344,17 +344,17 @@ def test_blocked_forward_matches_whole_batch(name, rows, monkeypatch):
     want = dnspn.network.forward(model.layers, X)
     want_out = predict(model, X)
     for i, post in enumerate(ref.eval_forward(model.layers, X)):
-        assert_same_bits(want.post[i], post, f"post[{i}] at 1 CPU")
+        assert_same_bits(want.dropped[i], post, f"dropped[{i}] at 1 CPU")
     # 0 to 3 worker threads beside the caller, on a row-major input and
     # on a column-major copy, whose row blocks are strided
     for cpus in (2, 3, 4):
         monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
         for x in (X, np.asfortranarray(X)):
             got = dnspn.network.forward(model.layers, x)
-            assert len(got.post) == len(model.layers)
-            for i, (a, b) in enumerate(zip(got.post, want.post)):
-                assert_same_bits(a, b, f"post[{i}] at {cpus} CPUs")
-                assert got.dropped[i] is a and got.drop_masks[i] is None
+            assert len(got.dropped) == len(model.layers)
+            for i, (a, b) in enumerate(zip(got.dropped, want.dropped)):
+                assert_same_bits(a, b, f"dropped[{i}] at {cpus} CPUs")
+                assert got.drop_masks[i] is None
             assert_same_bits(predict(model, x), want_out,
                              f"predict at {cpus} CPUs")
 
@@ -406,7 +406,7 @@ def test_forward_blocks_keep_the_row_floor(rows, blocks, monkeypatch):
     else:
         assert calls == []
     for i, post in enumerate(ref.eval_forward(layers, X)):
-        assert_same_bits(got.post[i], post, f"post[{i}]")
+        assert_same_bits(got.dropped[i], post, f"dropped[{i}]")
 
 
 @pytest.mark.parametrize("widths,blocked", [
@@ -448,7 +448,7 @@ def test_narrow_layers_run_on_the_caller(widths, blocked, monkeypatch):
         [(i, True) for i in range(blocked) for _ in range(blocks)]
         + [(i, False) for i in range(blocked, len(layers))])
     for i, post in enumerate(ref.eval_forward(layers, X)):
-        assert_same_bits(got.post[i], post, f"post[{i}]")
+        assert_same_bits(got.dropped[i], post, f"dropped[{i}]")
 
 
 def _memo_model():
@@ -1085,12 +1085,17 @@ def _mutated_csv(tmp_path, name, lines):
     return path
 
 
+# mutations the reference refuses with the csv module's own error, not a
+# DataError: load_csv names the file and the line instead
+CSV_MODULE_ERRORS = {"long header cell", "long body cell"}
+
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_csv_mutation_messages_match_reference(task, tmp_path):
     base = tmp_path / "base.csv"
     write_csv(base, gen_xor(120, 0.25, RngState(0)))
     lines = base.read_text().splitlines()
-    for name in sorted(CSV_MUTATIONS):
+    for name in sorted(set(CSV_MUTATIONS) - CSV_MODULE_ERRORS):
         path = _mutated_csv(tmp_path, name, lines)
         outcomes = []
         for load in (load_csv, ref.load_csv):

@@ -818,6 +818,11 @@ CSV_MUTATIONS = {
         "\r".join(CSV_MUTATIONS["nan cell"](lines))],
     "CRLF line ends, ragged row": lambda lines: [
         line + "\r" for line in CSV_MUTATIONS["ragged long row"](lines)],
+    # a cell longer than the csv module's field limit (131072 characters)
+    "long header cell": lambda lines: [_cells(lines[0], 0, "f" * 140000)]
+    + lines[1:],
+    "long body cell": _rows(lambda i, r: _cells(r, 0, "0." + "1" * 140000)
+                            if i == 3 else r),
     # valid alone, malformed beside a model or a training file
     "wrong width": lambda lines: [line + ",0.5" if i else line + ",f2"
                                   for i, line in enumerate(lines)],

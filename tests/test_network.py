@@ -38,7 +38,7 @@ class TestForward:
         for layer in layers:
             layer.weights[:] = 0.0
         trace = forward(layers, rng.normal(4, 3))
-        for a in trace.post:
+        for a in trace.dropped:
             assert np.all(a == 0.0)
 
     def test_dropout_zero_matches_eval(self, rng):
@@ -53,14 +53,16 @@ class TestForward:
     def test_affine_evaluation(self):
         layer = DenseLayer(np.array([[2.0]]), np.array([1.0]), "identity")
         trace = forward([layer], np.array([[3.0]]))
-        assert np.allclose(trace.post[0], [[7.0]], atol=1e-15)
+        assert np.allclose(trace.dropped[0], [[7.0]], atol=1e-15)
 
     def test_eval_dropout_is_identity(self, rng):
         layers = build_network(6, 2, RngState(7))
         x = rng.normal(8, 6)
         trace = forward(layers, x, dropout_rate=0.5, training=False)
-        for post, dropped in zip(trace.post, trace.dropped):
-            assert post is dropped
+        plain = forward(layers, x, dropout_rate=0.0, training=False)
+        assert trace.drop_masks == [None] * len(layers)
+        for a, b in zip(trace.dropped, plain.dropped, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_training_forward_deterministic(self, rng):
         layers = build_network(6, 2, RngState(7))
@@ -82,10 +84,9 @@ class TestBackward:
         x = rng.normal(4, 3)
         trace = forward(layers, x)
         upstream = [np.zeros_like(a) for a in trace.dropped]
-        gw, gb, gx = backward(layers, trace, upstream)
+        gw, gb = backward(layers, trace, upstream)
         assert all(np.all(g == 0) for g in gw)
         assert all(np.all(g == 0) for g in gb)
-        assert np.all(gx == 0)
 
     def test_single_linear_layer_weight_grad_is_input(self):
         # loss = the single output value itself -> dL/dW = x^T pattern
@@ -93,30 +94,45 @@ class TestBackward:
                            "identity")
         x = np.array([[3.0, 7.0]])
         trace = forward([layer], x)
-        gw, gb, gx = backward([layer], trace, [np.array([[1.0]])])
+        gw, gb = backward([layer], trace, [np.array([[1.0]])])
         assert np.array_equal(gw[0], x)
         assert np.array_equal(gb[0], np.array([1.0]))
-        assert np.array_equal(gx, layer.weights)
 
     def test_finite_difference_oracle(self):
-        # random nets, multiple upstream consumers, dropout disabled
-        for seed in range(3):
+        # random nets, multiple upstream consumers, dropout disabled and at
+        # 0.5; each loss draws its dropout from the same seed, so the mask
+        # stays fixed while the weights move
+        for seed, rate in [(s, r) for s in range(3) for r in (0.0, 0.5)]:
             rng = RngState(seed)
             d = 2 + seed
             layers = build_network(d, 2, rng)
             x = rng.normal(3, d)
             coeffs = None
 
+            def traced():
+                return forward(layers, x, rate, rate > 0, RngState(100 + seed))
+
             def loss():
-                trace = forward(layers, x)
                 total = 0.0
-                for c, a in zip(coeffs, trace.dropped):
+                for c, a in zip(coeffs, traced().dropped):
                     total += float(np.sum(c * a))
                 return total
 
-            trace0 = forward(layers, x)
+            if rate:
+                # a wholly dropped row feeds the next layer zeros; zero
+                # biases would put it on the ReLU kink, whose one-sided
+                # slopes a central difference averages
+                for layer in layers:
+                    layer.bias[:] = RngState(200 + seed).normal(
+                        1, layer.bias.size).ravel()
+            trace0 = traced()
+            if rate:
+                # some hidden outputs are dropped: there the backward's
+                # ReLU mask is 0 whatever the activation's sign
+                assert any(m is not None and (m == 0).any()
+                           for m in trace0.drop_masks)
             coeffs = [rng.normal(*a.shape) for a in trace0.dropped]
-            gw, gb, _ = backward(layers, trace0, coeffs)
+            gw, gb = backward(layers, trace0, coeffs)
             for i, layer in enumerate(layers):
                 num_w = central_diff(loss, layer.weights)
                 num_b = central_diff(loss, layer.bias)
@@ -132,8 +148,8 @@ class TestBackward:
         both = [None, u_mid, u_last]
         only_mid = [None, u_mid, None]
         only_last = [None, None, u_last]
-        gw_b, _, _ = backward(layers, trace, both)
-        gw_m, _, _ = backward(layers, trace, only_mid)
-        gw_l, _, _ = backward(layers, trace, only_last)
+        gw_b, _ = backward(layers, trace, both)
+        gw_m, _ = backward(layers, trace, only_mid)
+        gw_l, _ = backward(layers, trace, only_last)
         for b, m, l in zip(gw_b, gw_m, gw_l):
             assert np.allclose(b, m + l, atol=1e-12)

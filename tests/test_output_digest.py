@@ -27,12 +27,12 @@ def test_two_runs_print_the_same_bytes():
         assert proc.returncode == 0, err.decode()
     assert outs[0][0] == outs[1][0] == outs[2][0]
     lines = outs[0][0].decode().splitlines()
-    # six models: fcnn, dndn, dnspn, surgery, regression and deep-forest,
-    # each evaluated once, fcnn and dnspn again on a third, 1200-row
-    # generated split, and dnspn on the script's own walk.csv, which is
-    # listed too
-    assert len(lines) == (3 * FILES["generate"] + 6 * FILES["train"]
-                          + 9 * FILES["evaluate"] + 1 + FILES["compare"]
+    # seven models: fcnn, dndn, dnspn, surgery, regression, deep-forest
+    # and dnspn at dropout 0, each evaluated once, fcnn and dnspn again on
+    # a third, 1200-row generated split, and dnspn on the script's own
+    # walk.csv, which is listed too
+    assert len(lines) == (3 * FILES["generate"] + 7 * FILES["train"]
+                          + 10 * FILES["evaluate"] + 1 + FILES["compare"]
                           + FILES["mask-curve"])
     paths = [line.split("  ", 1)[1] for line in lines]
     assert paths == sorted(paths)

@@ -7,10 +7,11 @@ one child process with OPENBLAS_NUM_THREADS=N (default 1), which calls
 `dnspn.cli.main` once a command:
 
 - `generate` linear and quadratic data;
-- `train` of fcnn, dndn, dnspn and surgery, of a regression dnspn, and of
+- `train` of fcnn, dndn, dnspn and surgery, of a regression dnspn, of
   a deep-forest dnspn (32 trees of depth 6, whose 80-row evaluate routes
-  in two row blocks, so a predict splits them over the CPUs), on the
-  quadratic data;
+  in two row blocks, so a predict splits them over the CPUs), and of a
+  dnspn at dropout 0 (every other model trains at the default 0.5), on
+  the quadratic data;
 - `evaluate` of each model on the quadratic test split;
 - `generate` of a 1200-row quadratic test split, and `evaluate` of the
   fcnn and dnspn models on it: their 100 -> 200 -> 200 layers run in four
@@ -59,7 +60,8 @@ SERVE = ["--ntest", "1200"]
 MODELS = [("fcnn", "fcnn", []), ("dndn", "dndn", []), ("dnspn", "dnspn", []),
           ("surgery", "surgery", []),
           ("dnspn-regress", "dnspn", ["--task", "regress"]),
-          ("dnspn-deep", "dnspn", ["--trees", "32", "--depth", "6"])]
+          ("dnspn-deep", "dnspn", ["--trees", "32", "--depth", "6"]),
+          ("dnspn-nodrop", "dnspn", ["--dropout", "0"])]
 
 
 def write_walk_csv(path: Path) -> None:
