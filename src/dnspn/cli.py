@@ -10,14 +10,23 @@ configuration; an existing non-empty run directory is refused unless
 `--force` is given. Given identical flags, seeds, and input files, every
 command reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 2 usage/parameter errors, 3 data errors, 4 numeric
-errors.
+Exit codes: 0 success, 1 a worker process that ended without its result
+(as when a signal kills it), 2 usage/parameter errors, 3 data errors, 4
+numeric errors.
+
+`generate` writes its two CSVs, `train` and `compare` load `--data` and
+`--eval-data`, and `compare` fits its method x seed cells through
+:func:`dnspn.numeric.run_calls`: on Linux, in forked workers, one for each
+further CPU the process may run on, with the same bytes and the same
+errors as in order on one CPU. Each command runs with numpy's bundled
+OpenBLAS at one thread (:func:`dnspn.numeric.one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -34,7 +43,7 @@ from .errors import (DataError, DnspnError, MetricError, NumericError,
                      ParameterError, ShapeError, UsageError, reading)
 from .forest import check_shape
 from .model_io import load_model, save_model, write_json
-from .numeric import RngState, require_finite
+from .numeric import RngState, one_blas_thread, require_finite, run_calls
 from .pruning import (MODE_DSP, MODE_SURGERY, MODES, LayerStats, PruneConfig,
                       mask_curve)
 from .training import (DEPTH, EMBED_DIM, METHOD_MODES, METHODS, TREES,
@@ -193,9 +202,12 @@ def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
     if not args.eval_data and not 0.0 < cfg["holdout"] < 1.0:
         raise ParameterError(
             f"holdout must be in (0, 1), got {cfg['holdout']}")
-    train_ds = load_csv(args.data, args.label_col, task_kind)
+    paths = [args.data, *([args.eval_data] if args.eval_data else [])]
+    train_ds, *loaded = run_calls([
+        functools.partial(load_csv, path, args.label_col, task_kind)
+        for path in paths])
     if args.eval_data:
-        eval_ds = load_csv(args.eval_data, args.label_col, task_kind)
+        (eval_ds,) = loaded
         if eval_ds.d != train_ds.d:
             raise DataError(f"{args.eval_data} has {eval_ds.d} features, "
                             f"{args.data} has {train_ds.d}")
@@ -225,6 +237,13 @@ def run_method_cell(method: str, train_ds: Dataset, eval_ds: Dataset,
             "sparsity": backbone_sparsity(model)}
 
 
+def _cell_accuracy(method: str, train_ds: Dataset, eval_ds: Dataset,
+                   cfg: dict, tcfg: TrainConfig) -> float:
+    """One `compare` cell's eval accuracy, all a worker sends back."""
+    return run_method_cell(method, train_ds, eval_ds, cfg,
+                           tcfg)["report"].accuracy
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -238,13 +257,15 @@ def cmd_generate(args) -> int:
     ds = generate(spec)
     out.mkdir(parents=True, exist_ok=True)
     written = ["train.csv"]
+    writes = []
     if spec.n_test > 0:
         train_ds, test_ds = train_test(ds, spec.n_train)
-        write_csv(out / "test.csv", test_ds)
+        writes.append(functools.partial(write_csv, out / "test.csv", test_ds))
         written.append("test.csv")
     else:
         train_ds = ds
-    write_csv(out / "train.csv", train_ds)
+    writes.append(functools.partial(write_csv, out / "train.csv", train_ds))
+    run_calls(writes)
     write_json(out / "meta.json", ds.meta)
     written.append("meta.json")
     balance = float(np.mean(ds.y == 1))
@@ -337,14 +358,12 @@ def cmd_compare(args) -> int:
                                "seeds": seeds})
     train_ds, eval_ds = _load_train_eval(cfg, args)
 
-    rows = []
-    for method in methods:
-        accs = []
-        for tcfg in tcfgs[method]:
-            cell = run_method_cell(method, train_ds, eval_ds, cfg, tcfg)
-            accs.append(cell["report"].accuracy)
-        accs = np.asarray(accs)
-        rows.append((method, float(accs.mean()), float(accs.std())))
+    accs = np.asarray(run_calls([
+        functools.partial(_cell_accuracy, method, train_ds, eval_ds, cfg,
+                          tcfg)
+        for method in methods for tcfg in tcfgs[method]]))
+    rows = [(method, float(row.mean()), float(row.std()))
+            for method, row in zip(methods, accs.reshape(len(methods), -1))]
     best = max(rows, key=lambda row: row[1])[0]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "comparison.csv", "w", newline="") as fh:
@@ -487,8 +506,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         # a float overflow, division by zero or invalid operation is a
-        # numeric error (exit 4), not a warning beside a result
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # numeric error (exit 4), not a warning beside a result; one BLAS
+        # thread keeps the bytes of any OPENBLAS_NUM_THREADS
+        with one_blas_thread(), np.errstate(over="raise", invalid="raise",
+                                            divide="raise"):
             return args.func(args)
     except ParameterError as exc:
         print(f"error: {_flag_error(exc, args)}", file=sys.stderr)
@@ -509,6 +530,9 @@ def main(argv=None) -> int:
     except DnspnError as exc:   # any future category defaults to data-ish
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ChildProcessError as exc:    # a worker killed by a signal
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

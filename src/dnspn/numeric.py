@@ -1,5 +1,6 @@
-"""Float64 kernels (row softmax, stable sigmoid), the random source, and
-the runner that spreads row blocks over threads.
+"""Float64 kernels (row softmax, stable sigmoid), the random source, the
+runner that spreads row blocks over threads, the runner that spreads
+independent calls over forked processes, and the CLI's BLAS thread pin.
 
 Everything downstream moves data as 2-D row-major float64 numpy arrays
 ("matrices", rows x cols). Public operations validate shapes and never
@@ -11,15 +12,37 @@ can be derived for parallel or per-component use.
 Row blocks: an eval forward's wide layers and an eval route work in
 contiguous row blocks of about ROUTE_BLOCK_BYTES (:func:`_block_count`),
 which :func:`run_blocks` runs over threads.
+
+Independent calls: :func:`run_calls` runs a list of zero-argument calls
+on the caller and on forked worker processes, one for each further CPU in
+the process's set, and returns their results in call order. The CLI runs
+through it `generate`'s two CSV writes, the `--data` and `--eval-data`
+loads of `train` and `compare`, and `compare`'s method x seed cells. It
+forks only on Linux; with one CPU, one call, or on another platform, the
+calls run in order on the caller.
+
+BLAS threads: :func:`one_blas_thread` sets numpy's bundled OpenBLAS to one
+thread for the length of a CLI command, as some matrix shapes sum in
+another order at 2 threads than at 1. Where numpy has no such library it
+does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
 import os
+import pickle
+import select
+import signal
+import struct
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,9 +167,19 @@ def _take_blocks(blocks: deque, work: Callable[[int, int], None]) -> None:
         raise
 
 
+# CPUs a process of :func:`run_calls` may use while the calls run, so that
+# the row-block pools of the caller and its workers share the set
+_CPU_SHARE: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "dnspn_cpu_share", default=None)
+
+
 def _cpu_count() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else the machine's count."""
+    """How many CPUs this process may run on: its share of the set while
+    :func:`run_calls` runs calls in forked workers, else its affinity set
+    where the platform has one, else the machine's count."""
+    share = _CPU_SHARE.get()
+    if share is not None:
+        return share
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -168,6 +201,212 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     if _POOL is None or _POOL[:2] != key:
         _POOL = (*key, ThreadPoolExecutor(workers, "dnspn-route"))
     return _POOL[2]
+
+
+# Whether :func:`run_calls` forks: only on Linux, where a forked child of a
+# threaded process is safe for this package (see run_calls). macOS has
+# fork, but its system libraries may not be used in a child of a threaded
+# process.
+_FORKS = hasattr(os, "fork") and sys.platform.startswith("linux")
+# A call's index as it goes through the token pipe of run_calls
+_TOKEN = struct.Struct("=I")
+# Most calls one token pipe holds: their tokens go in one write of at most
+# PIPE_BUF bytes, which a pipe always takes at once
+_MOST_TOKENS = select.PIPE_BUF // _TOKEN.size
+
+
+def run_calls(calls: Sequence[Callable[[], object]]) -> list:
+    """The results of the independent zero-argument `calls`, in call order.
+
+    The caller runs calls itself, and forked worker processes run the
+    rest: one worker for each further CPU in the process's set
+    (:func:`_cpu_count`), but no more workers than calls. Each process
+    takes the next call left from a pipe of call indices, as
+    :func:`run_blocks` takes blocks, and a worker sends each outcome back
+    pickled over its own pipe. With one CPU, one call, or where this
+    module does not fork (`_FORKS`: it forks on Linux only), the calls run
+    in order on the caller.
+
+    Errors are those of the serial order, whatever the CPU count: the
+    helper raises the exception of the first failing call in call order,
+    with its type and message (a worker's comes back pickled, without its
+    traceback). A failure empties the pipe, so it stops only the calls
+    after it. A worker that ends without sending a call's outcome, as when
+    a signal kills it, raises ChildProcessError at that call. Every worker
+    is reaped before the helper returns or raises; on Ctrl-C, or any
+    other exception on the caller that is not a call's, the workers are
+    killed first.
+
+    Workers run under the caller's numpy `errstate` (the fork keeps the
+    forking thread's context), ignore SIGINT, print nothing and end by
+    `os._exit`, so no buffer the parent holds is flushed twice. While the
+    calls run, each process's row-block pool takes its share of the CPUs.
+    Forking beside threads is safe here: a child has only the forking
+    thread, and it starts its own row-block pool, which is keyed on the
+    process id and guarded by no lock (`test_forked_child_predicts`);
+    OpenBLAS shuts its thread pool down at a fork and the child starts
+    another on its first threaded call. A call must not rely on a lock
+    that another thread of the caller may hold.
+    """
+    calls = list(calls)
+    cpus = _cpu_count() if _FORKS else 1
+    if cpus < 2 or len(calls) < 2:
+        return [call() for call in calls]
+    results = []
+    for lo in range(0, len(calls), _MOST_TOKENS):
+        results += _run_forked(calls[lo:lo + _MOST_TOKENS], cpus)
+    return results
+
+
+def _run_forked(calls: list, cpus: int) -> list:
+    """:func:`run_calls` for at most `_MOST_TOKENS` calls over
+    min(len(calls), cpus) processes."""
+    procs = min(len(calls), cpus)
+    tokens, fill = os.pipe()
+    os.write(fill, b"".join(_TOKEN.pack(i) for i in range(len(calls))))
+    os.close(fill)          # a process that reads past the last token ends
+    outcomes: dict[int, tuple[bool, object]] = {}
+    workers: dict[int, int] = {}        # pid -> read end of its outcomes
+    ended: dict[int, int] = {}          # pid -> exit code
+    share = _CPU_SHARE.set(max(1, cpus // procs))
+    try:
+        for _ in range(procs - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _worker(calls, tokens, write)
+            os.close(write)
+            workers[pid] = read
+        _take_calls(calls, tokens, outcomes.__setitem__, Exception)
+        for pid, read in list(workers.items()):
+            with open(read, "rb", closefd=False) as fh:
+                while True:
+                    try:
+                        i, outcome = pickle.load(fh)
+                    except (EOFError, pickle.UnpicklingError):
+                        break               # the worker's end, if cut short
+                    outcomes[i] = outcome
+            ended[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(pid))
+    finally:
+        _CPU_SHARE.reset(share)
+        os.close(tokens)
+        for pid, read in workers.items():
+            os.close(read)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    results = []
+    for i in range(len(calls)):
+        if i not in outcomes:
+            how = "; ".join(_exit_text(code) for code in ended.values()
+                            if code) or "with no outcome"
+            raise ChildProcessError(f"a worker process ended ({how}) "
+                                    f"before call {i + 1} of {len(calls)} "
+                                    "returned")
+        done, value = outcomes[i]
+        if not done:
+            raise value
+        results.append(value)
+    return results
+
+
+def _take_calls(calls: list, tokens: int, record, catch) -> None:
+    """Run `calls[i]` for each index `i` read from the pipe `tokens` until
+    it is empty, passing `record(i, (True, result))`, or `(False, error)`
+    for an exception of type `catch`. A failure empties the pipe, so that
+    no process starts a call after it."""
+    while token := os.read(tokens, _TOKEN.size):
+        (i,) = _TOKEN.unpack(token)
+        try:
+            outcome = (True, calls[i]())
+        except catch as exc:
+            record(i, (False, exc))
+            while os.read(tokens, select.PIPE_BUF):
+                pass
+            return
+        record(i, outcome)
+
+
+def _worker(calls: list, tokens: int, out: int) -> None:
+    """A forked worker of :func:`run_calls`: take calls and write each
+    outcome to `out` as one pickle, then end the process."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent decides
+        with open(out, "wb") as fh:
+            def send(i, outcome):
+                try:
+                    data = pickle.dumps((i, outcome), pickle.HIGHEST_PROTOCOL)
+                    if not outcome[0]:      # an error must load in the parent
+                        pickle.loads(data)
+                except Exception as exc:
+                    data = pickle.dumps((i, (False, RuntimeError(
+                        f"call {i}'s outcome cannot be sent from a worker "
+                        f"process: {exc!r}"))))
+                fh.write(data)
+                fh.flush()
+            _take_calls(calls, tokens, send, BaseException)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _exit_text(code: int) -> str:
+    """A worker's exit code of os.waitstatus_to_exitcode, in words."""
+    if code < 0:
+        with contextlib.suppress(ValueError):
+            return f"killed by {signal.Signals(-code).name}"
+        return f"killed by signal {-code}"
+    return f"exit code {code}"
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, found in the
+    wheel's `numpy.libs` directory, or None where numpy has no such
+    library or it exports no such functions."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, and set
+    the count it had back afterwards. OpenBLAS sums some matrix shapes in
+    another order at 2 threads than at 1 (0.3.31: 50-, 102- and
+    200-feature training in the CLI), so the CLI pins one thread to write
+    the same bytes at any OPENBLAS_NUM_THREADS. Where numpy bundles no
+    OpenBLAS with these functions (another BLAS, or a numpy built against
+    the system's), nothing is pinned."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class RngState:

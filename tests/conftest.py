@@ -1,4 +1,6 @@
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,25 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if item.nodeid in SLOW_TESTS:
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or not
+    reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(path: Path, seconds: float = 30.0) -> None:
+    """Wait until `path` exists. Calls of `run_calls` in different
+    processes order themselves by files, as they share no memory."""
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path.name} did not appear")
+        time.sleep(0.002)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 
 import dnspn.cli
+import dnspn.numeric
 from dnspn.cli import OPTIONS, build_parser, config_hash, main, resolve_config
 from dnspn.data import (SyntheticSpec, gen_linear_k, gen_xor, train_test,
                         write_csv)
-from dnspn.numeric import RngState
+from dnspn.numeric import RngState, _openblas_threads
+
+from conftest import wait_for
 
 # a numeric warning from a command is a defect, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -415,9 +419,28 @@ class TestConfigTable:
         assert "train.epochs must be int" in capsys.readouterr().err
 
 
+def write_gaussian_csv(path, n: int, d: int, seed: int) -> None:
+    """`n` rows of `d` Gaussian features and a 0/1 label, by hand: generate
+    writes 100 features only."""
+    X = RngState(seed).normal(n, d)
+    labels = (X[:, 0] + X[:, 1] > 0).astype(int)
+    path.write_text(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n"
+                    + "".join(",".join(map(repr, row.tolist())) + f",{y}\n"
+                              for row, y in zip(X, labels)))
+
+
+# feature counts whose 2-BLAS-thread training sums in another order than
+# at 1 thread on OpenBLAS 0.3.31, unless the CLI pins one thread
+BLAS_WIDTHS = (50, 102, 200)
+
+
 def test_outputs_independent_of_blas_threads(tmp_path):
-    """generate + train give the same bytes at 1 and 2 BLAS threads."""
+    """generate + train give the same bytes at 1 and 2 BLAS threads, on
+    generated 100-feature data and on hand-written 50-, 102- and
+    200-feature files."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    for d in BLAS_WIDTHS:
+        write_gaussian_csv(tmp_path / f"d{d}.csv", 200, d, seed=d)
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
@@ -439,13 +462,36 @@ def test_outputs_independent_of_blas_threads(tmp_path):
             "--eval-data", str(gen / "test.csv"), "--epochs", "2",
             "--trees", "3", "--depth", "3", "--embed", "4", "--seed", "1",
             "--out", str(root / "train"))
-        trained = only_run_dir(root / "train")
+        trained = [only_run_dir(root / "train")]
+        for d in BLAS_WIDTHS:
+            cli("train", "--data", str(tmp_path / f"d{d}.csv"), "--epochs",
+                "1", "--trees", "2", "--depth", "2", "--embed", "2",
+                "--seed", "1", "--out", str(root / f"train{d}"))
+            trained.append(only_run_dir(root / f"train{d}"))
         outputs.append(
             {name: (gen / name).read_bytes()
              for name in ("train.csv", "test.csv", "meta.json")}
-            | {name: (trained / name).read_bytes()
+            | {f"{i}/{name}": (rd / name).read_bytes()
+               for i, rd in enumerate(trained)
                for name in ("history.csv", "model.json", "report.json")})
-    assert outputs[0] == outputs[1]
+    assert outputs[0].keys() == outputs[1].keys()
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+
+
+@pytest.mark.skipif(_openblas_threads() is None,
+                    reason="numpy bundles no OpenBLAS with a thread setter")
+def test_a_command_sets_the_blas_thread_count_back(small_dataset, tmp_path):
+    get, put = _openblas_threads()
+    before = get()
+    put(2)
+    try:
+        assert run("train", "--data", str(small_dataset / "train.csv"),
+                   "--epochs", "1", "--trees", "2", "--depth", "2",
+                   "--embed", "2", "--out", str(tmp_path)) == 0
+        assert get() == 2
+    finally:
+        put(before)
 
 
 class TestEvaluate:
@@ -994,10 +1040,12 @@ class TestCompare:
         # the rule train applies: an explicit mode overrides the method's
         flags, text, modes = self.PRUNE_MODES[how]
         (tmp_path / "run.cfg").write_text(text)
-        seen, real = [], dnspn.cli.run_method_cell
+        seen, real = tmp_path / "seen", dnspn.cli.run_method_cell
 
         def spy(method, train_ds, eval_ds, cfg, tcfg):
-            seen.append((method, tcfg.seed, tcfg.prune.mode))
+            # a cell may run in a worker process: it appends one line
+            with open(seen, "a") as fh:
+                fh.write(f"{method} {tcfg.seed} {tcfg.prune.mode}\n")
             return real(method, train_ds, eval_ds, cfg, tcfg)
 
         monkeypatch.setattr(dnspn.cli, "run_method_cell", spy)
@@ -1007,9 +1055,111 @@ class TestCompare:
                    "--embed", "2", *flags, "--config",
                    str(tmp_path / "run.cfg"), "--out",
                    str(tmp_path / "runs")) == 0
-        assert seen == [(method, seed, modes[method])
-                        for method in ("dndn", "dnspn", "surgery")
-                        for seed in (0, 1)]
+        assert sorted(seen.read_text().splitlines()) == [
+            f"{method} {seed} {modes[method]}"
+            for method in ("dndn", "dnspn", "surgery") for seed in (0, 1)]
+
+
+forks = pytest.mark.skipif(not dnspn.numeric._FORKS,
+                           reason="the CLI forks workers on Linux only")
+
+
+class TestWorkers:
+    """generate's writes, train's and compare's loads and compare's cells
+    in forked workers: the outputs, exit codes and messages of one CPU,
+    and no process left behind."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_malformed_file_is_named(self, cpus, tmp_path,
+                                           monkeypatch, capsys,
+                                           no_child_left):
+        # --data's cell is malformed in its last row, --eval-data's in its
+        # first, so the eval file fails first when both load at once
+        monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
+        write_gaussian_csv(tmp_path / "data.csv", 2000, 20, seed=1)
+        write_gaussian_csv(tmp_path / "eval.csv", 50, 20, seed=2)
+        for name, row in (("data.csv", -1), ("eval.csv", 1)):
+            lines = (tmp_path / name).read_text().splitlines()
+            lines[row] = "x" + lines[row]
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        cell = (tmp_path / "data.csv").read_text().splitlines()[-1]
+        cell = cell.split(",")[0]
+        code = run("train", "--data", str(tmp_path / "data.csv"),
+                   "--eval-data", str(tmp_path / "eval.csv"),
+                   "--out", str(tmp_path / "runs"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: malformed rows in {tmp_path / 'data.csv'}: row "
+            f"2001: column 'f0' value '{cell}' is not numeric\n")
+        assert not (tmp_path / "runs").exists()
+
+    def _cells(self, monkeypatch, tmp_path, in_worker):
+        """compare's cells, patched so that, with two processes, the first
+        cell to begin in a forked worker runs `in_worker` and the caller
+        waits for it to begin."""
+        monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+        real, parent = dnspn.cli.run_method_cell, os.getpid()
+        began = tmp_path / "began"
+
+        def cell(*args):
+            if os.getpid() == parent:
+                wait_for(began)
+            else:
+                began.touch()
+                in_worker()
+            return real(*args)
+
+        monkeypatch.setattr(dnspn.cli, "run_method_cell", cell)
+
+    def _compare(self, small_dataset, tmp_path):
+        return run("compare", "--data", str(small_dataset / "train.csv"),
+                   "--methods", "fcnn,dnspn", "--seeds", "0", "--epochs",
+                   "1", "--trees", "2", "--depth", "2", "--embed", "2",
+                   "--out", str(tmp_path / "runs"))
+
+    @forks
+    def test_overflow_in_a_worker_exits_4(self, small_dataset, tmp_path,
+                                          monkeypatch, capsys,
+                                          no_child_left):
+        self._cells(monkeypatch, tmp_path, lambda: np.exp(np.float64(1e3)))
+        assert self._compare(small_dataset, tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: overflow encountered in exp")
+        assert not (tmp_path / "runs").exists()
+
+    @forks
+    def test_a_killed_worker_exits_1(self, small_dataset, tmp_path,
+                                     monkeypatch, capsys, no_child_left):
+        self._cells(monkeypatch, tmp_path,
+                    lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert self._compare(small_dataset, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process ended (killed by "
+                              "SIGKILL) before call 2 of 2 returned")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch,
+                                   no_child_left):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert run("generate", "--k", "5", "--ntrain", "100", "--ntest",
+                       "50", "--out", str(tmp_path / "gen")) == 0
+            gen = only_run_dir(tmp_path / "gen")
+            split = ("--data", str(gen / "train.csv"), "--eval-data",
+                     str(gen / "test.csv"), "--epochs", "1", "--trees", "2",
+                     "--depth", "2", "--embed", "2")
+            assert run("train", *split, "--out", str(tmp_path / "t")) == 0
+            assert run("compare", *split, "--seeds", "0,1",
+                       "--out", str(tmp_path / "c")) == 0
+        finally:
+            os.sched_setaffinity(0, cpus)
 
 
 class TestMaskCurve:

@@ -30,9 +30,11 @@ def test_two_runs_print_the_same_bytes():
     # seven models: fcnn, dndn, dnspn, surgery, regression, deep-forest
     # and dnspn at dropout 0, each evaluated once, fcnn and dnspn again on
     # a third, 1200-row generated split, and dnspn on the script's own
-    # walk.csv, which is listed too
-    assert len(lines) == (3 * FILES["generate"] + 7 * FILES["train"]
-                          + 10 * FILES["evaluate"] + 1 + FILES["compare"]
+    # walk.csv, which is listed too; a 50-feature dnspn on the script's
+    # own two files, evaluated once; a dnspn on a holdout of one file; two
+    # compares
+    assert len(lines) == (3 * FILES["generate"] + 9 * FILES["train"]
+                          + 11 * FILES["evaluate"] + 3 + 2 * FILES["compare"]
                           + FILES["mask-curve"])
     paths = [line.split("  ", 1)[1] for line in lines]
     assert paths == sorted(paths)

@@ -8,6 +8,11 @@ machine splits), each thread taking the next block left. The bits are
 held to the whole-batch reference in test_bit_identity.py; these tests
 hold the threading itself. Where a test needs a given thread to run a
 given block, it holds one thread back on an event until the other has.
+
+The last part holds `dnspn.numeric.run_calls`, which runs independent
+calls on the caller and on forked worker processes: results in call
+order, the serial order's first error, dead workers, Ctrl-C and reaping.
+Calls in different processes order themselves by files (`wait_for`).
 """
 
 import os
@@ -26,8 +31,10 @@ import dnspn.network
 import dnspn.numeric
 from dnspn.data import Task
 from dnspn.forest import init_head, route
-from dnspn.numeric import RngState
+from dnspn.numeric import RngState, run_calls
 from dnspn.training import build_forest_model, predict
+
+from conftest import wait_for
 
 CLS = Task("classification", n_classes=2)
 WAIT_S = 30.0
@@ -410,3 +417,162 @@ def test_user_threads_share_one_model(monkeypatch):
         assert len(outs) == 3
         for out in outs:
             assert np.array_equal(out.view(np.uint64), one.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# Independent calls in forked workers
+# ---------------------------------------------------------------------------
+
+forks = pytest.mark.skipif(not dnspn.numeric._FORKS,
+                           reason="run_calls forks on Linux only")
+
+
+def _one_each(mark, on_caller=lambda: None, in_worker=lambda: None):
+    """A call that, in a forked worker, makes the file `mark` and runs
+    `in_worker`, and on the caller waits for `mark` before it runs
+    `on_caller`: with two processes, two such calls run one in each."""
+    parent = os.getpid()
+
+    def call():
+        if os.getpid() == parent:
+            wait_for(mark)
+            return on_caller()
+        mark.touch()
+        return in_worker()
+    return call
+
+
+@forks
+def test_calls_return_in_call_order(two_cpus, tmp_path, no_child_left):
+    # the caller begins no call before a worker has begun one
+    parent = os.getpid()
+    hold = _one_each(tmp_path / "began")
+
+    def call(i):
+        def run():
+            hold()
+            time.sleep(0.005)
+            return i, os.getpid()
+        return run
+
+    out = run_calls([call(i) for i in range(9)])
+    assert [i for i, _ in out] == list(range(9))
+    pids = {pid for _, pid in out}
+    assert parent in pids and len(pids) == 2
+
+
+@forks
+def test_first_error_in_call_order_wins(two_cpus, tmp_path, no_child_left):
+    # call 1 fails only after call 3 has failed, in another process
+    failed = tmp_path / "call3-failed"
+
+    def call1():
+        wait_for(failed)
+        raise ValueError("call 1")
+
+    def call3():
+        try:
+            raise KeyError("call 3")
+        finally:
+            failed.touch()
+
+    with pytest.raises(ValueError, match="call 1"):
+        run_calls([call1, lambda: 2, call3])
+    assert failed.exists()
+
+
+@forks
+def test_a_failure_stops_only_the_calls_after_it(two_cpus, tmp_path,
+                                                  no_child_left):
+    # call 1 ends after call 2 has failed; calls 3-6 never begin
+    failed = tmp_path / "call2-failed"
+
+    def ran(i):
+        (tmp_path / f"ran{i}").touch()
+        return i
+
+    def call1():
+        wait_for(failed)
+        return ran(1)
+
+    def call2():
+        try:
+            raise ValueError("call 2")
+        finally:
+            failed.touch()
+
+    with pytest.raises(ValueError, match="call 2"):
+        run_calls([call1, call2, *[lambda i=i: ran(i) for i in range(3, 7)]])
+    assert sorted(p.name for p in tmp_path.glob("ran*")) == ["ran1"]
+
+
+@forks
+def test_worker_overflow_raises_under_the_callers_errstate(
+        two_cpus, tmp_path, no_child_left):
+    call = _one_each(tmp_path / "began",
+                     in_worker=lambda: np.float64(1e308) * 10.0)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            run_calls([call, call])
+
+
+@forks
+def test_a_killed_worker_is_an_error(two_cpus, tmp_path, no_child_left):
+    call = _one_each(tmp_path / "began", in_worker=lambda: os.kill(
+        os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+        run_calls([call, call])
+
+
+@forks
+def test_ctrl_c_on_the_caller_kills_and_reaps_the_workers(
+        two_cpus, tmp_path, no_child_left):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    # the worker's call would run far past the test's end
+    call = _one_each(tmp_path / "began", on_caller=interrupted,
+                     in_worker=lambda: time.sleep(10 * WAIT_S))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_calls([call, call])
+    assert time.monotonic() - start < WAIT_S
+
+
+@forks
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) != 2,
+                    reason="needs a set of exactly two CPUs")
+def test_each_process_takes_its_share_of_the_cpus(tmp_path, no_child_left):
+    # two calls on two CPUs: the caller's and the worker's row-block pools
+    # each see one CPU while the calls run, and the caller two after
+    share = dnspn.numeric._cpu_count
+    call = _one_each(tmp_path / "began", share, share)
+    assert run_calls([call, call]) == [1, 1]
+    assert share() == 2
+
+
+@pytest.mark.parametrize("how", ["one CPU", "no fork"])
+def test_no_worker_without_a_second_cpu_or_fork(how, monkeypatch,
+                                                no_child_left):
+    # os.fork raises, so any worker would fail the call
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if how == "one CPU":
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+    else:
+        monkeypatch.setattr(dnspn.numeric, "_FORKS", False)
+    try:
+        parent = os.getpid()
+        assert run_calls([lambda i=i: (i, os.getpid()) for i in range(5)]) \
+            == [(i, parent) for i in range(5)]
+        with pytest.raises(ValueError, match="first"):
+            run_calls([lambda: 1, lambda: int("first"), lambda: 1 / 0])
+    finally:
+        if how == "one CPU":
+            os.sched_setaffinity(0, cpus)

@@ -20,7 +20,15 @@ one child process with OPENBLAS_NUM_THREADS=N (default 1), which calls
 - `evaluate` of the dnspn model on `walk.csv`, eight rows the script
   writes with a quoted cell and an underscored number, which `load_csv`
   reads by its row walk, not by numpy's C reader;
-- `compare` of fcnn and dnspn over two seeds, and `mask-curve`.
+- `train` and `evaluate` of a dnspn on `d50-train.csv` and `d50-test.csv`,
+  Gaussian 50-feature files the script writes, a width whose training
+  OpenBLAS 0.3.31 sums in another order at 2 threads than at 1 unless the
+  CLI pins one thread;
+- `train` of a dnspn on the quadratic train split alone, which holds out
+  a part of it for evaluation;
+- `compare` of fcnn and dnspn over two seeds, `compare` of fcnn, dndn and
+  dnspn over three seeds (nine cells, an odd number that the caller and
+  its forked workers share), and `mask-curve`.
 
 It prints `sha256  path` for each file written, in path order. `--src`
 runs the package under another checkout's `src/` (default: this one's),
@@ -75,6 +83,17 @@ def write_walk_csv(path: Path) -> None:
     path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
+def write_gaussian_csv(path: Path, rows: int, seed: int) -> None:
+    """`rows` rows of 50 standard normal features and a 0/1 label."""
+    import numpy as np
+    X = np.random.default_rng(seed).standard_normal((rows, 50))
+    header = [f"f{j}" for j in range(50)] + ["label"]
+    path.write_text("".join(
+        ",".join(row) + "\n" for row in [header, *(
+            [*map(repr, x.tolist()), str(int(x[0] + x[1] > 0))]
+            for x in X)]))
+
+
 def run_script(cpus: int = 0) -> None:
     """Run the fixed CLI script in the current directory, pinned to the
     first `cpus` CPUs of the process's set when `cpus` is not 0. The child
@@ -110,8 +129,18 @@ def run_script(cpus: int = 0) -> None:
     write_walk_csv(Path("walk.csv"))
     cli("evaluate", "--model", f"{only_run('train-dnspn')}/model.json",
         "--data", "walk.csv", "--out", "eval-walk")
+    write_gaussian_csv(Path("d50-train.csv"), 240, seed=5)
+    write_gaussian_csv(Path("d50-test.csv"), 80, seed=6)
+    cli("train", "--data", "d50-train.csv", "--eval-data", "d50-test.csv",
+        *FIT, "--out", "train-dnspn-d50")
+    cli("evaluate", "--model", f"{only_run('train-dnspn-d50')}/model.json",
+        "--data", "d50-test.csv", "--out", "eval-dnspn-d50")
+    cli("train", "--data", f"{data}/train.csv", *FIT,
+        "--out", "train-dnspn-holdout")
     cli("compare", *split, "--methods", "fcnn,dnspn", "--seeds", "0,1",
         *FIT[:-2], "--out", "compare")
+    cli("compare", *split, "--methods", "fcnn,dndn,dnspn", "--seeds",
+        "0,1,2", *FIT[:-2], "--out", "compare-nine")
     cli("mask-curve", "--samples", "201", "--out", "curve")
 
 
