@@ -1,12 +1,14 @@
 """Tabular datasets: CSV ingestion and the synthetic noise benchmarks.
 
 The synthetic families start from 100 i.i.d. standard-normal feature
-dimensions. linear-k picks k of them, draws a random affine map, and labels
-each sample by that map's sign; quadratic-k draws two independent k-subsets
-and labels by the sign of w1 . x1^2 + w2 . x2 + b. Labels are always
-computed on the clean features; Gaussian feature noise of scale sigma is
-added afterwards, so sigma is purely a nuisance parameter and the clean
-signal stays recoverable.
+dimensions and share one recipe (:func:`generate`). linear-k picks k of
+them, draws a random affine map, and labels each sample by that map's
+sign; quadratic-k draws two independent k-subsets and labels by the sign
+of w1 . x1^2 + w2 . x2 + b. Labels are always computed on the clean
+features; Gaussian feature noise of one scalar scale sigma is added
+afterwards, so sigma is purely a nuisance parameter and the clean signal
+stays recoverable. :class:`SyntheticSpec` is the one place a recipe's
+settings are checked.
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ class SyntheticSpec:
             raise ParameterError(f"unknown synthetic kind {self.kind!r}")
         if not 1 <= self.k <= BASE_DIM:
             raise ParameterError(f"k must be in [1, {BASE_DIM}], got {self.k}")
+        if np.ndim(self.sigma):
+            raise ParameterError(f"sigma must be a scalar, got {self.sigma!r}")
         require_finite(sigma=self.sigma)
-        if np.any(np.asarray(self.sigma) < 0):
+        if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
         for name, value, low, high in (
                 ("n_train", self.n_train, 1, MAX_ROWS),
@@ -94,21 +98,16 @@ class SyntheticSpec:
 
 def gen_base(n: int, rng: RngState) -> np.ndarray:
     """(n, 100) matrix of i.i.d. standard-normal features."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     return rng.normal(n, BASE_DIM, 0.0, 1.0)
 
 
-def add_noise(X: np.ndarray, sigma, rng: RngState) -> np.ndarray:
-    """X plus i.i.d. N(0, sigma^2) per entry; sigma may be a per-dim vector.
+def add_noise(X: np.ndarray, sigma: float, rng: RngState) -> np.ndarray:
+    """X plus i.i.d. N(0, sigma^2) per entry.
 
     sigma = 0 returns a bit-exact copy without consuming randomness.
     """
     X = np.asarray(X, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise ParameterError("sigma must be >= 0")
-    if np.all(sigma == 0):
+    if sigma == 0:
         return X.copy()
     return X + rng.normal(X.shape[0], X.shape[1], 0.0, 1.0) * sigma
 
@@ -117,54 +116,33 @@ def _binary_task() -> Task:
     return Task(kind=CLASSIFICATION, n_classes=2, labels=["0", "1"])
 
 
-def gen_linear_k(spec: SyntheticSpec) -> Dataset:
-    """linear-k dataset: n_train + n_test rows (train rows first).
-
-    Draw order is fixed: feature subset, then the k+1 map coefficients,
-    then the clean features, then the noise. The returned meta dict records
-    everything needed to audit or regenerate the labels.
-    """
-    if spec.kind != "linear":
-        raise ParameterError("spec.kind must be 'linear'")
-    rng = RngState(spec.seed)
-    dims = np.sort(rng.permutation(BASE_DIM)[: spec.k])
-    w = rng.normal(1, spec.k)[0]
-    b = float(rng.normal(1, 1)[0, 0])
-    n = spec.n_train + spec.n_test
-    clean = gen_base(n, rng)
-    y = (clean[:, dims] @ w + b > 0).astype(np.int64)
-    X = add_noise(clean, spec.sigma, rng)
-    meta = {**asdict(spec), "dims": dims.tolist(), "w": w.tolist(), "b": b}
-    return Dataset(X=X, y=y, task=_binary_task(), meta=meta)
-
-
-def gen_quadratic_k(spec: SyntheticSpec) -> Dataset:
-    """quadratic-k dataset: labels from sign(w1 . x1^2 + w2 . x2 + b).
-
-    The two k-subsets are drawn independently and may overlap.
-    """
-    if spec.kind != "quadratic":
-        raise ParameterError("spec.kind must be 'quadratic'")
-    rng = RngState(spec.seed)
-    dims1 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
-    dims2 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
-    w1 = rng.normal(1, spec.k)[0]
-    w2 = rng.normal(1, spec.k)[0]
-    b = float(rng.normal(1, 1)[0, 0])
-    n = spec.n_train + spec.n_test
-    clean = gen_base(n, rng)
-    score = clean[:, dims1] ** 2 @ w1 + clean[:, dims2] @ w2 + b
-    y = (score > 0).astype(np.int64)
-    X = add_noise(clean, spec.sigma, rng)
-    meta = {**asdict(spec), "dims1": dims1.tolist(), "dims2": dims2.tolist(),
-            "w1": w1.tolist(), "w2": w2.tolist(), "b": b}
-    return Dataset(X=X, y=y, task=_binary_task(), meta=meta)
-
-
 def generate(spec: SyntheticSpec) -> Dataset:
-    if spec.kind == "linear":
-        return gen_linear_k(spec)
-    return gen_quadratic_k(spec)
+    """The linear-k or quadratic-k dataset of `spec`: n_train + n_test
+    rows, train rows first.
+
+    Draw order is fixed: the feature subsets (one for linear-k; two
+    independent ones, which may overlap, for quadratic-k), their weight
+    vectors, the bias, the clean features, then the noise. The label is
+    the sign of the score on the clean features, summed left to right:
+    x[dims] @ w + b, or x[dims1]**2 @ w1 + x[dims2] @ w2 + b. The returned
+    meta dict records the spec and everything needed to audit or
+    regenerate the labels.
+    """
+    rng = RngState(spec.seed)
+    quadratic = spec.kind == "quadratic"
+    terms = ("1", "2") if quadratic else ("",)     # the suffixes in meta
+    dims = [np.sort(rng.permutation(BASE_DIM)[: spec.k]) for _ in terms]
+    ws = [rng.normal(1, spec.k)[0] for _ in terms]
+    b = float(rng.normal(1, 1)[0, 0])
+    clean = gen_base(spec.n_train + spec.n_test, rng)
+    score = (clean[:, dims[0]] ** 2 @ ws[0] + clean[:, dims[1]] @ ws[1]
+             if quadratic else clean[:, dims[0]] @ ws[0])
+    y = (score + b > 0).astype(np.int64)
+    X = add_noise(clean, spec.sigma, rng)
+    meta = {**asdict(spec),
+            **{f"dims{t}": d.tolist() for t, d in zip(terms, dims)},
+            **{f"w{t}": w.tolist() for t, w in zip(terms, ws)}, "b": b}
+    return Dataset(X=X, y=y, task=_binary_task(), meta=meta)
 
 
 def train_test(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:

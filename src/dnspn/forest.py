@@ -46,9 +46,9 @@ in place of streaming (batch, trees * nodes) arrays through L3. The
 projection before that stage and the leaf contraction after it stay
 full-height, because OpenBLAS sums those products in an order that depends
 on the row count, and per-block results could differ in the last bit. The
-routing matmul, whose inner dimension is the small embedding, gave the
-same bits at every block size from 2 to 2000 rows tried, and with either
-operand permuted; the bit-identity tests hold it to that.
+routing matmul, whose inner dimension is the small embedding, gives the
+same bits in any row block and with either operand permuted (README,
+"Reproducibility notes"); the bit-identity tests hold it to that.
 
 Who runs which rows: an eval route of two or more blocks hands its
 blocks, in row order, to :func:`dnspn.numeric.run_blocks`. The blocks are
@@ -66,12 +66,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import CLASSIFICATION, REGRESSION
 from .errors import ShapeError, UsageError, ParameterError
 from .numeric import (ROUTE_BLOCK_BYTES, RngState, _block_count,
                       block_threads, run_blocks, sigmoid, softmax_rows)
-
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
 
 # Most leaves (trees * 2^(depth-1)) a head may have; its leaf matrix and
 # leaf reach grow with them. 16x the largest forest in use, 32 of depth 6.

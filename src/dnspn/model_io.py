@@ -26,7 +26,8 @@ from .data import CLASSIFICATION, REGRESSION, Scaler, Task
 from .errors import DataError, ParameterError, reading
 from .forest import ForestHead, check_shape
 from .network import IDENTITY, RELU, DenseLayer
-from .training import FOREST, SOFTMAX, Model, check_head_layers
+from .training import (FOREST, SOFTMAX, Model, check_head_layers,
+                       task_outputs)
 
 FORMAT = "dnspn-model-v1"
 
@@ -44,6 +45,13 @@ def _floats(value, what: str, shape: tuple) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DataError(f"{what} has non-finite values")
     return a
+
+
+def _int(value, what: str) -> int:
+    """`value` if it is an int (not a bool or a float)."""
+    if type(value) is not int:
+        raise DataError(f"{what} is not an integer: {value!r}")
+    return value
 
 
 def _key(key) -> str:
@@ -164,6 +172,9 @@ def load_model(path) -> Model:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {path}") from exc
+    except RecursionError:
+        raise DataError(f"model file nests too deeply to read: {path}") \
+            from None
     try:
         if doc["format"] != FORMAT:
             raise DataError(f"unsupported model format {doc['format']!r}")
@@ -176,13 +187,14 @@ def load_model(path) -> Model:
         named = labels is None or (isinstance(labels, list) and all(
             isinstance(name, str) for name in labels)
             and len(set(labels)) == len(labels) == n)
-        if not (task.kind == CLASSIFICATION and isinstance(n, int)
-                and n >= 2 and named or task.kind == REGRESSION and n == 0
-                and labels is None):
+        if not (type(n) is int and (task.kind == CLASSIFICATION and n >= 2
+                                    and named or task.kind == REGRESSION
+                                    and n == 0 and labels is None)):
             raise DataError(f"model file {path} has an inconsistent task: "
                             f"{doc['task']!r}")
-        n_out = n if task.kind == CLASSIFICATION else 1
-        layers, masks, width = [], [], doc["input_dim"]
+        n_out = task_outputs(task)
+        layers, masks = [], []
+        width = _int(doc["input_dim"], "input_dim")
         for i, rec in enumerate(doc["layers"]):
             w = _floats(rec["weights"], f"layer {i} weights", (None, width))
             width = w.shape[0]
@@ -197,7 +209,8 @@ def load_model(path) -> Model:
                           DataError)
         heads = []
         for i, (rec, j) in enumerate(zip(doc["heads"], head_layers)):
-            trees, depth, e = rec["trees"], rec["depth"], rec["embed_dim"]
+            trees, depth, e = (_int(rec[key], f"head {i} {key}")
+                               for key in ("trees", "depth", "embed_dim"))
             if rec["kind"] != task.kind:
                 raise DataError(f"head {i} does not fit the task")
             check_shape(trees, depth, e)     # before 2^(depth-1) is taken
@@ -227,11 +240,14 @@ def load_model(path) -> Model:
             scaler = Scaler(*(_floats(doc["scaler"][key], f"scaler {key}",
                                       (doc["input_dim"],))
                               for key in ("mean", "std")))
+            if np.any(scaler.std < 0):
+                raise DataError("scaler std has negative values")
         return Model(layers=layers, heads=heads, head_layers=head_layers,
                      task=task, scaler=scaler, masks=masks)
     except DataError as exc:
         if str(path) in str(exc):    # the task check names the file itself
             raise
         raise DataError(f"model file {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            ParameterError) as exc:
         raise DataError(f"model file is corrupt or incomplete: {path}") from exc

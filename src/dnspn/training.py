@@ -145,14 +145,16 @@ class Model:
 
 def check_head_layers(n_layers: int, head_layers: list, n_heads: int,
                       error: type[Exception] = ShapeError) -> None:
-    """Raise `error` unless `head_layers` holds one layer index a head."""
+    """Raise `error` unless `head_layers` holds one layer index a head,
+    each an int (not a bool)."""
     if not n_layers or len(head_layers) != n_heads or not all(
-            isinstance(j, int) and 0 <= j < n_layers for j in head_layers):
+            type(j) is int and 0 <= j < n_layers for j in head_layers):
         raise error(f"{n_layers} layers cannot carry heads at {head_layers}, "
                     "one per head")
 
 
-def _n_outputs(task: Task) -> int:
+def task_outputs(task: Task) -> int:
+    """A model's output width for `task`: its class count, or 1."""
     return task.n_classes if task.kind == CLASSIFICATION else 1
 
 
@@ -163,15 +165,15 @@ def build_forest_model(input_dim: int, task: Task, rng: RngState,
     layer."""
     o = output_width if output_width is not None else 2 * input_dim
     layers = network.build_network(input_dim, o, rng)
-    heads = [init_head(layer.weights.shape[0], _n_outputs(task), trees, depth,
-                       embed_dim, task.kind, rng) for layer in layers]
+    heads = [init_head(layer.weights.shape[0], task_outputs(task), trees,
+                       depth, embed_dim, task.kind, rng) for layer in layers]
     return Model(layers=layers, heads=heads,
                  head_layers=list(range(len(layers))), task=task)
 
 
 def build_softmax_model(input_dim: int, task: Task, rng: RngState) -> Model:
     """Plain backbone whose last layer emits class scores (or one value)."""
-    layers = network.build_network(input_dim, _n_outputs(task), rng)
+    layers = network.build_network(input_dim, task_outputs(task), rng)
     return Model(layers=layers, heads=[], head_layers=[], task=task)
 
 

@@ -19,6 +19,11 @@ the refresh became one in-place pass per record.
 The kernels in `dnspn` must reproduce all of them bit for bit (see
 test_bit_identity.py).
 
+`gen_linear_k` and `gen_quadratic_k` are the two synthetic families as
+each was generated by its own function, with the noise step that took a
+per-dimension sigma: `dnspn.data.generate` must give their features and
+labels bit for bit, and their meta.
+
 `write_json`, `write_csv`, `write_curve` and `load_csv` are the text files
 as they were written and read a cell at a time, through `json.dump`,
 `csv.writer.writerow` and one `float` per feature cell: the files the
@@ -28,17 +33,17 @@ CLI writes must keep their bytes, and a malformed CSV its message.
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from dnspn.data import (CLASSIFICATION, REGRESSION, Dataset, Task,
+from dnspn.data import (BASE_DIM, CLASSIFICATION, REGRESSION, Dataset, Task,
                         _column_stats)
 from dnspn.errors import (DataError, NumericError, ParameterError,
                           ShapeError, reading)
-from dnspn.forest import CLASSIFICATION, RoutingProbs
-from dnspn.numeric import softmax_rows
+from dnspn.forest import RoutingProbs
+from dnspn.numeric import RngState, softmax_rows
 from dnspn.pruning import MODE_NONE, LayerStats, mask_grad
 from dnspn.training import (FOREST, _softmax_backward, loss_ce, loss_mse,
                             model_params)
@@ -316,6 +321,49 @@ def refresh_mask(layer, cfg):
     else:
         layer.mask = np.ones_like(layer.shadow)
         layer.effective = layer.shadow
+
+
+def _noisy(clean, sigma, rng):
+    """`clean` plus N(0, sigma^2) noise, sigma a scalar or one a column."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if np.all(sigma == 0):
+        return clean.copy()
+    return clean + rng.normal(clean.shape[0], clean.shape[1], 0.0, 1.0) * sigma
+
+
+def _binary(X, y, meta):
+    return Dataset(X=X, y=y, meta=meta, task=Task(
+        kind=CLASSIFICATION, n_classes=2, labels=["0", "1"]))
+
+
+def gen_linear_k(spec):
+    """linear-k: subset, map coefficients, clean features, then noise."""
+    rng = RngState(spec.seed)
+    dims = np.sort(rng.permutation(BASE_DIM)[: spec.k])
+    w = rng.normal(1, spec.k)[0]
+    b = float(rng.normal(1, 1)[0, 0])
+    clean = rng.normal(spec.n_train + spec.n_test, BASE_DIM, 0.0, 1.0)
+    y = (clean[:, dims] @ w + b > 0).astype(np.int64)
+    X = _noisy(clean, spec.sigma, rng)
+    meta = {**asdict(spec), "dims": dims.tolist(), "w": w.tolist(), "b": b}
+    return _binary(X, y, meta)
+
+
+def gen_quadratic_k(spec):
+    """quadratic-k: labels from sign(w1 . x1^2 + w2 . x2 + b)."""
+    rng = RngState(spec.seed)
+    dims1 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
+    dims2 = np.sort(rng.permutation(BASE_DIM)[: spec.k])
+    w1 = rng.normal(1, spec.k)[0]
+    w2 = rng.normal(1, spec.k)[0]
+    b = float(rng.normal(1, 1)[0, 0])
+    clean = rng.normal(spec.n_train + spec.n_test, BASE_DIM, 0.0, 1.0)
+    score = clean[:, dims1] ** 2 @ w1 + clean[:, dims2] @ w2 + b
+    y = (score > 0).astype(np.int64)
+    X = _noisy(clean, spec.sigma, rng)
+    meta = {**asdict(spec), "dims1": dims1.tolist(), "dims2": dims2.tolist(),
+            "w1": w1.tolist(), "w2": w2.tolist(), "b": b}
+    return _binary(X, y, meta)
 
 
 def write_json(path, doc):

@@ -2,9 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. The quantitative desk-scale reproductions (criteria 9,
-10, 12) train real models and together take a few minutes of CPU.
+10, 12) train real models and together take a few minutes of CPU; each
+runs its method x seed fits through `numeric.run_calls`, one process a CPU,
+at one BLAS thread, and reads the same floats as in one process.
 """
 
+import functools
 import json
 import math
 import time
@@ -16,11 +19,11 @@ import pytest
 from conftest import (central_diff, dsp_mask_grad, kl_objective,
                       max_rel_error, param_names)
 from dnspn.cli import main as cli_main
-from dnspn.data import (SyntheticSpec, gen_linear_k, gen_quadratic_k,
-                        gen_xor, standardize, train_test, write_csv)
+from dnspn.data import (SyntheticSpec, gen_xor, generate, standardize,
+                        train_test, write_csv)
 from dnspn.forest import init_head, predict_class, route
 from dnspn.metrics import roc_auc_binary
-from dnspn.numeric import RngState
+from dnspn.numeric import RngState, one_blas_thread, run_calls
 from dnspn.pruning import (LayerStats, PruneConfig, dsp_mask,
                            new_pruned_layer, refresh_mask, surgery_mask)
 from dnspn.training import (TrainConfig, build_forest_model, fit, fuse,
@@ -201,7 +204,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     with criterion(8, "cmd_train byte-identical reports"):
         spec = SyntheticSpec(kind="linear", k=5, sigma=0.5, n_train=500,
                              n_test=200, seed=2)
-        ds = gen_linear_k(spec)
+        ds = generate(spec)
         tr, te = train_test(ds, spec.n_train)
         write_csv(tmp_path / "train.csv", tr)
         write_csv(tmp_path / "test.csv", te)
@@ -229,20 +232,38 @@ def _train_eval(method, tr, te, seed, epochs=20):
     return model, history
 
 
+def _read_fit(read, method, tr, te, seed):
+    return read(method, *_train_eval(method, tr, te, seed))
+
+
+def _fits(cells, tr, te, read):
+    """`read(method, model, history)` of the fit of each (method, seed)
+    cell, in cell order. The cells run through `run_calls`, one process a
+    CPU, so a cell sends back only what `read` takes from its fit. They
+    run at one BLAS thread, as the CLI runs its cells: a process a core
+    with two OpenBLAS threads each made criterion 10 four times slower,
+    and the means are then those of one thread at any thread count."""
+    with one_blas_thread():
+        return run_calls([functools.partial(_read_fit, read, method, tr, te,
+                                            seed) for method, seed in cells])
+
+
+def _final_metric(method, model, history):
+    return history.records[-1].metric
+
+
 def test_criterion_9_noise_resistance_ordering():
     with criterion(9, "quadratic-50 method ordering"):
         spec = SyntheticSpec(kind="quadratic", k=50, sigma=1.0,
                              n_train=10000, n_test=2000, seed=0)
-        ds = gen_quadratic_k(spec)
+        ds = generate(spec)
         tr, te = train_test(ds, spec.n_train)
         tr, te, _ = standardize(tr, te)
-        means = {}
-        for method in ("fcnn", "dndn", "dnspn"):
-            accs = []
-            for seed in range(5):
-                _, history = _train_eval(method, tr, te, seed)
-                accs.append(history.records[-1].metric)
-            means[method] = float(np.mean(accs))
+        methods = ("fcnn", "dndn", "dnspn")
+        accs = _fits([(method, seed) for method in methods
+                      for seed in range(5)], tr, te, _final_metric)
+        means = {method: float(np.mean(accs[5 * i:5 * i + 5]))
+                 for i, method in enumerate(methods)}
         print(f"  quadratic-50 means: fcnn={means['fcnn']:.4f} "
               f"dndn={means['dndn']:.4f} dnspn={means['dnspn']:.4f}")
         assert means["dnspn"] >= means["dndn"] - 0.005
@@ -253,12 +274,13 @@ def test_criterion_10_linear50_noiseless_sanity():
     with criterion(10, "linear-50 noiseless sanity"):
         spec = SyntheticSpec(kind="linear", k=50, sigma=0.0,
                              n_train=10000, n_test=2000, seed=0)
-        ds = gen_linear_k(spec)
+        ds = generate(spec)
         tr, te = train_test(ds, spec.n_train)
         tr, te, _ = standardize(tr, te)
-        for seed in range(3):
-            _, history = _train_eval("dnspn", tr, te, seed)
-            best = max(rec.metric for rec in history.records)
+        bests = _fits([("dnspn", seed) for seed in range(3)], tr, te,
+                      lambda method, model, history: max(
+                          rec.metric for rec in history.records))
+        for seed, best in enumerate(bests):
             assert best >= 0.97, f"seed {seed}: best test acc {best}"
 
 
@@ -283,18 +305,20 @@ def test_criterion_12_dsp_no_harm():
     with criterion(12, "DSP no-harm with sparsity"):
         spec = SyntheticSpec(kind="linear", k=50, sigma=1.0,
                              n_train=10000, n_test=2000, seed=0)
-        ds = gen_linear_k(spec)
+        ds = generate(spec)
         tr, te = train_test(ds, spec.n_train)
         tr, te, _ = standardize(tr, te)
-        means, sparsities = {}, []
-        for method in ("dndn", "dnspn"):
-            accs = []
-            for seed in range(5):
-                model, history = _train_eval(method, tr, te, seed)
-                accs.append(history.records[-1].metric)
-                if method == "dnspn":
-                    sparsities.append(backbone_sparsity(model))
-            means[method] = float(np.mean(accs))
+        methods = ("dndn", "dnspn")
+        reads = _fits([(method, seed) for method in methods
+                       for seed in range(5)], tr, te,
+                      lambda method, model, history: (
+                          history.records[-1].metric,
+                          backbone_sparsity(model) if method == "dnspn"
+                          else None))
+        means = {method: float(np.mean([acc for acc, _ in
+                                        reads[5 * i:5 * i + 5]]))
+                 for i, method in enumerate(methods)}
+        sparsities = [sparsity for _, sparsity in reads[5:]]
         print(f"  linear-50 sigma=1: dndn={means['dndn']:.4f} "
               f"dnspn={means['dnspn']:.4f} "
               f"sparsity={np.mean(sparsities):.3f}")

@@ -29,7 +29,7 @@ import dnspn.network
 import dnspn.numeric
 import dnspn.training
 from dnspn.cli import main
-from dnspn.data import (Dataset, SyntheticSpec, Task, gen_linear_k, gen_xor,
+from dnspn.data import (Dataset, SyntheticSpec, Task, generate, gen_xor,
                         load_csv, write_csv)
 from dnspn.errors import DataError, NumericError
 import dnspn.forest
@@ -706,11 +706,29 @@ def test_refresh_leaves_no_shared_arrays(mode):
         assert_same_bits(old, old_bits, (mode, "old mask"))
 
 
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("k", [1, 50, 100])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+def test_generate_matches_reference(kind, k, sigma):
+    # k = 100 takes every feature, so quadratic-k's two subsets are equal
+    reference = {"linear": ref.gen_linear_k,
+                 "quadratic": ref.gen_quadratic_k}[kind]
+    for seed in (0, 3, 7):
+        spec = SyntheticSpec(kind=kind, k=k, sigma=sigma, n_train=300,
+                             n_test=100, seed=seed)
+        ours, theirs = generate(spec), reference(spec)
+        for a, b in ((ours.X, theirs.X), (ours.y, theirs.y)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes(), (kind, k, sigma, seed)
+        assert ours.meta == theirs.meta
+        assert ours.task == theirs.task
+
+
 def _fit_outputs(tmp_path, method, regress=False):
     """history.csv and model.json of a 2-epoch `train` run on 100 features."""
     data = tmp_path / "linear.csv"
     if not data.exists():
-        write_csv(data, gen_linear_k(SyntheticSpec(
+        write_csv(data, generate(SyntheticSpec(
             kind="linear", k=3, sigma=0.5, n_train=300, n_test=0, seed=5)))
     out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
     argv = ["train", "--data", str(data), "--method", method, "--epochs",

@@ -12,7 +12,7 @@ import pytest
 import dnspn.cli
 import dnspn.numeric
 from dnspn.cli import OPTIONS, build_parser, config_hash, main, resolve_config
-from dnspn.data import (SyntheticSpec, gen_linear_k, gen_xor, train_test,
+from dnspn.data import (SyntheticSpec, generate, gen_xor, train_test,
                         write_csv)
 from dnspn.numeric import RngState, _openblas_threads
 
@@ -38,7 +38,7 @@ def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     spec = SyntheticSpec(kind="linear", k=5, sigma=0.5, n_train=600,
                          n_test=200, seed=3)
-    ds = gen_linear_k(spec)
+    ds = generate(spec)
     tr, te = train_test(ds, spec.n_train)
     write_csv(root / "train.csv", tr)
     write_csv(root / "test.csv", te)
@@ -709,10 +709,17 @@ MODEL_MUTATIONS = {
         row[1:] for row in w]),
     "activation": _set(["layers", 0, "activation"], "tanh"),
     "layer weight nan": _set(["layers", 0, "weights", 0, 0], float("nan")),
+    "layer weight of 401 digits": _set(["layers", 0, "weights", 0, 0],
+                                       10 ** 400),
     "layer mask inf": _set(["layers", 1, "mask", 0, 0], float("inf")),
     "head_layers out of range": _set(["head_layers", 0], 4),
     "head_layers negative": _set(["head_layers", 1], -1),
     "head_layers not int": _set(["head_layers", 1], 1.0),
+    "head_layers bools": _set(["head_layers"], [False, True, True]),
+    "input_dim true": _set(["input_dim"], True),
+    "head trees true": _set(["heads", 1, "trees"], True),
+    "head depth true": _set(["heads", 0, "depth"], True),
+    "head embed_dim true": _set(["heads", 2, "embed_dim"], True),
     "head_layers short": _set(["head_layers"], lambda h: h[1:]),
     "head depth": _set(["heads", 0, "depth"], 4),
     "head trees": _set(["heads", 1, "trees"], 3),
@@ -731,6 +738,7 @@ MODEL_MUTATIONS = {
     "routing_w inf": _set(["heads", 1, "routing_w", 0, 0], float("-inf")),
     "scaler mean short": _set(["scaler", "mean"], lambda m: m[1:]),
     "scaler std nan": _set(["scaler", "std", 0], float("nan")),
+    "scaler std negative": _set(["scaler", "std", 1], lambda v: -v),
     "kind unknown": _set(["kind"], "bogus"),
     "kind softmax with heads": _set(["kind"], "softmax"),
     "forest without heads": lambda doc: doc.update(heads=[], head_layers=[]),
@@ -739,6 +747,9 @@ MODEL_MUTATIONS = {
     "more labels than classes": _set(["task", "labels"], ["0", "1", "2"]),
     "repeated labels": _set(["task", "labels"], ["1", "1"]),
     "regression of unknown kind": _as_regression("foo"),
+    "regression of false classes": lambda doc: (
+        _as_regression("regression")(doc),
+        doc["task"].update(n_classes=False)),
 }
 
 
@@ -762,7 +773,8 @@ class TestLoadModelValidation:
 
     @pytest.mark.parametrize("name", ["more labels than classes",
                                       "repeated labels",
-                                      "regression of unknown kind"])
+                                      "regression of unknown kind",
+                                      "regression of false classes"])
     def test_inconsistent_task_names_the_file(self, name, small_model,
                                               tmp_path, capsys):
         doc, data = small_model
@@ -779,6 +791,13 @@ class TestLoadModelValidation:
         ("head kind", "head 0 does not fit the task"),
         ("activation", "layer 0 activation is not relu/identity"),
         ("layer bias short", "layer 0 bias has shape (3,), expected (4,)"),
+        ("head_layers bools",
+         "3 layers cannot carry heads at [False, True, True], one per head"),
+        ("input_dim true", "input_dim is not an integer: True"),
+        ("head trees true", "head 1 trees is not an integer: True"),
+        ("head depth true", "head 0 depth is not an integer: True"),
+        ("head embed_dim true", "head 2 embed_dim is not an integer: True"),
+        ("scaler std negative", "scaler std has negative values"),
     ])
     def test_model_error_names_the_file(self, name, message, small_model,
                                         tmp_path, capsys):
@@ -791,6 +810,29 @@ class TestLoadModelValidation:
                    "--out", str(tmp_path / "eval")) == 3
         assert capsys.readouterr().err == (
             f"data error: model file {path}: {message}\n")
+
+    def test_number_beyond_float64_names_the_file(self, small_model,
+                                                  tmp_path, capsys):
+        doc, data = small_model
+        doc = json.loads(json.dumps(doc))
+        MODEL_MUTATIONS["layer weight of 401 digits"](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 3
+        assert capsys.readouterr().err == (
+            f"data error: model file is corrupt or incomplete: {path}\n")
+
+    def test_deep_nesting_names_the_file(self, small_model, tmp_path,
+                                         capsys):
+        _, data = small_model
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        assert run("evaluate", "--model", str(path), "--data", str(data),
+                   "--out", str(tmp_path / "eval")) == 3
+        assert capsys.readouterr().err == (
+            f"data error: model file nests too deeply to read: {path}\n")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("name", sorted(MODEL_MUTATIONS))
     def test_corruption_is_a_data_error(self, name, small_model, tmp_path,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dnspn.data import (MAX_ROWS, Dataset, SyntheticSpec, Task, add_noise,
-                        gen_base, gen_linear_k, gen_quadratic_k, gen_xor,
-                        load_csv, split, standardize, train_test, write_csv)
+                        gen_base, gen_xor, generate, load_csv, split,
+                        standardize, train_test, write_csv)
 from dnspn.errors import DataError, ParameterError
 from dnspn.numeric import RngState
 
@@ -153,19 +153,12 @@ class TestAddNoise:
         var = noisy.var(axis=0)
         assert np.max(np.abs(var - 2.0)) < 0.05
 
-    def test_per_dimension_sigma_vector(self, rng):
-        X = rng.normal(1000, 3)
-        sigma = np.array([0.0, 1.0, 2.0])
-        out = add_noise(X, sigma, RngState(2))
-        assert np.array_equal(out[:, 0], X[:, 0])   # zero-noise column exact
-        assert not np.array_equal(out[:, 1], X[:, 1])
-
 
 class TestGenLinear:
     def test_noiseless_separable_by_true_model(self):
         spec = SyntheticSpec(kind="linear", k=5, sigma=0.0, n_train=500,
                              n_test=100, seed=3)
-        ds = gen_linear_k(spec)
+        ds = generate(spec)
         dims = np.array(ds.meta["dims"])
         w = np.array(ds.meta["w"])
         b = ds.meta["b"]
@@ -174,10 +167,10 @@ class TestGenLinear:
 
     def test_labels_unaffected_by_noise(self):
         # same seed, different sigma: identical labels, different features
-        a = gen_linear_k(SyntheticSpec(kind="linear", k=5, sigma=0.0,
-                                       n_train=300, n_test=50, seed=11))
-        b = gen_linear_k(SyntheticSpec(kind="linear", k=5, sigma=2.0,
-                                       n_train=300, n_test=50, seed=11))
+        a = generate(SyntheticSpec(kind="linear", k=5, sigma=0.0,
+                                   n_train=300, n_test=50, seed=11))
+        b = generate(SyntheticSpec(kind="linear", k=5, sigma=2.0,
+                                   n_train=300, n_test=50, seed=11))
         assert np.array_equal(a.y, b.y)
         assert not np.array_equal(a.X, b.X)
 
@@ -185,15 +178,15 @@ class TestGenLinear:
         for seed in (0, 1, 2, 3):
             spec = SyntheticSpec(kind="linear", k=50, sigma=1.0,
                                  n_train=9000, n_test=1000, seed=seed)
-            ds = gen_linear_k(spec)
+            ds = generate(spec)
             frac = float(np.mean(ds.y == 1))
             assert 0.30 <= frac <= 0.70
 
     def test_determinism(self):
         spec = SyntheticSpec(kind="linear", k=7, sigma=0.5, n_train=100,
                              n_test=20, seed=42)
-        a = gen_linear_k(spec)
-        b = gen_linear_k(spec)
+        a = generate(spec)
+        b = generate(spec)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
         assert a.meta == b.meta
@@ -201,6 +194,13 @@ class TestGenLinear:
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(kind="linear", k=200, sigma=0.0)
+
+    @pytest.mark.parametrize("sigma,message", [
+        (-0.5, "sigma must be >= 0"), (float("nan"), "sigma must be finite"),
+        ([0.0, 1.0], "sigma must be a scalar")])
+    def test_sigma_out_of_domain(self, sigma, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            SyntheticSpec(kind="linear", k=3, sigma=sigma)
 
     @pytest.mark.parametrize("n_train,n_test,name", [
         (0, 0, "n_train"), (MAX_ROWS + 1, 0, "n_train"),
@@ -219,7 +219,7 @@ class TestGenQuadratic:
     def test_labels_match_independent_evaluator(self):
         spec = SyntheticSpec(kind="quadratic", k=6, sigma=0.0, n_train=400,
                              n_test=100, seed=5)
-        ds = gen_quadratic_k(spec)
+        ds = generate(spec)
         d1 = np.array(ds.meta["dims1"])
         d2 = np.array(ds.meta["dims2"])
         w1 = np.array(ds.meta["w1"])
@@ -250,8 +250,8 @@ class TestGenQuadratic:
     def test_determinism(self):
         spec = SyntheticSpec(kind="quadratic", k=4, sigma=1.0, n_train=50,
                              n_test=10, seed=9)
-        a = gen_quadratic_k(spec)
-        b = gen_quadratic_k(spec)
+        a = generate(spec)
+        b = generate(spec)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
 
@@ -289,7 +289,7 @@ class TestSplit:
     def test_train_test_slices(self):
         spec = SyntheticSpec(kind="linear", k=3, sigma=0.0, n_train=80,
                              n_test=20, seed=0)
-        ds = gen_linear_k(spec)
+        ds = generate(spec)
         tr, te = train_test(ds, 80)
         assert tr.n == 80 and te.n == 20
         assert np.array_equal(np.vstack([tr.X, te.X]), ds.X)

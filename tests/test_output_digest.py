@@ -27,13 +27,15 @@ def test_two_runs_print_the_same_bytes():
         assert proc.returncode == 0, err.decode()
     assert outs[0][0] == outs[1][0] == outs[2][0]
     lines = outs[0][0].decode().splitlines()
-    # seven models: fcnn, dndn, dnspn, surgery, regression, deep-forest
+    # four generated sets: linear, quadratic, full-width noiseless
+    # quadratic, and a serving split; seven models: fcnn, dndn, dnspn,
+    # surgery, regression, deep-forest
     # and dnspn at dropout 0, each evaluated once, fcnn and dnspn again on
     # a third, 1200-row generated split, and dnspn on the script's own
     # walk.csv, which is listed too; a 50-feature dnspn on the script's
     # own two files, evaluated once; a dnspn on a holdout of one file; two
     # compares
-    assert len(lines) == (3 * FILES["generate"] + 9 * FILES["train"]
+    assert len(lines) == (4 * FILES["generate"] + 9 * FILES["train"]
                           + 11 * FILES["evaluate"] + 3 + 2 * FILES["compare"]
                           + FILES["mask-curve"])
     paths = [line.split("  ", 1)[1] for line in lines]

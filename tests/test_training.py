@@ -645,10 +645,11 @@ class TestOneEffectiveArray:
             forest.input_dim = 4
 
     @pytest.mark.parametrize("head_layers", [[0, 1], [0, 1, 2, 2], [0, 1, 3],
-                                             [-1, 1, 2]])
+                                             [-1, 1, 2], [False, True, True]])
     def test_every_head_needs_one_layer(self, head_layers):
-        # a length other than the head count, or an index outside the
-        # layers: the rule load_model applies to a model.json
+        # a length other than the head count, an index outside the layers,
+        # or a bool for an index: the rule load_model applies to a
+        # model.json
         forest = build_forest_model(3, CLS, RngState(15), trees=2, depth=2,
                                     embed_dim=2)
         with pytest.raises(ShapeError, match=(

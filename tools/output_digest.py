@@ -6,7 +6,8 @@ The script runs in a fresh temporary directory, with relative paths, in
 one child process with OPENBLAS_NUM_THREADS=N (default 1), which calls
 `dnspn.cli.main` once a command:
 
-- `generate` linear and quadratic data;
+- `generate` linear and quadratic data, and noiseless quadratic data
+  with k = 100, whose two feature subsets are both the full width;
 - `train` of fcnn, dndn, dnspn and surgery, of a regression dnspn, of
   a deep-forest dnspn (32 trees of depth 6, whose 80-row evaluate routes
   in two row blocks, so a predict splits them over the CPUs), and of a
@@ -113,6 +114,8 @@ def run_script(cpus: int = 0) -> None:
 
     for kind in ("linear", "quadratic"):
         cli("generate", "--kind", kind, *GEN, "--out", kind)
+    cli("generate", "--kind", "quadratic", "--k", "100", "--sigma", "0",
+        *GEN[4:], "--out", "quadratic-full")
     data = only_run("quadratic")
     split = ["--data", f"{data}/train.csv", "--eval-data", f"{data}/test.csv"]
     for out, method, extra in MODELS:
