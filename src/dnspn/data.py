@@ -80,6 +80,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise ParameterError(f"unknown synthetic kind {self.kind!r}")
+        for name in ("k", "n_train", "n_test", "seed"):
+            if type(getattr(self, name)) is not int:     # bools included
+                raise ParameterError(f"{name} must be an integer, got "
+                                     f"{getattr(self, name)!r}")
         if not 1 <= self.k <= BASE_DIM:
             raise ParameterError(f"k must be in [1, {BASE_DIM}], got {self.k}")
         if np.ndim(self.sigma):

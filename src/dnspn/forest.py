@@ -7,10 +7,12 @@ embedding. A sample's probability of reaching a leaf is the product of node
 decisions along the root-to-leaf path (d for a left branch, 1-d for a right
 branch), so each tree's leaf probabilities always sum to 1.
 
-Leaves carry free logits. Classification reads them through a row softmax,
-giving output = (1/m) * p @ softmax(leaf); regression uses the raw leaf
-values with the same weighted average. All parameters are trained jointly
-by exact reverse-mode gradients (see :func:`forest_backward`).
+Leaves carry free logits. A head's output width is its task: a head with
+two or more outputs is a classifier, which reads its leaves through a row
+softmax, giving output = (1/m) * p @ softmax(leaf); a head with one output
+is a regressor, which uses the raw leaf values with the same weighted
+average. All parameters are trained jointly by exact reverse-mode
+gradients (see :func:`forest_backward`).
 
 Where the leaf softmax lives: in one read-only memo on the head, with a
 private copy of the leaf bits it came from (:func:`_leaf_probs`), which
@@ -88,7 +90,6 @@ class ForestHead:
     trees: int
     depth: int
     embed_dim: int
-    kind: str                 # "classification" | "regression"
     proj_w: np.ndarray        # (embed_dim, layer_width)
     proj_b: np.ndarray        # (embed_dim,)
     routing_w: np.ndarray     # (trees * nodes_per_tree, embed_dim)
@@ -134,8 +135,11 @@ def check_shape(trees: int, depth: int, embed_dim: int) -> None:
 
 
 def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
-              embed_dim: int, kind: str, rng: RngState) -> ForestHead:
-    """Randomly initialize one head.
+              embed_dim: int, rng: RngState, *,
+              kind: str | None = None) -> ForestHead:
+    """Randomly initialize one head of `n_outputs` outputs: a regressor
+    for one, a classifier for more. A `kind`, where a caller names one,
+    must agree with them.
 
     Projection weights are He-scaled like backbone layers; routing weights
     use a 1/sqrt(embed_dim) scale so initial decisions stay near 0.5; leaf
@@ -143,12 +147,8 @@ def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
     stays close to uniform.
     """
     check_shape(trees, depth, embed_dim)
-    if kind not in (CLASSIFICATION, REGRESSION):
-        raise ParameterError(f"unknown head kind {kind!r}")
-    if kind == CLASSIFICATION and n_outputs < 2:
-        raise ParameterError("classification heads need n_outputs >= 2")
-    if kind == REGRESSION and n_outputs != 1:
-        raise ParameterError("regression heads have a single output")
+    if kind not in (None, CLASSIFICATION if n_outputs > 1 else REGRESSION):
+        raise ParameterError(f"a {kind} head cannot have {n_outputs} outputs")
     n_nodes = trees * (2 ** (depth - 1) - 1)
     n_leaves = trees * 2 ** (depth - 1)
     proj_w = rng.normal(embed_dim, layer_width, 0.0, np.sqrt(2.0 / layer_width))
@@ -157,8 +157,8 @@ def init_head(layer_width: int, n_outputs: int, trees: int, depth: int,
                  if n_nodes else np.zeros((0, embed_dim)))
     routing_b = np.zeros(n_nodes)
     leaf = rng.normal(n_leaves, n_outputs, 0.0, 0.5)
-    return ForestHead(trees, depth, embed_dim, kind,
-                      proj_w, proj_b, routing_w, routing_b, leaf)
+    return ForestHead(trees, depth, embed_dim, proj_w, proj_b, routing_w,
+                      routing_b, leaf)
 
 
 @dataclass
@@ -291,14 +291,14 @@ def predict_class(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
 
     The softmax is the head's memo (see :func:`_leaf_probs`), for a
     training routing and an eval one alike; the backward reads the same."""
-    if head.kind != CLASSIFICATION:
+    if head.n_outputs < 2:
         raise UsageError("predict_class called on a non-classification head")
     return routing.p @ _leaf_probs(head) / head.trees
 
 
 def predict_regress(head: ForestHead, routing: RoutingProbs) -> np.ndarray:
     """Average per-tree leaf values: (1/m) * p @ leaf, no softmax."""
-    if head.kind != REGRESSION:
+    if head.n_outputs != 1:
         raise UsageError("predict_regress called on a non-regression head")
     return routing.p @ head.leaf / head.trees
 
@@ -346,7 +346,7 @@ def forest_backward(head: ForestHead, routing: RoutingProbs,
             f"({routing.p.shape[0]}, {head.n_outputs})"
         )
     m = head.trees
-    if head.kind == CLASSIFICATION:
+    if head.n_outputs > 1:
         pi = _leaf_probs(head)
         g_pi = routing.p.T @ upstream / m
         g_leaf = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))

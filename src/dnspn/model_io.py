@@ -144,7 +144,7 @@ def save_model(model: Model, path) -> None:
                 "trees": head.trees,
                 "depth": head.depth,
                 "embed_dim": head.embed_dim,
-                "kind": head.kind,
+                "kind": model.task.kind,
                 "proj_w": _arr(pp.shadow),
                 "proj_b": _arr(head.proj_b),
                 "routing_w": _arr(head.routing_w),
@@ -219,7 +219,7 @@ def load_model(path) -> Model:
             proj_w = _floats(rec["proj_w"], at + "proj_w",
                              (e, layers[j].weights.shape[0]))
             heads.append(ForestHead(
-                trees, depth, e, rec["kind"], proj_w,
+                trees, depth, e, proj_w,
                 _floats(rec["proj_b"], at + "proj_b", (e,)),
                 _floats(np.reshape(rec["routing_w"], (-1, e)),
                         at + "routing_w", (nodes, e)),

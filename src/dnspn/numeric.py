@@ -1,6 +1,6 @@
 """Float64 kernels (row softmax, stable sigmoid), the random source, the
 runner that spreads row blocks over threads, the runner that spreads
-independent calls over forked processes, and the CLI's BLAS thread pin.
+independent calls over forked processes, and the one-BLAS-thread pin.
 
 Everything downstream moves data as 2-D row-major float64 numpy arrays
 ("matrices", rows x cols). Public operations validate shapes and never
@@ -23,8 +23,8 @@ calls run in order on the caller.
 
 BLAS threads: :func:`one_blas_thread` sets numpy's bundled OpenBLAS to one
 thread for the length of a CLI command, as some matrix shapes sum in
-another order at 2 threads than at 1. Where numpy has no such library it
-does nothing.
+another order at 2 threads than at 1, and for the calls of
+:func:`run_calls`. Where numpy has no such library it does nothing.
 """
 
 from __future__ import annotations
@@ -210,9 +210,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 _FORKS = hasattr(os, "fork") and sys.platform.startswith("linux")
 # A call's index as it goes through the token pipe of run_calls
 _TOKEN = struct.Struct("=I")
-# Most calls one token pipe holds: their tokens go in one write of at most
-# PIPE_BUF bytes, which a pipe always takes at once
-_MOST_TOKENS = select.PIPE_BUF // _TOKEN.size
 
 
 def run_calls(calls: Sequence[Callable[[], object]]) -> list:
@@ -240,7 +237,12 @@ def run_calls(calls: Sequence[Callable[[], object]]) -> list:
     Workers run under the caller's numpy `errstate` (the fork keeps the
     forking thread's context), ignore SIGINT, print nothing and end by
     `os._exit`, so no buffer the parent holds is flushed twice. While the
-    calls run, each process's row-block pool takes its share of the CPUs.
+    calls run, each process's row-block pool takes its share of the CPUs,
+    and every call, on the caller and in the workers, runs at one OpenBLAS
+    thread (:func:`one_blas_thread`), so the processes run no more BLAS
+    threads than CPUs, and a call's results are those of one BLAS thread
+    at any CPU count. The caller's thread count is set back afterwards;
+    numpy work outside the calls keeps it.
     Forking beside threads is safe here: a child has only the forking
     thread, and it starts its own row-block pool, which is keyed on the
     process id and guarded by no lock (`test_forked_child_predicts`);
@@ -250,16 +252,20 @@ def run_calls(calls: Sequence[Callable[[], object]]) -> list:
     """
     calls = list(calls)
     cpus = _cpu_count() if _FORKS else 1
-    if cpus < 2 or len(calls) < 2:
-        return [call() for call in calls]
-    results = []
-    for lo in range(0, len(calls), _MOST_TOKENS):
-        results += _run_forked(calls[lo:lo + _MOST_TOKENS], cpus)
-    return results
+    with one_blas_thread():
+        if cpus < 2 or len(calls) < 2:
+            return [call() for call in calls]
+        # most calls one token pipe holds: their tokens go in one write of
+        # at most PIPE_BUF bytes, which a pipe always takes at once
+        most = select.PIPE_BUF // _TOKEN.size
+        results = []
+        for lo in range(0, len(calls), most):
+            results += _run_forked(calls[lo:lo + most], cpus)
+        return results
 
 
 def _run_forked(calls: list, cpus: int) -> list:
-    """:func:`run_calls` for at most `_MOST_TOKENS` calls over
+    """:func:`run_calls` for at most PIPE_BUF // _TOKEN.size calls over
     min(len(calls), cpus) processes."""
     procs = min(len(calls), cpus)
     tokens, fill = os.pipe()
@@ -393,9 +399,9 @@ def one_blas_thread():
     the count it had back afterwards. OpenBLAS sums some matrix shapes in
     another order at 2 threads than at 1 (README, "Reproducibility
     notes"), so the CLI pins one thread to write the same bytes at any
-    OPENBLAS_NUM_THREADS. Where numpy bundles no
-    OpenBLAS with these functions (another BLAS, or a numpy built against
-    the system's), nothing is pinned."""
+    OPENBLAS_NUM_THREADS, and :func:`run_calls` pins it for its calls.
+    Where numpy bundles no OpenBLAS with these functions (another BLAS, or
+    a numpy built against the system's), nothing is pinned."""
     blas = _openblas_threads()
     if blas is None:
         yield

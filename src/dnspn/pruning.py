@@ -79,9 +79,10 @@ class LayerStats:
 @dataclass
 class PrunedLayer:
     """Shadow weights, their mask, the backprop multiplier
-    d(shadow * mask)/d(shadow): the one the last DSP refresh computed, or
-    before any refresh the mask itself (the multiplier of a fixed mask),
-    and the effective weights shadow * mask.
+    d(shadow * mask)/d(shadow) and the effective weights shadow * mask.
+    The multiplier is the one the last refresh wrote: under DSP its own
+    array, in the other modes and before any refresh the mask itself (the
+    multiplier of a fixed mask).
 
     `effective` is one array for the record's whole life: the array it was
     made over, which the layer or head holds and computes with. While the
@@ -222,24 +223,25 @@ def apply_mask(layer: PrunedLayer) -> np.ndarray:
     return np.multiply(layer.shadow, layer.mask, out=layer.effective)
 
 
-def mask_grad(layer: PrunedLayer, cfg: PruneConfig) -> np.ndarray:
-    """Backprop multiplier d(effective)/d(shadow): in DSP mode the one
-    stored by the last refresh, in surgery mode the mask itself."""
-    return layer.multiplier if cfg.mode == MODE_DSP else layer.mask
+def mask_grad(layer: PrunedLayer) -> np.ndarray:
+    """Backprop multiplier d(effective)/d(shadow), as the last refresh
+    stored it (see :class:`PrunedLayer`)."""
+    return layer.multiplier
 
 
 def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
-    """Recompute the mask (and in DSP mode its multiplier) from the
-    current shadow weights in one pass over the record; then
-    :func:`apply_mask` writes the effective weights, but for mode "none",
-    where the shadow's values move back into the effective array and the
-    two are one array again.
+    """Recompute the mask and its backprop multiplier from the current
+    shadow weights in one pass over the record; then :func:`apply_mask`
+    writes the effective weights, but for mode "none", where the shadow's
+    values move back into the effective array and the two are one array
+    again. The multiplier is DSP's own; in surgery mode and mode "none"
+    it is the mask itself, one array with it, as for a new record.
 
     The pass takes |w| once, mu from it, and the std only in surgery mode,
     the one mode that reads it. It writes fresh arrays, never the record's
-    old ones: a new record's mask and multiplier are one array."""
+    old ones."""
     if cfg.mode == MODE_NONE:
-        layer.mask = np.ones_like(layer.shadow)
+        layer.mask = layer.multiplier = np.ones_like(layer.shadow)
         if layer.effective is not layer.shadow:
             np.copyto(layer.effective, layer.shadow)
             layer.shadow = layer.effective
@@ -249,7 +251,7 @@ def refresh_mask(layer: PrunedLayer, cfg: PruneConfig) -> None:
         layer.mask, layer.multiplier = _dsp_pass(aw, mu, cfg)
     else:
         omega = mu + cfg.surgery_eta * float(np.std(layer.shadow))
-        layer.mask = _surgery_pass(aw, layer.mask, omega)
+        layer.mask = layer.multiplier = _surgery_pass(aw, layer.mask, omega)
 
 
 def mask_curve(cfg: PruneConfig, stats: LayerStats,

@@ -166,7 +166,7 @@ def build_forest_model(input_dim: int, task: Task, rng: RngState,
     o = output_width if output_width is not None else 2 * input_dim
     layers = network.build_network(input_dim, o, rng)
     heads = [init_head(layer.weights.shape[0], task_outputs(task), trees,
-                       depth, embed_dim, task.kind, rng) for layer in layers]
+                       depth, embed_dim, rng) for layer in layers]
     return Model(layers=layers, heads=heads,
                  head_layers=list(range(len(layers))), task=task)
 
@@ -384,7 +384,7 @@ def gradients(model: Model, xb: np.ndarray, yb: np.ndarray, cfg: TrainConfig,
     grads = [g for pair in zip(dW, db) for g in pair] + head_grads
     if cfg.prune.mode == MODE_NONE:
         return loss, grads
-    return loss, [g if pl is None else g * mask_grad(pl, cfg.prune)
+    return loss, [g if pl is None else g * mask_grad(pl)
                   for g, (_, pl) in zip(grads, model_params(model),
                                         strict=True)]
 
@@ -497,9 +497,9 @@ def fit(model: Model, train_set: Dataset, eval_set: Dataset | None,
             if model.task.kind == CLASSIFICATION:
                 eval_loss, _ = loss_ce(fused, eval_set.y)
                 metric = accuracy(np.argmax(fused, axis=1), eval_set.y)
-            else:
+            else:     # the metric is the eval MSE, the loss just taken
                 eval_loss, _ = loss_mse(fused, eval_set.y)
-                metric = mse_metric(fused, eval_set.y)
+                metric = eval_loss
         else:
             eval_loss, metric = float("nan"), float("nan")
         history.records.append(EpochRecord(

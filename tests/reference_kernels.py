@@ -12,7 +12,9 @@ and backward as they were, with a `post` array beside each `dropped` one
 and the input batch's gradient taken.
 `gradients` is a model's batch loss and gradients as they were taken with
 these kernels: every head routed and predicted first, then every head's
-backward, the order before a train step took one head at a time.
+backward, the order before a train step took one head at a time, and the
+backprop multiplier picked by prune mode, DSP's from the record and the
+mask itself otherwise, as before every refresh wrote it.
 `layer_stats`, `dsp_pass` and `surgery_mask` are the mask refresh as it was
 computed with a temporary for every step and `np.where` selections, before
 the refresh became one in-place pass per record.
@@ -44,7 +46,7 @@ from dnspn.errors import (DataError, NumericError, ParameterError,
                           ShapeError, reading)
 from dnspn.forest import RoutingProbs
 from dnspn.numeric import RngState, softmax_rows
-from dnspn.pruning import MODE_NONE, LayerStats, mask_grad
+from dnspn.pruning import MODE_DSP, MODE_NONE, LayerStats
 from dnspn.training import (FOREST, _softmax_backward, loss_ce, loss_mse,
                             model_params)
 
@@ -96,8 +98,7 @@ def route(head, activation):
 def head_predict(head, routing):
     """(1/m) * p @ softmax(leaf) for classification, (1/m) * p @ leaf for
     regression."""
-    leaf = (softmax_rows(head.leaf) if head.kind == CLASSIFICATION
-            else head.leaf)
+    leaf = softmax_rows(head.leaf) if head.n_outputs > 1 else head.leaf
     return routing.p @ leaf / head.trees
 
 
@@ -201,7 +202,7 @@ def forest_backward(head, routing, activation, upstream):
             f"({routing.p.shape[0]}, {head.n_outputs})"
         )
     m = head.trees
-    if head.kind == CLASSIFICATION:
+    if head.n_outputs > 1:
         pi = softmax_rows(head.leaf)
         g_pi = routing.p.T @ upstream / m
         g_leaf = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))
@@ -267,7 +268,8 @@ def gradients(model, xb, yb, cfg, rng):
     grads = [g for pair in zip(dW, db) for g in pair] + head_grads
     if cfg.prune.mode == MODE_NONE:
         return loss, grads
-    return loss, [g if pl is None else g * mask_grad(pl, cfg.prune)
+    field = "multiplier" if cfg.prune.mode == MODE_DSP else "mask"
+    return loss, [g if pl is None else g * getattr(pl, field)
                   for g, (_, pl) in zip(grads, model_params(model),
                                         strict=True)]
 
@@ -312,14 +314,16 @@ def surgery_mask(w, prev_mask, stats, cfg):
 
 
 def refresh_mask(layer, cfg):
-    """The mask refresh of one record, from the kernels above."""
+    """The mask refresh of one record, from the kernels above, with the
+    mask itself as the multiplier but under DSP."""
     stats = layer_stats(layer.shadow)
     if cfg.mode == "dsp":
         layer.mask, layer.multiplier = dsp_pass(layer.shadow, stats, cfg)
     elif cfg.mode == "surgery":
-        layer.mask = surgery_mask(layer.shadow, layer.mask, stats, cfg)
+        layer.mask = layer.multiplier = surgery_mask(layer.shadow, layer.mask,
+                                                     stats, cfg)
     else:
-        layer.mask = np.ones_like(layer.shadow)
+        layer.mask = layer.multiplier = np.ones_like(layer.shadow)
         layer.effective = layer.shadow
 
 

@@ -23,7 +23,7 @@ from dnspn.data import (SyntheticSpec, gen_xor, generate, standardize,
                         train_test, write_csv)
 from dnspn.forest import init_head, predict_class, route
 from dnspn.metrics import roc_auc_binary
-from dnspn.numeric import RngState, one_blas_thread, run_calls
+from dnspn.numeric import RngState, run_calls
 from dnspn.pruning import (LayerStats, PruneConfig, dsp_mask,
                            new_pruned_layer, refresh_mask, surgery_mask)
 from dnspn.training import (TrainConfig, build_forest_model, fit, fuse,
@@ -44,13 +44,13 @@ def criterion(number, name):
           f"[{time.time() - start:.1f}s]")
 
 
-def _random_head(rng, np_rng, kind="classification"):
+def _random_head(rng, np_rng):
     m = int(np_rng.integers(1, 11))
     h = int(np_rng.integers(2, 5))
     e = int(np_rng.integers(2, 7))
     width = int(np_rng.integers(2, 9))
-    k = int(np_rng.integers(2, 5)) if kind == "classification" else 1
-    head = init_head(width, k, m, h, e, kind, rng)
+    k = int(np_rng.integers(2, 5))
+    head = init_head(width, k, m, h, e, rng)
     # spread routing parameters so pre-activations span large magnitudes
     head.routing_b += np_rng.uniform(-20, 20, head.routing_b.shape)
     return head, width
@@ -163,7 +163,7 @@ def test_criterion_5_mask_gradient():
         refresh_mask(pl, scfg)
         assert pl.mask[0, 0] == 0.0     # zeroed entry
         from dnspn.pruning import mask_grad
-        assert mask_grad(pl, scfg)[0, 0] == 0.0
+        assert mask_grad(pl)[0, 0] == 0.0
 
 
 def test_criterion_6_ensemble_minimizer():
@@ -239,13 +239,11 @@ def _read_fit(read, method, tr, te, seed):
 def _fits(cells, tr, te, read):
     """`read(method, model, history)` of the fit of each (method, seed)
     cell, in cell order. The cells run through `run_calls`, one process a
-    CPU, so a cell sends back only what `read` takes from its fit. They
-    run at one BLAS thread, as the CLI runs its cells: a process a core
-    with two OpenBLAS threads each made criterion 10 four times slower,
-    and the means are then those of one thread at any thread count."""
-    with one_blas_thread():
-        return run_calls([functools.partial(_read_fit, read, method, tr, te,
-                                            seed) for method, seed in cells])
+    CPU, so a cell sends back only what `read` takes from its fit; it runs
+    them at one BLAS thread, so the means are those of one thread at any
+    thread count."""
+    return run_calls([functools.partial(_read_fit, read, method, tr, te,
+                                        seed) for method, seed in cells])
 
 
 def _final_metric(method, model, history):

@@ -117,7 +117,7 @@ class TestSigmoid:
 def _head_case(kind, depth, trees, batch):
     n_out = 3 if kind == "classification" else 1
     rng = RngState(100 * depth + trees)
-    head = init_head(5, n_out, trees, depth, 4, kind, rng)
+    head = init_head(5, n_out, trees, depth, 4, rng)
     # spread the pre-activations over both signs and into saturation
     head.routing_b[:] = rng.random(head.routing_b.shape) * 60.0 - 30.0
     act = rng.normal(batch, 5)
@@ -185,7 +185,7 @@ OPERAND_BATCHES = [1, 2, 5, 64, 2000]
 def test_both_operand_orders_match_reference(kind, batch):
     n_out = 3 if kind == "classification" else 1
     rng = RngState(batch)
-    head = init_head(6, n_out, 32, 6, 8, kind, rng)
+    head = init_head(6, n_out, 32, 6, 8, rng)
     head.routing_b[:] = rng.random(head.routing_b.shape) * 60.0 - 30.0
     act = rng.normal(batch, 6)
     upstream = rng.normal(batch, n_out)
@@ -257,7 +257,7 @@ def test_blocked_route_matches_whole_batch(kind, trees, depth, width, which,
     batch = BATCHES[which](_block_rows(trees, depth))
     n_out = 3 if kind == "classification" else 1
     rng = RngState(7 * trees + depth)
-    head = init_head(width, n_out, trees, depth, 8, kind, rng)
+    head = init_head(width, n_out, trees, depth, 8, rng)
     head.routing_b[:] = rng.random(head.routing_b.shape) * 60.0 - 30.0
     act = rng.normal(batch, width)
     want = ref.route(head, act)
@@ -540,7 +540,7 @@ def test_predict_gradients_predict_take_each_leaf_softmax_once(monkeypatch):
 
 
 def test_memoized_leaf_softmax_is_read_only(monkeypatch):
-    head = init_head(3, 3, 4, 3, 2, "classification", RngState(24))
+    head = init_head(3, 3, 4, 3, 2, RngState(24))
     act = RngState(25).normal(7, 3)
     leaves = _count_softmax(monkeypatch)
     predict_class(head, route(head, act, keep_factors=False))
@@ -680,9 +680,10 @@ def test_surgery_with_nan_entries_matches_reference():
 
 @pytest.mark.parametrize("mode", ["none", MODE_DSP, MODE_SURGERY])
 def test_refresh_leaves_no_shared_arrays(mode):
-    # a new record's mask and multiplier are one array; after a refresh no
-    # two of mask, multiplier, effective and shadow share memory, but for
-    # mode "none", whose effective weights are the shadow itself
+    # a new record's mask and multiplier are one array, and a refresh
+    # keeps them one but under DSP; no other two of mask, multiplier,
+    # effective and shadow share memory, but for mode "none", whose
+    # effective weights are the shadow itself
     cfg = PruneConfig(mode=mode, alpha=0.5)
     for w in (np.random.default_rng(35).normal(size=(20, 30)),
               np.zeros((4, 4))):
@@ -692,8 +693,11 @@ def test_refresh_leaves_no_shared_arrays(mode):
         refresh_mask(pl, cfg)
         if mode != "none":
             apply_mask(pl)
-        arrays = {"mask": pl.mask, "multiplier": pl.multiplier,
-                  "effective": pl.effective, "shadow": pl.shadow}
+        assert (pl.mask is pl.multiplier) == (mode != MODE_DSP)
+        arrays = {"mask": pl.mask, "effective": pl.effective,
+                  "shadow": pl.shadow}
+        if mode == MODE_DSP:
+            arrays["multiplier"] = pl.multiplier
         for a in arrays:
             for b in arrays:
                 if a < b and not (mode == "none" and {a, b} == {
@@ -762,7 +766,7 @@ def _shared_layer_model(task, rng, head_layers=(1, 1, 2)):
     layers = build_network(3, 4, rng)
     heads = [init_head(layers[j].weights.shape[0],
                        task.n_classes if task.kind == "classification"
-                       else 1, 4, 4, 3, task.kind, rng)
+                       else 1, 4, 4, 3, rng)
              for j in head_layers]
     return Model(layers=layers, heads=heads, head_layers=list(head_layers),
                  task=task)

@@ -12,9 +12,12 @@ import pytest
 import dnspn.cli
 import dnspn.numeric
 from dnspn.cli import OPTIONS, build_parser, config_hash, main, resolve_config
-from dnspn.data import (SyntheticSpec, generate, gen_xor, train_test,
-                        write_csv)
+from dnspn.data import (SyntheticSpec, generate, gen_xor, load_csv,
+                        train_test, write_csv)
+from dnspn.metrics import auc_macro_ovr
+from dnspn.model_io import load_model
 from dnspn.numeric import RngState, _openblas_threads
+from dnspn.training import predict
 
 from conftest import wait_for
 
@@ -70,6 +73,24 @@ class TestGenerate:
         assert run(*args, "--force") == 0
         second = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert first == second
+
+    def test_no_test_split_writes_train_and_meta_only(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      no_child_left):
+        # one CSV to write, so nothing forks even with a second CPU
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+        assert run("generate", "--k", "5", "--ntrain", "60", "--ntest", "0",
+                   "--out", str(tmp_path)) == 0
+        rd = only_run_dir(tmp_path)
+        assert sorted(p.name for p in rd.iterdir()) == ["meta.json",
+                                                        "train.csv"]
+        assert len((rd / "train.csv").read_text().splitlines()) == 61
+        assert capsys.readouterr().out.endswith(
+            f"wrote {rd}/train.csv, meta.json\n")
 
     def test_k_out_of_range_usage_error(self, tmp_path):
         code = run("generate", "--kind", "linear", "--k", "200",
@@ -492,6 +513,61 @@ def test_a_command_sets_the_blas_thread_count_back(small_dataset, tmp_path):
         assert get() == 2
     finally:
         put(before)
+
+
+def write_classes_csv(path, X, labels) -> None:
+    """Rows of features `X` and the class names `labels`, by hand."""
+    path.write_text(",".join([f"f{j}" for j in range(X.shape[1])] + ["label"])
+                    + "\n" + "".join(",".join(map(repr, row.tolist()))
+                                     + f",{y}\n" for row, y in zip(X, labels)))
+
+
+class TestAuc:
+    """The AUC of a report on more than two classes, and on a set that
+    lacks one of the model's classes."""
+
+    @pytest.fixture
+    def three_classes(self, tmp_path):
+        """(run directory of a model trained on three classes, features,
+        labels), with rows 240 on written as `test.csv`."""
+        X = RngState(4).normal(300, 4)
+        y = np.argmax(X[:, :3], axis=1)
+        write_classes_csv(tmp_path / "train.csv", X[:240], y[:240])
+        write_classes_csv(tmp_path / "test.csv", X[240:], y[240:])
+        assert run("train", "--data", str(tmp_path / "train.csv"),
+                   "--eval-data", str(tmp_path / "test.csv"), "--epochs",
+                   "2", "--trees", "2", "--depth", "2", "--embed", "2",
+                   "--out", str(tmp_path / "t")) == 0
+        return only_run_dir(tmp_path / "t"), X, y
+
+    def _evaluate(self, rd, data, out) -> dict:
+        assert run("evaluate", "--model", str(rd / "model.json"), "--data",
+                   str(data), "--out", str(out)) == 0
+        return json.loads((only_run_dir(out) / "report.json").read_text())
+
+    def test_three_classes_report_the_macro_auc(self, three_classes,
+                                                tmp_path):
+        rd, _, y = three_classes
+        report = self._evaluate(rd, tmp_path / "test.csv", tmp_path / "e")
+        model = load_model(rd / "model.json")
+        ds = load_csv(tmp_path / "test.csv", "label", "classification")
+        assert ds.task.labels == model.task.labels == ["0", "1", "2"]
+        fused = predict(model, model.scaler.transform(ds.X))
+        assert report["auc"] == auc_macro_ovr(fused, ds.y, 3)
+        assert report["auc"] == json.loads(
+            (rd / "report.json").read_text())["auc"]
+        assert report["class_counts"] == {
+            str(c): int(np.sum(y[240:] == c)) for c in range(3)}
+
+    def test_a_missing_class_reports_no_auc(self, three_classes, tmp_path):
+        rd, X, y = three_classes
+        keep = y[240:] != 2
+        write_classes_csv(tmp_path / "two.csv", X[240:][keep], y[240:][keep])
+        report = self._evaluate(rd, tmp_path / "two.csv", tmp_path / "e")
+        assert report["auc"] is None
+        assert report["n"] == int(keep.sum())
+        assert set(report["class_counts"]) == {"0", "1"}
+        assert 0.0 <= report["accuracy"] <= 1.0
 
 
 class TestEvaluate:

@@ -202,6 +202,15 @@ class TestGenLinear:
         with pytest.raises(ParameterError, match=f"^{message}"):
             SyntheticSpec(kind="linear", k=3, sigma=sigma)
 
+    @pytest.mark.parametrize("name,value", [
+        ("k", 5.0), ("n_train", 100.0), ("k", True), ("seed", 1.5)])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # a float or a bool ended in a numpy traceback inside generate, or
+        # generated without a word
+        with pytest.raises(ParameterError, match=(
+                f"^{name} must be an integer, got {value!r}$")):
+            SyntheticSpec(kind="linear", **{"k": 3, name: value})
+
     @pytest.mark.parametrize("n_train,n_test,name", [
         (0, 0, "n_train"), (MAX_ROWS + 1, 0, "n_train"),
         (10 ** 15, 2000, "n_train"), (10, -1, "n_test"),

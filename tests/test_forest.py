@@ -13,9 +13,8 @@ def logit(p):
     return float(np.log(p / (1.0 - p)))
 
 
-def make_head(trees, depth, embed_dim, width, n_out, kind, seed=0):
-    return init_head(width, n_out, trees, depth, embed_dim, kind,
-                     RngState(seed))
+def make_head(trees, depth, embed_dim, width, n_out, seed=0):
+    return init_head(width, n_out, trees, depth, embed_dim, RngState(seed))
 
 
 def leaf_probs_oracle(head, activation):
@@ -63,10 +62,28 @@ class TestCheckShape:
                 check_shape(32, 6, embed_dim)
 
 
+class TestInitHead:
+    @pytest.mark.parametrize("kind,n_out", [("classification", 3),
+                                            ("regression", 1)])
+    def test_an_agreeing_kind_builds_the_same_head(self, kind, n_out):
+        plain = init_head(4, n_out, 2, 3, 2, RngState(8))
+        named = init_head(4, n_out, 2, 3, 2, RngState(8), kind=kind)
+        for name in HEAD_PARAMS:
+            assert np.array_equal(getattr(plain, name), getattr(named, name))
+
+    @pytest.mark.parametrize("kind,n_out", [("classification", 1),
+                                            ("regression", 2),
+                                            ("bogus", 3)])
+    def test_a_kind_that_disagrees_is_refused(self, kind, n_out):
+        with pytest.raises(ParameterError, match=(
+                f"^a {kind} head cannot have {n_out} outputs$")):
+            init_head(4, n_out, 2, 3, 2, RngState(8), kind=kind)
+
+
 class TestRoute:
     def test_single_node_definition(self):
         # h=2: one decision unit; force d = 0.3 via the routing bias
-        head = make_head(1, 2, 1, 1, 2, "classification")
+        head = make_head(1, 2, 1, 1, 2)
         head.proj_w[:] = 0.0
         head.proj_b[:] = 0.0
         head.routing_w[:] = 0.0
@@ -76,7 +93,7 @@ class TestRoute:
 
     def test_neutral_decisions_give_uniform_leaves(self):
         for depth in (2, 3, 4):
-            head = make_head(3, depth, 2, 4, 2, "classification")
+            head = make_head(3, depth, 2, 4, 2)
             head.routing_w[:] = 0.0
             head.routing_b[:] = 0.0
             r = route(head, np.zeros((2, 4)))
@@ -84,7 +101,7 @@ class TestRoute:
 
     def test_three_level_hand_case(self):
         # root d=0.8, left child d=0.5, right child d=0.25
-        head = make_head(1, 3, 1, 1, 2, "classification")
+        head = make_head(1, 3, 1, 1, 2)
         head.proj_w[:] = 0.0
         head.proj_b[:] = 0.0
         head.routing_w[:] = 0.0
@@ -94,14 +111,14 @@ class TestRoute:
 
     def test_matches_enumeration_oracle(self, rng):
         for seed in range(5):
-            head = make_head(3, 4, 5, 6, 3, "classification", seed=seed)
+            head = make_head(3, 4, 5, 6, 3, seed=seed)
             act = rng.normal(4, 6)
             r = route(head, act)
             assert np.allclose(r.p, leaf_probs_oracle(head, act), atol=1e-12)
 
     def test_per_tree_normalization_extreme_params(self, rng):
         # pre-activation magnitudes up to ~50
-        head = make_head(4, 4, 3, 5, 2, "classification")
+        head = make_head(4, 4, 3, 5, 2)
         head.routing_b[:] = rng.normal(head.routing_b.size, 1).ravel() * 50
         r = route(head, rng.normal(8, 5))
         per_tree = r.p.reshape(8, 4, -1).sum(axis=2)
@@ -110,14 +127,14 @@ class TestRoute:
         assert np.all(r.p >= 0) and np.all(r.p <= 1)
 
     def test_shape_mismatch(self, rng):
-        head = make_head(2, 3, 4, 5, 2, "classification")
+        head = make_head(2, 3, 4, 5, 2)
         with pytest.raises(ShapeError):
             route(head, rng.normal(3, 7))
 
 
 class TestPredictClass:
     def _two_leaf_head(self, leaf_rows):
-        head = make_head(1, 2, 1, 1, 2, "classification")
+        head = make_head(1, 2, 1, 1, 2)
         # choose logits whose row softmax equals the requested rows
         head.leaf = np.log(np.asarray(leaf_rows, dtype=np.float64))
         return head
@@ -135,21 +152,21 @@ class TestPredictClass:
         assert np.allclose(predict_class(head, r), [[0.55, 0.45]], atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
-        head = make_head(5, 4, 3, 6, 4, "classification", seed=3)
+        head = make_head(5, 4, 3, 6, 4, seed=3)
         r = route(head, rng.normal(10, 6))
         out = predict_class(head, r)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
         assert np.all(out >= 0)
 
     def test_kind_mismatch(self, rng):
-        head = make_head(2, 3, 4, 5, 1, "regression")
+        head = make_head(2, 3, 4, 5, 1)
         r = route(head, rng.normal(2, 5))
         with pytest.raises(UsageError):
             predict_class(head, r)
 
     def test_equals_mean_of_single_tree_heads(self, rng):
         # decomposition oracle: slice an m-tree head into m one-tree heads
-        head = make_head(4, 3, 3, 5, 3, "classification", seed=9)
+        head = make_head(4, 3, 3, 5, 3, seed=9)
         act = rng.normal(6, 5)
         full = predict_class(head, route(head, act))
         per_tree = []
@@ -157,7 +174,7 @@ class TestPredictClass:
         for t in range(head.trees):
             single = ForestHead(
                 trees=1, depth=head.depth, embed_dim=head.embed_dim,
-                kind=head.kind, proj_w=head.proj_w, proj_b=head.proj_b,
+                proj_w=head.proj_w, proj_b=head.proj_b,
                 routing_w=head.routing_w[t * npt:(t + 1) * npt],
                 routing_b=head.routing_b[t * npt:(t + 1) * npt],
                 leaf=head.leaf[t * lpt:(t + 1) * lpt])
@@ -167,7 +184,7 @@ class TestPredictClass:
 
 class TestPredictRegress:
     def _head(self, leaf_values):
-        head = make_head(1, 2, 1, 1, 1, "regression")
+        head = make_head(1, 2, 1, 1, 1)
         head.leaf = np.asarray(leaf_values, dtype=np.float64).reshape(-1, 1)
         return head
 
@@ -184,13 +201,13 @@ class TestPredictRegress:
         assert np.allclose(predict_regress(head, r), [[3.0]], atol=1e-15)
 
     def test_constant_forest(self, rng):
-        head = make_head(2, 3, 2, 3, 1, "regression")
+        head = make_head(2, 3, 2, 3, 1)
         head.leaf[:] = 7.25
         r = route(head, rng.normal(4, 3))
         assert np.allclose(predict_regress(head, r), 7.25, atol=1e-12)
 
     def test_kind_mismatch(self, rng):
-        head = make_head(2, 3, 4, 5, 3, "classification")
+        head = make_head(2, 3, 4, 5, 3)
         r = route(head, rng.normal(2, 5))
         with pytest.raises(UsageError):
             predict_regress(head, r)
@@ -198,7 +215,7 @@ class TestPredictRegress:
 
 class TestForestBackward:
     def test_zero_upstream(self, rng):
-        head = make_head(2, 3, 3, 4, 2, "classification")
+        head = make_head(2, 3, 3, 4, 2)
         act = rng.normal(3, 4)
         r = route(head, act)
         g = forest_backward(head, r, act, np.zeros((3, 2)))
@@ -207,7 +224,7 @@ class TestForestBackward:
             assert np.all(arr == 0)
 
     def test_regression_leaf_grad_is_reach_probability(self):
-        head = make_head(1, 2, 1, 1, 1, "regression")
+        head = make_head(1, 2, 1, 1, 1)
         head.leaf = np.array([[5.0], [-3.0]])
         act = np.array([[0.0]])
         r = route(head, act)
@@ -222,7 +239,7 @@ class TestForestBackward:
         # depth 1 has no internal nodes; depth 6 has five routing levels
         for depth in (1, 2, 3, 6):
             rng = RngState(17)
-            head = make_head(3, depth, 4, 5, n_out, kind, seed=17)
+            head = make_head(3, depth, 4, 5, n_out, seed=17)
             act = rng.normal(2, 5)
             coeff = rng.normal(2, n_out)
 
@@ -240,7 +257,7 @@ class TestForestBackward:
 
     def test_activation_gradient_finite_difference(self):
         rng = RngState(23)
-        head = make_head(2, 3, 3, 4, 2, "classification", seed=23)
+        head = make_head(2, 3, 3, 4, 2, seed=23)
         act = rng.normal(2, 4)
         coeff = rng.normal(2, 2)
 

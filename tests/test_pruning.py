@@ -153,7 +153,7 @@ class TestDspMaskGrad:
         refresh_mask(pl, self.cfg)
         stats = layer_stats(pl.shadow)
         want = dsp_mask_grad(pl.shadow, stats, self.cfg)
-        assert mask_grad(pl, self.cfg).tobytes() == want.tobytes()
+        assert mask_grad(pl).tobytes() == want.tobytes()
         assert pl.mask.tobytes() == dsp_mask(pl.shadow, stats,
                                              self.cfg).tobytes()
 
@@ -162,7 +162,7 @@ class TestDspMaskGrad:
         pl = new_pruned_layer(np.array([[1e-6, 5.0]]))
         refresh_mask(pl, scfg)
         assert pl.mask[0, 0] == 0.0
-        g = mask_grad(pl, scfg)
+        g = mask_grad(pl)
         assert g[0, 0] == 0.0 and g[0, 1] == 1.0
 
     def test_finite_difference_oracle(self):

@@ -17,11 +17,13 @@ Calls in different processes order themselves by files (`wait_for`).
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ def two_cpus(monkeypatch):
 
 def deep_head(seed=0):
     """A 32-tree depth-6 head on a 4-wide layer: 66 rows a block."""
-    return init_head(4, 3, 32, 6, 8, "classification", RngState(seed))
+    return init_head(4, 3, 32, 6, 8, RngState(seed))
 
 
 def _record_descend(monkeypatch, before=None):
@@ -89,7 +91,7 @@ def test_split_route_descends_on_two_threads(two_cpus, monkeypatch):
 
     # one-block routes: one row, a training route (one whole-batch block
     # that keeps its factors), and 128 rows of a paper-sized head
-    paper_head = init_head(200, 3, 10, 4, 8, "classification", RngState(2))
+    paper_head = init_head(200, 3, 10, 4, 8, RngState(2))
     for one_block, batch, keep in ((head, 1, False), (head, 500, True),
                                    (paper_head, 128, False)):
         calls.clear()
@@ -576,3 +578,51 @@ def test_no_worker_without_a_second_cpu_or_fork(how, monkeypatch,
     finally:
         if how == "one CPU":
             os.sched_setaffinity(0, cpus)
+
+
+@pytest.mark.skipif(dnspn.numeric._openblas_threads() is None,
+                    reason="numpy bundles no OpenBLAS with a thread setter")
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forks)])
+def test_calls_run_at_one_blas_thread(cpus, monkeypatch, tmp_path,
+                                      no_child_left):
+    # at 2 OpenBLAS threads, each call sees 1, on the caller and in a
+    # worker, and the caller sees 2 again afterwards, after an error too
+    get, put = dnspn.numeric._openblas_threads()
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
+    hold = _one_each(tmp_path / "began") if cpus == 2 else lambda: None
+
+    def call():
+        hold()
+        return get(), os.getpid()
+
+    before = get()
+    put(2)
+    try:
+        out = run_calls([call] * 4)
+        assert get() == 2
+        with pytest.raises(ZeroDivisionError):
+            run_calls([lambda: 1 / 0, call])
+        assert get() == 2
+    finally:
+        put(before)
+    assert [threads for threads, _ in out] == [1] * 4
+    assert len({pid for _, pid in out}) == cpus
+
+
+def test_imports_and_runs_calls_without_pipe_buf():
+    # where `select` has no PIPE_BUF and `os` no fork, as on Windows, the
+    # package imports and runs the calls in order on the caller
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import os, select, sys\n"
+            "del select.PIPE_BUF, os.fork\n"
+            "from dnspn.numeric import _FORKS, run_calls\n"
+            "pid = os.getpid()\n"
+            "print(_FORKS, run_calls([lambda i=i: (i, os.getpid())\n"
+            "                         for i in range(3)])\n"
+            "      == [(i, pid) for i in range(3)])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False True\n", "")

@@ -731,3 +731,13 @@ class TestEvaluateModel:
         assert rep.auc is not None and 0.0 <= rep.auc <= 1.0
         assert rep.mse is None
         assert rep.n == 100
+
+    def test_one_class_set_has_no_auc(self):
+        ds = separable_2d(100, 11)
+        ones = Dataset(ds.X[ds.y == 1], ds.y[ds.y == 1], CLS)
+        model = build_forest_model(2, CLS, RngState(0), trees=2, depth=2,
+                                   embed_dim=2)
+        rep = evaluate_model(model, ones)
+        assert rep.auc is None
+        assert rep.class_counts == {1: ones.n}
+        assert 0.0 <= rep.accuracy <= 1.0
