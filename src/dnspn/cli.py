@@ -15,11 +15,15 @@ Exit codes: 0 success, 1 a worker process that ended without its result
 numeric errors.
 
 `generate` writes its two CSVs, `train` and `compare` load `--data` and
-`--eval-data`, and `compare` fits its method x seed cells through
+`--eval-data`, `compare` fits its method x seed cells, and `train`
+formats `model.json`'s floats (:func:`dnspn.model_io.write_json`) through
 :func:`dnspn.numeric.run_calls`: on Linux, in forked workers, one for each
 further CPU the process may run on, with the same bytes and the same
 errors as in order on one CPU. Each command runs with numpy's bundled
 OpenBLAS at one thread (:func:`dnspn.numeric.one_blas_thread`).
+
+A classification file with fewer than 2 classes is refused as `--data` of
+`train` and `compare` (exit 3), but `evaluate` scores a model on it.
 """
 
 from __future__ import annotations
@@ -196,16 +200,28 @@ def _flag_error(exc: ParameterError, args) -> str:
     return f"--{name}{sep}{rest}" if hasattr(args, name) else str(exc)
 
 
+def _load_training(path, label_column, task_kind: str) -> Dataset:
+    """`load_csv` of a file to train on, which a classifier cannot do with
+    fewer than 2 classes."""
+    ds = load_csv(path, label_column, task_kind)
+    if ds.task.kind == CLASSIFICATION and ds.task.n_classes < 2:
+        raise DataError(f"classification dataset {Path(path)} has fewer "
+                        "than 2 classes")
+    return ds
+
+
 def _load_train_eval(cfg: dict, args) -> tuple[Dataset, Dataset]:
     task_kind = ("classification" if getattr(args, "task", "class") == "class"
                  else "regression")
     if not args.eval_data and not 0.0 < cfg["holdout"] < 1.0:
         raise ParameterError(
             f"holdout must be in (0, 1), got {cfg['holdout']}")
-    paths = [args.data, *([args.eval_data] if args.eval_data else [])]
-    train_ds, *loaded = run_calls([
-        functools.partial(load_csv, path, args.label_col, task_kind)
-        for path in paths])
+    loads = [functools.partial(_load_training, args.data, args.label_col,
+                               task_kind)]
+    if args.eval_data:
+        loads.append(functools.partial(load_csv, args.eval_data,
+                                       args.label_col, task_kind))
+    train_ds, *loaded = run_calls(loads)
     if args.eval_data:
         (eval_ds,) = loaded
         if eval_ds.d != train_ds.d:

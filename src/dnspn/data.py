@@ -384,7 +384,9 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
     any malformed row aborts the load with an error naming the offending
     rows, and a feature column whose mean or variance overflows float64 is
     rejected here, where the error can name the file. Classification labels
-    are mapped to indices by sorted order of their distinct string values.
+    are mapped to indices by sorted order of their distinct string values;
+    a file of one class loads, as a model may be scored on it, and the CLI
+    refuses it as training data.
     A UTF-8 byte-order mark at the start of the file is not part of the
     first column's name.
 
@@ -441,9 +443,6 @@ def load_csv(path, label_column, task_kind: str) -> Dataset:
         y = np.asarray(labels, dtype=np.float64)
         return Dataset(X=X, y=y, task=Task(kind=REGRESSION))
     names = sorted(set(labels))
-    if len(names) < 2:
-        raise DataError(f"classification dataset {path} has fewer than 2 "
-                        "classes")
     mapping = {name: i for i, name in enumerate(names)}
     y = np.asarray([mapping[v] for v in labels], dtype=np.int64)
     return Dataset(X=X, y=y,

@@ -7,14 +7,18 @@ at training time.
 
 Every JSON file the package writes goes through `write_json`: the bytes of
 `json.dump(doc, sort_keys=True, indent=1)` and a newline, one float a line,
-each by `float.__repr__`, so a save/load round trip is bit-exact. It writes
-a list of finite floats (a weight row, a bias) as one joined string and the
-file an array at a time; `tests/reference_kernels.py` keeps the `json.dump`
-form that the tests hold it to.
+each by `float.__repr__`, so a save/load round trip is bit-exact.
+`save_model` hands it the model's float64 arrays, which it writes as their
+`tolist()`. It formats a document's rows of floats in slices of about
+FLOATS_PER_CALL floats through `numeric.run_calls`, so a model's are
+formatted on every CPU, and a report, in one call, on the caller alone;
+`tests/reference_kernels.py` keeps the `json.dump` form that the tests
+hold it to.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator
@@ -26,14 +30,15 @@ from .data import CLASSIFICATION, REGRESSION, Scaler, Task
 from .errors import DataError, ParameterError, reading
 from .forest import ForestHead, check_shape
 from .network import IDENTITY, RELU, DenseLayer
+from .numeric import run_calls
 from .training import (FOREST, SOFTMAX, Model, check_head_layers,
                        task_outputs)
 
 FORMAT = "dnspn-model-v1"
-
-
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
+# Floats that one call of `write_json` formats, about: a document with
+# fewer is written in one call on the caller, a larger one in slices of
+# this many over the CPUs
+FLOATS_PER_CALL = 20_000
 
 
 def _floats(value, what: str, shape: tuple) -> np.ndarray:
@@ -65,16 +70,25 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
-def _chunks(value, indent: str) -> Iterator[str]:
+def _pieces(value, indent: str) -> Iterator:
     """The text of `value` at nesting `indent`, as
-    `json.dump(sort_keys=True, indent=1)` writes it, a chunk at a time.
+    `json.dump(sort_keys=True, indent=1)` writes it, in pieces: a str of
+    text, or a `(row, indent)` pair for :func:`_row_text` to format.
 
-    A nonempty list of finite floats (a weight row, a bias, a mask row) is
-    one chunk, its floats by `float.__repr__` joined at the inner indent.
-    Any other list, and every dict, is walked item by item; each scalar is
-    written by `json.dumps`, whose C encoder writes it as `json.dump` does.
+    A row is a nonempty list of floats (a bias, a list of weights) or a
+    nonempty 1-D float64 array; an array of more dimensions is walked as
+    the nested lists of its `tolist()`, a row at a time. Any other list,
+    and every dict, is walked item by item; each scalar is written by
+    `json.dumps`, whose C encoder writes it as `json.dump` does.
     """
     inner = indent + " "
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64:
+            raise TypeError(f"arrays must be float64, not {value.dtype}")
+        if value.ndim == 1 and value.size:
+            yield value, indent
+            return
+        value = list(value)         # its rows; a 0-d array raises TypeError
     if isinstance(value, dict):
         if not value:
             yield "{}"
@@ -82,41 +96,68 @@ def _chunks(value, indent: str) -> Iterator[str]:
         sep = "{\n"
         for key, item in sorted(value.items()):
             yield f"{sep}{inner}{_key(key)}: "
-            yield from _chunks(item, inner)
+            yield from _pieces(item, inner)
             sep = ",\n"
         yield f"\n{indent}}}"
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
-            return
-        try:
-            floats = f",\n{inner}".join(map(float.__repr__, value))
-        except TypeError:                   # an item that is not a float
-            floats = None
-        if floats is not None and all(map(math.isfinite, value)):
-            yield f"[\n{inner}{floats}\n{indent}]"
-            return
-        sep = "[\n"
-        for item in value:
-            yield sep + inner
-            yield from _chunks(item, inner)
-            sep = ",\n"
-        yield f"\n{indent}]"
+        elif all(isinstance(item, float) for item in value):
+            yield value, indent
+        else:
+            sep = "[\n"
+            for item in value:
+                yield sep + inner
+                yield from _pieces(item, inner)
+                sep = ",\n"
+            yield f"\n{indent}]"
     else:
         yield json.dumps(value)
+
+
+def _row_text(row, indent: str) -> str:
+    """A row of :func:`_pieces` as `json.dump` writes it: one float a line
+    at the inner indent, each by `float.__repr__`, joined at once when all
+    are finite, and else each by `json.dumps` (`NaN`, `Infinity`)."""
+    items = row.tolist() if isinstance(row, np.ndarray) else row
+    text = float.__repr__ if all(map(math.isfinite, items)) else json.dumps
+    inner = indent + " "
+    return (f"[\n{inner}" + f",\n{inner}".join(map(text, items))
+            + f"\n{indent}]")
+
+
+def _text(pieces: list) -> str:
+    """The text of a slice of :func:`_pieces`, its rows formatted."""
+    return "".join(piece if isinstance(piece, str) else _row_text(*piece)
+                   for piece in pieces)
 
 
 def write_json(path, doc: dict) -> None:
     """Every JSON file the package writes: sorted keys, indent 1, newline.
 
     The bytes are those of `json.dump(doc, fh, sort_keys=True, indent=1)`
-    and a newline: one float a line at its nesting indent, each by
-    `float.__repr__`, so a float reads back bit for bit. The document is
-    written an array at a time, each list of finite floats as one joined
-    string, not through `json`'s pure-Python indenting encoder.
+    and a newline, with a float64 array written as its `tolist()`: one
+    float a line at its nesting indent, each by `float.__repr__`, so a
+    float reads back bit for bit. The caller walks the document once into
+    pieces (:func:`_pieces`); the rows are formatted in contiguous slices
+    of about FLOATS_PER_CALL floats through :func:`numeric.run_calls`, so
+    a large document (a model) is formatted on every CPU and a small one
+    (a report) in one call on the caller, which forks nothing. Each call
+    turns only its own rows into Python floats, and the caller writes the
+    slices' text in order.
     """
+    slices, floats = [[]], 0
+    for piece in _pieces(doc, ""):
+        if not isinstance(piece, str):
+            if floats >= FLOATS_PER_CALL:
+                slices.append([])
+                floats = 0
+            floats += len(piece[0])
+        slices[-1].append(piece)
+    texts = run_calls([functools.partial(_text, pieces)
+                       for pieces in slices])
     with open(path, "w") as fh:
-        fh.writelines(_chunks(doc, ""))
+        fh.writelines(texts)
         fh.write("\n")
 
 
@@ -132,10 +173,10 @@ def save_model(model: Model, path) -> None:
         },
         "layers": [
             {
-                "weights": _arr(pl.shadow),
-                "bias": _arr(layer.bias),
+                "weights": pl.shadow,
+                "bias": layer.bias,
                 "activation": layer.activation,
-                "mask": _arr(pl.mask),
+                "mask": pl.mask,
             }
             for layer, pl in zip(model.layers, model.layer_prunes)
         ],
@@ -145,18 +186,18 @@ def save_model(model: Model, path) -> None:
                 "depth": head.depth,
                 "embed_dim": head.embed_dim,
                 "kind": model.task.kind,
-                "proj_w": _arr(pp.shadow),
-                "proj_b": _arr(head.proj_b),
-                "routing_w": _arr(head.routing_w),
-                "routing_b": _arr(head.routing_b),
-                "leaf": _arr(head.leaf),
-                "mask": _arr(pp.mask),
+                "proj_w": pp.shadow,
+                "proj_b": head.proj_b,
+                "routing_w": head.routing_w,
+                "routing_b": head.routing_b,
+                "leaf": head.leaf,
+                "mask": pp.mask,
             }
             for head, pp in zip(model.heads, model.proj_prunes)
         ],
         "head_layers": model.head_layers,
         "scaler": (
-            {"mean": _arr(model.scaler.mean), "std": _arr(model.scaler.std)}
+            {"mean": model.scaler.mean, "std": model.scaler.std}
             if model.scaler is not None else None
         ),
     }

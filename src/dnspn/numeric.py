@@ -15,11 +15,14 @@ which :func:`run_blocks` runs over threads.
 
 Independent calls: :func:`run_calls` runs a list of zero-argument calls
 on the caller and on forked worker processes, one for each further CPU in
-the process's set, and returns their results in call order. The CLI runs
-through it `generate`'s two CSV writes, the `--data` and `--eval-data`
-loads of `train` and `compare`, and `compare`'s method x seed cells. It
-forks only on Linux; with one CPU, one call, or on another platform, the
-calls run in order on the caller.
+the process's set, and returns their results in call order; a worker
+writes its outcomes into an in-memory file of its own, which the caller
+reads once the worker has ended. The CLI runs through it `generate`'s two
+CSV writes, the `--data` and `--eval-data` loads of `train` and
+`compare`, `compare`'s method x seed cells, and the float formatting of a
+large JSON document (`model_io.write_json`). It forks only on Linux; with
+one CPU, one call, or on another platform, the calls run in order on the
+caller.
 
 BLAS threads: :func:`one_blas_thread` sets numpy's bundled OpenBLAS to one
 thread for the length of a CLI command, as some matrix shapes sum in
@@ -204,10 +207,11 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 # Whether :func:`run_calls` forks: only on Linux, where a forked child of a
-# threaded process is safe for this package (see run_calls). macOS has
-# fork, but its system libraries may not be used in a child of a threaded
-# process.
-_FORKS = hasattr(os, "fork") and sys.platform.startswith("linux")
+# threaded process is safe for this package (see run_calls) and a worker
+# has an in-memory file for its outcomes. macOS has fork, but its system
+# libraries may not be used in a child of a threaded process.
+_FORKS = (hasattr(os, "fork") and hasattr(os, "memfd_create")
+          and sys.platform.startswith("linux"))
 # A call's index as it goes through the token pipe of run_calls
 _TOKEN = struct.Struct("=I")
 
@@ -219,10 +223,13 @@ def run_calls(calls: Sequence[Callable[[], object]]) -> list:
     rest: one worker for each further CPU in the process's set
     (:func:`_cpu_count`), but no more workers than calls. Each process
     takes the next call left from a pipe of call indices, as
-    :func:`run_blocks` takes blocks, and a worker sends each outcome back
-    pickled over its own pipe. With one CPU, one call, or where this
-    module does not fork (`_FORKS`: it forks on Linux only), the calls run
-    in order on the caller.
+    :func:`run_blocks` takes blocks. A worker writes each outcome pickled
+    into an unlinked in-memory file of its own (`os.memfd_create`), which
+    the caller reads once the worker has ended, so no worker waits on the
+    caller: through a pipe, which holds 64 KiB, a worker with a larger
+    outcome would wait until the caller had run all its own calls. With
+    one CPU, one call, or where this module does not fork (`_FORKS`: it
+    forks on Linux only), the calls run in order on the caller.
 
     Errors are those of the serial order, whatever the CPU count: the
     helper raises the exception of the first failing call in call order,
@@ -249,6 +256,12 @@ def run_calls(calls: Sequence[Callable[[], object]]) -> list:
     OpenBLAS shuts its thread pool down at a fork and the child starts
     another on its first threaded call. A call must not rely on a lock
     that another thread of the caller may hold.
+
+    A fork costs the caller more than the fork itself: it marks every
+    page of the caller's heap copy-on-write, so the caller takes one page
+    fault for each page it next writes, after the workers have ended too
+    (README's CLI section has a measurement). So a caller forks only for
+    work that takes far longer than that.
     """
     calls = list(calls)
     cpus = _cpu_count() if _FORKS else 1
@@ -272,39 +285,36 @@ def _run_forked(calls: list, cpus: int) -> list:
     os.write(fill, b"".join(_TOKEN.pack(i) for i in range(len(calls))))
     os.close(fill)          # a process that reads past the last token ends
     outcomes: dict[int, tuple[bool, object]] = {}
-    workers: dict[int, int] = {}        # pid -> read end of its outcomes
+    workers: dict[int, int] = {}        # pid -> its file of outcomes
     ended: dict[int, int] = {}          # pid -> exit code
     share = _CPU_SHARE.set(max(1, cpus // procs))
     try:
         for _ in range(procs - 1):
-            read, write = os.pipe()
+            out = os.memfd_create("dnspn-outcomes")
             try:
                 pid = os.fork()
             except BaseException:
-                os.close(read)
-                os.close(write)
+                os.close(out)
                 raise
             if pid == 0:
-                os.close(read)
-                _worker(calls, tokens, write)
-            os.close(write)
-            workers[pid] = read
+                _worker(calls, tokens, out)
+            workers[pid] = out
         _take_calls(calls, tokens, outcomes.__setitem__, Exception)
-        for pid, read in list(workers.items()):
-            with open(read, "rb", closefd=False) as fh:
+        for pid in list(workers):
+            ended[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            with open(workers.pop(pid), "rb") as fh:
+                fh.seek(0)          # the worker's writes moved the offset
                 while True:
                     try:
                         i, outcome = pickle.load(fh)
                     except (EOFError, pickle.UnpicklingError):
                         break               # the worker's end, if cut short
                     outcomes[i] = outcome
-            ended[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(workers.pop(pid))
     finally:
         _CPU_SHARE.reset(share)
         os.close(tokens)
-        for pid, read in workers.items():
-            os.close(read)
+        for pid, out in workers.items():
+            os.close(out)
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):
@@ -343,23 +353,24 @@ def _take_calls(calls: list, tokens: int, record, catch) -> None:
 
 def _worker(calls: list, tokens: int, out: int) -> None:
     """A forked worker of :func:`run_calls`: take calls and write each
-    outcome to `out` as one pickle, then end the process."""
+    outcome to the file `out` as one pickle, then end the process."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent decides
-        with open(out, "wb") as fh:
-            def send(i, outcome):
-                try:
-                    data = pickle.dumps((i, outcome), pickle.HIGHEST_PROTOCOL)
-                    if not outcome[0]:      # an error must load in the parent
-                        pickle.loads(data)
-                except Exception as exc:
-                    data = pickle.dumps((i, (False, RuntimeError(
-                        f"call {i}'s outcome cannot be sent from a worker "
-                        f"process: {exc!r}"))))
-                fh.write(data)
-                fh.flush()
-            _take_calls(calls, tokens, send, BaseException)
+
+        def send(i, outcome):
+            try:
+                data = pickle.dumps((i, outcome), pickle.HIGHEST_PROTOCOL)
+                if not outcome[0]:          # an error must load in the parent
+                    pickle.loads(data)
+            except Exception as exc:
+                data = pickle.dumps((i, (False, RuntimeError(
+                    f"call {i}'s outcome cannot be sent from a worker "
+                    f"process: {exc!r}"))))
+            view = memoryview(data)
+            while view:
+                view = view[os.write(out, view):]
+        _take_calls(calls, tokens, send, BaseException)
         code = 0
     finally:
         os._exit(code)

@@ -30,6 +30,9 @@ labels bit for bit, and their meta.
 as they were written and read a cell at a time, through `json.dump`,
 `csv.writer.writerow` and one `float` per feature cell: the files the
 CLI writes must keep their bytes, and a malformed CSV its message.
+`write_json` writes a float64 array as its `tolist()`. `load_csv` no
+longer refuses a file of one class: the CLI refuses it as training data
+only, with the same message.
 """
 
 import csv
@@ -370,10 +373,19 @@ def gen_quadratic_k(spec):
     return _binary(X, y, meta)
 
 
+def _tolist(obj):
+    """A float64 array as `json.dump` writes its `tolist()`."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
 def write_json(path, doc):
-    """A JSON file: sorted keys, indent 1, newline."""
+    """A JSON file: sorted keys, indent 1, newline; a float64 array is
+    written as its `tolist()`."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=_tolist)
         fh.write("\n")
 
 
@@ -493,9 +505,6 @@ def load_csv(path, label_column, task_kind):
         y = np.asarray(labels, dtype=np.float64)
         return Dataset(X=X, y=y, task=Task(kind=REGRESSION))
     names = sorted(set(labels))
-    if len(names) < 2:
-        raise DataError(f"classification dataset {path} has fewer than 2 "
-                        "classes")
     mapping = {name: i for i, name in enumerate(names)}
     y = np.asarray([mapping[v] for v in labels], dtype=np.int64)
     return Dataset(X=X, y=y,

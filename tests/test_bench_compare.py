@@ -19,13 +19,15 @@ ENV = {"numpy": "2.0", "blas": "openblas 0.3", "cpu_count": 2,
 
 
 def write_run(results, workload, seed, scale, env=ENV, value=None,
-              trace=0, drop=(), methods=()):
+              trace=0, drop=(), methods=(), probe_ms=2.0, measured=True):
     """One result file whose every metric is `value`, or seed * scale when
     no value is given. A traced run (`trace=1`) reports the per-layer
     metrics, but for the `fcnn.` ones, which read 0 as in a workload
     without that method, and its traced end-to-end figures read 1000.
     Metrics named in `drop` are left out. The i-th of `methods` (from 1)
-    gets `train.<method>` samples whose median is i * value."""
+    gets `train.<method>` samples whose median is i * value. Unless
+    `measured` is false, the run's unscaled end-to-end figures read half
+    of `value`, and its speed probe's median is `probe_ms`."""
     value = seed * scale if value is None else value
     results.mkdir(parents=True, exist_ok=True)
     names = LAYER_METRICS if trace else METRICS
@@ -42,6 +44,9 @@ def write_run(results, workload, seed, scale, env=ENV, value=None,
             for i, m in enumerate(methods, 1)}
     if trace:
         record["traced_end_to_end"] = {name: 1000.0 for name in METRICS}
+    if measured:
+        record["measured_end_to_end"] = {name: value / 2 for name in METRICS}
+        record["speed_probe"] = {"readings": 9, "median_ms": probe_ms}
     (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(
         json.dumps(record))
 
@@ -81,6 +86,8 @@ def test_same_inputs_same_bytes(sides, tmp_path, capsys):
         assert "\nPer-layer metrics, from the traced runs:\n" in outs[0][1]
         assert ("\nEach method's training rate, from the untraced runs:\n"
                 in outs[0][1])
+        assert ("\nUnscaled end-to-end metrics and the speed probe's run "
+                "medians, from the untraced runs:\n" in outs[0][1])
 
 
 def test_medians_quartiles_and_wins(sides, tmp_path, capsys):
@@ -253,4 +260,57 @@ def test_one_sided_method_rate_refused(sides, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: training rate train.fcnn of deep-forest-train is missing "
         "from runs of the change side\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_unscaled_figures_and_speed_probe(tmp_path, capsys):
+    # the scaled figures are the same on both sides, while the change ran
+    # at a slower probe and measured 20% lower
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3, 4):
+        write_run(parent, "cli-serve", seed, 1.0, value=10.0 * seed,
+                  probe_ms=1.5)
+        write_run(change, "cli-serve", seed, 1.0, value=10.0 * seed,
+                  probe_ms=1.8 + seed / 10)
+        record = json.loads((change / f"cli-serve-seed{seed}-trace0.json")
+                            .read_text())
+        record["measured_end_to_end"] = {name: 4.0 * seed
+                                         for name in METRICS}
+        (change / f"cli-serve-seed{seed}-trace0.json").write_text(
+            json.dumps(record))
+    out = tmp_path / "bench.json"
+    assert bench_compare.main([str(parent), str(change), str(out)]) == 0
+    summary = json.loads(out.read_text())
+    scaled = summary["workloads"]["cli-serve"]["metrics"]["train_sps"]
+    assert scaled["change_pct"] == 0.0
+    measured = summary["measured"]["cli-serve"]
+    assert measured["seeds"] == [1, 2, 3, 4] and measured["runs"] == 4
+    assert sorted(measured["metrics"]) == sorted(
+        METRICS + ["speed_probe_median_ms"])
+    sps = measured["metrics"]["train_sps"]
+    assert sps["parent"] == {"median": 12.5, "q1": 8.75, "q3": 16.25}
+    assert sps["change"]["median"] == 10.0
+    assert sps["change_pct"] == pytest.approx(-20.0)
+    assert sps["wins"] == 0 and "gain_rule_met" not in sps
+    probe = measured["metrics"]["speed_probe_median_ms"]
+    assert probe["parent"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
+    assert probe["change"]["median"] == pytest.approx(2.05)
+    assert probe["unit"] == "ms" and probe["wins"] == 0
+    table = capsys.readouterr().out
+    unscaled = table.split("\nUnscaled end-to-end metrics and the speed "
+                           "probe's run medians, from the untraced "
+                           "runs:\n")[1]
+    assert ("|  | `train_sps` | 12.5 [8.75, 16.25] | 10 [7, 13] | -20.0% "
+            "| 0/4 |\n") in unscaled
+    assert "|  | `speed_probe_median_ms` | 1.5 [1.5, 1.5] |" in unscaled
+
+
+def test_run_without_unscaled_figures_refused(sides, tmp_path, capsys):
+    parent, change = sides
+    write_run(change, "cli-serve", 2, 2.0, measured=False)
+    assert bench_compare.main([str(parent), str(change),
+                               str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: runs of cli-serve on the change side have no unscaled "
+        "figures or speed probe\n")
     assert not (tmp_path / "x.json").exists()

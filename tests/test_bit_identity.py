@@ -10,11 +10,13 @@ are compared. Every comparison is on the raw float64 bits, so signs of zero
 and NaN payloads count too.
 
 The text files are held to their bytes: every JSON file the CLI writes
-against `json.dump`, the dataset and mask-curve CSVs against
+against `json.dump`, at one CPU and split over two, the dataset and
+mask-curve CSVs against
 `csv.writer`, and `load_csv`'s values and messages against the loader that
 parsed one cell at a time.
 """
 
+import os
 import threading
 from pathlib import Path
 
@@ -919,7 +921,7 @@ def test_cli_json_matches_reference(json_docs, tmp_path):
     models = [doc for name, doc in json_docs if name == "model.json"]
     assert models[4]["task"]["kind"] == "regression"
     # a depth-1 head has no routing nodes
-    assert models[5]["heads"][0]["routing_w"] == []
+    assert models[5]["heads"][0]["routing_w"].shape == (0, 3)
     for name, doc in json_docs:
         assert (_written(tmp_path, write_json, doc)
                 == _written(tmp_path, ref.write_json, doc)), name
@@ -966,6 +968,74 @@ def test_json_key_errors_match_reference(tmp_path):
             _written(tmp_path, ref.write_json, doc)
         with pytest.raises(TypeError):
             _written(tmp_path, write_json, doc)
+
+
+def _split_doc() -> dict:
+    """A document of about 4.4 FLOATS_PER_CALL floats: rows of uneven
+    lengths, one of them holding a NaN, empty lists, int lists, nested
+    dicts, and float64 arrays of one, two and three dimensions, some empty
+    and some holding a NaN or an infinity."""
+    per = dnspn.model_io.FLOATS_PER_CALL
+    rng = RngState(8)
+    rows = [rng.normal(1, n)[0].tolist()
+            for n in (1, 7, per // 3, 250, per + 13, 3)]
+    rows[3][100] = float("nan")
+    matrix = rng.normal(2 * per // 200, 200)
+    matrix[3, 5], matrix[7, 0] = np.nan, -np.inf
+    return {"rows": rows, "empty": [[], {}, (), [[]]],
+            "ints": {"counts": [3, 1, 4], "nested": {"x": [1, 2.5, None],
+                                                     "y": {"z": [[7]]}}},
+            "arrays": [matrix, rng.normal(1, 17)[0], np.zeros(0),
+                       np.zeros((5, 0)), np.zeros((0, 3))],
+            "cube": rng.normal(4 * 50, 100).reshape(4, 50, 100),
+            "tail": 1.5}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_json_matches_reference(cpus, monkeypatch, tmp_path,
+                                      no_child_left):
+    # the rows are formatted in several calls, split over two processes
+    # at two CPUs, and written in order
+    calls, forks = [], []
+    run_calls, fork = dnspn.model_io.run_calls, os.fork
+
+    def counted_calls(todo):
+        calls.append(len(todo))
+        return run_calls(todo)
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(dnspn.model_io, "run_calls", counted_calls)
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    doc = _split_doc()
+    assert (_written(tmp_path, write_json, doc)
+            == _written(tmp_path, ref.write_json, doc))
+    assert calls[0] >= 4
+    assert len(forks) == (cpus == 2 and dnspn.numeric._FORKS)
+
+
+def test_small_json_forks_nothing(monkeypatch, tmp_path):
+    # a report, a dataset's meta and a small model are one call each, on
+    # the caller, at any CPU count
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(dnspn.numeric, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = SyntheticSpec(kind="quadratic", k=100, n_train=10, n_test=0)
+    report = {"accuracy": 0.5, "auc": None, "class_counts": {"0": 3, "1": 5},
+              "config": {"lr": 0.001, "prune": "dsp"}, "n": 8,
+              "sparsity": 0.25}
+    for doc in (report, generate(spec).meta):
+        assert (_written(tmp_path, write_json, doc)
+                == _written(tmp_path, ref.write_json, doc))
+    model = build_forest_model(20, Task("classification", n_classes=2),
+                               RngState(9), trees=4, depth=3, embed_dim=4)
+    save_model(model, tmp_path / "model.json")
+    load_model(tmp_path / "model.json")
 
 
 EXTREME = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5,

@@ -938,7 +938,7 @@ def _rows(edit):
 
 # name -> mutation of a valid dataset CSV's lines (header first, no line
 # ends); each makes the file malformed wherever it is read, except the
-# two marked below, which are malformed only beside another file
+# three marked below, which are malformed only beside another file
 CSV_MUTATIONS = {
     "truncated in the header": lambda lines: [lines[0][:4]],
     "truncated in a row": lambda lines: lines[:3] + [lines[3][:5]],
@@ -967,7 +967,6 @@ CSV_MUTATIONS = {
                               else r),
     "blank label cell": _rows(lambda i, r: _cells(r, 2, "  ") if i == 4
                               else r),
-    "one class": _rows(lambda i, r: _cells(r, 2, "1")),
     # malformed on both sides of load_csv's choice of reader
     "comment row": _rows(lambda i, r: "#" + r if i == 3 else r),
     "blank feature cell": _rows(lambda i, r: _cells(r, 1, " ") if i == 3
@@ -991,14 +990,18 @@ CSV_MUTATIONS = {
     "wrong width": lambda lines: [line + ",0.5" if i else line + ",f2"
                                   for i, line in enumerate(lines)],
     "other label": _rows(lambda i, r: _cells(r, 2, "2") if i == 4 else r),
+    # valid to score a model on, malformed to train on or beside a
+    # training file of two classes
+    "one class": _rows(lambda i, r: _cells(r, 2, "1")),
 }
 # how the mutated file is read: as the training data, as the held-out
 # data beside a valid training file, or by `evaluate` of a trained model
 CSV_READERS = ("train --data", "train --eval-data", "evaluate --data")
+# the reader that takes each mutation malformed only beside another file
+VALID_FOR = {"wrong width": "train --data", "other label": "train --data",
+             "one class": "evaluate --data"}
 CSV_CASES = [(name, reader) for name in sorted(CSV_MUTATIONS)
-             for reader in CSV_READERS
-             if not (reader == "train --data"
-                     and name in ("wrong width", "other label"))]
+             for reader in CSV_READERS if VALID_FOR.get(name) != reader]
 
 
 def _csv_argv(reader, path, small_model, tmp_path):
@@ -1029,6 +1032,32 @@ class TestCsvMutations:
         assert err.startswith("data error: ") and str(path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    def test_one_class_scores_a_model_but_trains_none(self, small_model,
+                                                      tmp_path, capsys):
+        # the model's two classes, scored on 20 rows of class 1 alone
+        doc, data = small_model
+        lines = data.read_text().splitlines()
+        ones = [line for line in lines[1:] if line.endswith(",1")][:20]
+        assert len(ones) == 20
+        path = tmp_path / "ones.csv"
+        path.write_text("".join(line + "\n" for line in [lines[0], *ones]))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(model), "--data", str(path),
+                   "--out", str(tmp_path / "eval")) == 0
+        report = json.loads(
+            (only_run_dir(tmp_path / "eval") / "report.json").read_text())
+        assert report["n"] == 20 and report["class_counts"] == {"1": 20}
+        assert report["auc"] is None and 0.0 <= report["accuracy"] <= 1.0
+        capsys.readouterr()
+        for command in ("train", "compare"):
+            assert run(command, "--data", str(path), "--out",
+                       str(tmp_path / "runs")) == 3
+            assert capsys.readouterr().err == (
+                f"data error: classification dataset {path} has fewer "
+                "than 2 classes\n")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("reader", CSV_READERS)
     def test_bytes_not_utf8(self, reader, small_model, tmp_path, capsys):

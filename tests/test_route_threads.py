@@ -527,6 +527,49 @@ def test_a_killed_worker_is_an_error(two_cpus, tmp_path, no_child_left):
 
 
 @forks
+def test_no_worker_waits_on_the_caller(two_cpus, tmp_path, no_child_left):
+    # four calls of 1 MiB outcomes: a call on the caller waits until the
+    # worker has begun its third call, and so has sent two outcomes, which
+    # a pipe of 64 KiB read only after the caller's calls would not let it
+    parent = os.getpid()
+
+    def call(i):
+        def run():
+            if os.getpid() == parent:
+                wait_for(tmp_path / "worker2")
+            else:
+                began = len(list(tmp_path.glob("worker*")))
+                (tmp_path / f"worker{began}").touch()
+            return str(i) * 2 ** 20, os.getpid()
+        return run
+
+    out = run_calls([call(i) for i in range(4)])
+    assert [text for text, _ in out] == [str(i) * 2 ** 20 for i in range(4)]
+    pids = [pid for _, pid in out]
+    assert pids.count(parent) == 1 and len(set(pids)) == 2
+
+
+@forks
+def test_a_worker_killed_while_writing_an_outcome_is_an_error(
+        two_cpus, tmp_path, no_child_left):
+    # the worker writes half of its outcome's bytes, then is killed
+    def write_half(fd, data):
+        os.write = write
+        write(fd, data[:len(data) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def in_worker():
+        os.write = write_half               # in the worker's memory only
+        return "x" * 2 ** 20
+
+    write = os.write
+    call = _one_each(tmp_path / "began", in_worker=in_worker)
+    with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+        run_calls([call, call])
+    assert os.write is write
+
+
+@forks
 def test_ctrl_c_on_the_caller_kills_and_reaps_the_workers(
         two_cpus, tmp_path, no_child_left):
     def interrupted():

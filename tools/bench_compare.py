@@ -30,6 +30,14 @@ separate `per_method` key: each side's median and quartiles, the change in
 the median and the wins, with no flags. A method that only one side's runs
 report is refused.
 
+The end-to-end figures are at the reference machine speed, which
+`perfbench/speed.py` takes from a probe run through each untraced run. So
+the same figures as measured, unscaled (each run's `measured_end_to_end`),
+and each run's median probe reading (`speed_probe`'s `median_ms`) are
+summarized under a separate `measured` key, with no flags: when the two
+sides ran at different machine speeds, these show it beside the scaled
+figures.
+
 The traced pairs (`*-trace1.json`), when there are any, are summarized the
 same way under a separate `per_layer` key: for each per-layer metric of
 BENCHMARK.json, each side's median and quartiles, the change in the
@@ -167,6 +175,27 @@ def _per_method(name: str, seeds: list, sides: dict) -> dict:
     return {"seeds": seeds, "runs": len(seeds), "metrics": metrics}
 
 
+PROBE = {"name": "speed_probe_median_ms", "unit": "ms", "better": "lower"}
+
+
+def _measured(name: str, seeds: list, sides: dict, spec: dict) -> dict:
+    """The unscaled end-to-end figures and the speed probe's run medians
+    of one workload's untraced pairs; raises ValueError for a run that
+    reports either not at all."""
+    for side, recs in sides.items():
+        if any("measured_end_to_end" not in r or "speed_probe" not in r
+               for r in recs):
+            raise ValueError(f"runs of {name} on the {side} side have no "
+                             "unscaled figures or speed probe")
+    metrics = {m["name"]: _metric(m, {
+        side: [r["measured_end_to_end"][m["name"]] for r in recs]
+        for side, recs in sides.items()}) for m in spec["end_to_end"]}
+    metrics[PROBE["name"]] = _metric(PROBE, {
+        side: [r["speed_probe"]["median_ms"] for r in recs]
+        for side, recs in sides.items()})
+    return {"seeds": seeds, "runs": len(seeds), "metrics": metrics}
+
+
 def _per_layer(name: str, seeds: list, sides: dict, spec: dict) -> dict:
     """The per-layer summary of one workload's traced pairs; raises
     ValueError for a metric that only one side's runs all report."""
@@ -191,11 +220,12 @@ def _per_layer(name: str, seeds: list, sides: dict, spec: dict) -> dict:
 def compare(parent: dict, change: dict, spec: dict,
             parent_traced: dict | None = None,
             change_traced: dict | None = None) -> dict:
-    """The summary of paired runs, with a `per_method` part when a
-    workload trains methods, and a `per_layer` part when there are traced
-    runs; raises ValueError when the two sides do not pair up, the runs
-    report more than one environment, or only one side reports a
-    per-layer metric or a method's rate."""
+    """The summary of paired runs, with a `measured` part, a `per_method`
+    part when a workload trains methods, and a `per_layer` part when there
+    are traced runs; raises ValueError when the two sides do not pair up,
+    the runs report more than one environment, a run has no unscaled
+    figures, or only one side reports a per-layer metric or a method's
+    rate."""
     if not parent:
         raise ValueError("no *-trace0.json results to compare")
     traced = (parent_traced or {}, change_traced or {})
@@ -203,7 +233,9 @@ def compare(parent: dict, change: dict, spec: dict,
     summary = {
         "environment": _environment(parent, change, *traced),
         "workloads": {name: _end_to_end(seeds, sides, spec)
-                      for name, seeds, sides in pairs}}
+                      for name, seeds, sides in pairs},
+        "measured": {name: _measured(name, seeds, sides, spec)
+                     for name, seeds, sides in pairs}}
     methods = {name: _per_method(name, seeds, sides)
                for name, seeds, sides in pairs}
     methods = {name: m for name, m in methods.items() if m["metrics"]}
@@ -247,10 +279,13 @@ def _rows(workloads: dict, flagged: bool) -> list[str]:
 
 def table(summary: dict) -> str:
     """The summary as the markdown tables CHANGES.md quotes: end-to-end,
-    then per-method when a workload trains methods, then per-layer when
-    there are traced runs."""
+    then unscaled, then per-method when a workload trains methods, then
+    per-layer when there are traced runs."""
     lines = [HEADER + " flags |", "|---|---|---|---|---|---|---|",
-             *_rows(summary["workloads"], True)]
+             *_rows(summary["workloads"], True),
+             "\nUnscaled end-to-end metrics and the speed probe's run "
+             "medians, from the untraced runs:\n", HEADER,
+             "|---|---|---|---|---|---|", *_rows(summary["measured"], False)]
     if "per_method" in summary:
         lines += ["\nEach method's training rate, from the untraced "
                   "runs:\n", HEADER, "|---|---|---|---|---|---|",
